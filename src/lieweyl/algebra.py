@@ -185,6 +185,18 @@ def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
     return _bracket_span(algebra, eye, eye)
 
 
+def _series_vanishes(term: np.ndarray, step) -> bool:
+    """Iterate ``term -> step(term)`` while it shrinks; True if it reaches zero."""
+    for _ in range(term.shape[1] + 1):
+        if term.shape[0] == 0:
+            break
+        nxt = step(term)
+        if nxt.shape[0] >= term.shape[0]:
+            break
+        term = nxt
+    return term.shape[0] == 0
+
+
 def structure_flags(algebra: LieAlgebra) -> StructureFlags:
     """Solvability, nilpotency, abelianness, unimodularity and key dimensions.
 
@@ -200,26 +212,9 @@ def structure_flags(algebra: LieAlgebra) -> StructureFlags:
     derived = derived_subalgebra(algebra)
     derived_dim = derived.shape[0]
 
-    term = derived
-    for _ in range(n + 1):
-        if term.shape[0] == 0:
-            break
-        nxt = _bracket_span(algebra, term, term)
-        if nxt.shape[0] >= term.shape[0]:
-            break
-        term = nxt
-    solvable = term.shape[0] == 0
-
-    term = derived
     full = np.eye(n)
-    for _ in range(n + 1):
-        if term.shape[0] == 0:
-            break
-        nxt = _bracket_span(algebra, full, term)
-        if nxt.shape[0] >= term.shape[0]:
-            break
-        term = nxt
-    nilpotent = term.shape[0] == 0
+    solvable = _series_vanishes(derived, lambda term: _bracket_span(algebra, term, term))
+    nilpotent = _series_vanishes(derived, lambda term: _bracket_span(algebra, full, term))
 
     traces = np.einsum("ijj->i", c)
     unimodular = bool(np.max(np.abs(traces)) <= tol) if n else True

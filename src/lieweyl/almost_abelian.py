@@ -461,14 +461,17 @@ def conformal_metric_flatness(
 
     eigs = np.linalg.eigvalsh(dec.sym)
     ctol = EIGEN_CLUSTER_RTOL * max(1.0, float(np.max(np.abs(eigs))))
-    if eigs[-1] - eigs[0] <= ctol:
-        flat = True
-    else:
-        zeros = np.abs(eigs) <= ctol
-        nonzero = eigs[~zeros]
-        flat = (
-            int(np.sum(zeros)) == 1
-            and nonzero.size == eigs.size - 1
-            and float(np.max(nonzero) - np.min(nonzero)) <= ctol
-        )
-    return RescaleVerdict(ricci_flat=True, flat=flat)
+    return RescaleVerdict(ricci_flat=True, flat=_is_flat_pattern(eigs, ctol))
+
+
+def _is_flat_pattern(eigs: np.ndarray, tol: float) -> bool:
+    """Spectrum of ``sym`` with a flat rescaling: one cluster, or one simple
+    zero and one cluster, clusters and zeros taken to within ``tol``."""
+    eigs = np.sort(np.asarray(eigs, dtype=float))
+    if eigs[-1] - eigs[0] <= tol:
+        return True
+    zero = np.abs(eigs) <= tol
+    if int(np.sum(zero)) != 1:
+        return False
+    rest = eigs[~zero]
+    return float(np.max(rest) - np.min(rest)) <= tol

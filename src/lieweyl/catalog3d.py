@@ -266,20 +266,12 @@ def adapted_frame(m: MetricLieAlgebra) -> AdaptedFrame3D:
     zero_i, alpha_i = order[0], order[1]
     alpha = float(eigvals[alpha_i])
     h = dec.ideal_basis.T  # columns
-    u = _sign_fix(h @ eigvecs[:, alpha_i])
-    v = _sign_fix(h @ eigvecs[:, zero_i])
+    u = almost_abelian._first_significant_positive(h @ eigvecs[:, alpha_i])
+    v = almost_abelian._first_significant_positive(h @ eigvecs[:, zero_i])
     basis = np.column_stack([b, u, v])
     _verify_bracket(m, b, u, alpha * u, tol)
     _verify_bracket(m, b, v, np.zeros(3), tol)
     return AdaptedFrame3D(kind=FrameKind.RANK_ONE, basis=basis, alpha=alpha)
-
-
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    peak = float(np.max(np.abs(v)))
-    for x in v:
-        if abs(x) > 1e-8 * peak:
-            return v if x > 0 else -v
-    return v
 
 
 def _verify_bracket(m, x, y, expected, tol):

@@ -30,6 +30,7 @@ class InvalidAlgebraError(LieweylError):
     """Structure constants violate antisymmetry or the Jacobi identity."""
 
     code = "invalid-algebra"
+    violations: tuple = ()  # the failed laws, as ``algebra.validate`` reports them
 
 
 class MetricError(LieweylError):

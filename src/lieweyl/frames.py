@@ -27,10 +27,6 @@ def form_in_basis(form: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis.T @ form @ basis
 
 
-def covector_in_basis(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return basis.T @ theta
-
-
 def covector_from_basis(theta_in_frame: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Components in the standard dual basis from components in the frame."""
     return np.linalg.solve(basis.T, theta_in_frame)
@@ -43,8 +39,3 @@ def curvature13_in_basis(riem: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def curvature04_in_basis(riem4: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("pa,qb,rc,sd,pqrs->abcd", basis, basis, basis, basis, riem4)
-
-
-def form_frame_norm(form: np.ndarray, frame: np.ndarray) -> float:
-    """Frobenius norm of a bilinear form measured in an orthonormal frame."""
-    return float(np.linalg.norm(form_in_basis(form, frame)))

@@ -23,11 +23,12 @@ of a fixed computation byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, validate
-from .errors import MlaParseError
+from .algebra import LieAlgebra, coefficient_tolerance
+from .errors import InvalidAlgebraError, MetricError, MlaParseError
 from .riemann import MetricLieAlgebra
 
 FORMAT_VERSION = 1
@@ -43,12 +44,14 @@ class MlaDocument:
     metric: tuple  # n rows of n floats
 
     def to_metric_lie_algebra(self) -> MetricLieAlgebra:
-        n = self.dim
-        c = np.zeros((n, n, n))
-        for i, j, coeffs in self.brackets:
-            c[i - 1, j - 1] = coeffs
-            c[j - 1, i - 1] = [-x for x in coeffs]
-        return MetricLieAlgebra(LieAlgebra(c), np.array(self.metric, dtype=float))
+        """The document's metric Lie algebra, built once per document."""
+        return self._metric_lie_algebra
+
+    @cached_property
+    def _metric_lie_algebra(self) -> MetricLieAlgebra:
+        brackets = {(i - 1, j - 1): coeffs for i, j, coeffs in self.brackets}
+        algebra = LieAlgebra.from_brackets(self.dim, brackets)
+        return MetricLieAlgebra(algebra, np.array(self.metric, dtype=float))
 
     @classmethod
     def from_metric_lie_algebra(cls, m: MetricLieAlgebra) -> "MlaDocument":
@@ -174,28 +177,20 @@ def parse_mla(text: str) -> MlaDocument:
     )
 
     g = np.array(doc.metric, dtype=float)
-    scale = 1e-9 * (1.0 + float(np.max(np.abs(g))))
-    if np.max(np.abs(g - g.T)) > scale:
+    if np.max(np.abs(g - g.T)) > coefficient_tolerance(g):
         raise MlaParseError("metric-not-symmetric", 0, "metric block is not symmetric")
     try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
+        doc.to_metric_lie_algebra()
+    except MetricError:  # symmetric, so not positive definite
         raise MlaParseError("metric-not-spd", 0, "metric is not positive definite") from None
-
-    n = dim
-    c = np.zeros((n, n, n))
-    for i, j, coeffs in doc.brackets:
-        c[i - 1, j - 1] = coeffs
-        c[j - 1, i - 1] = [-x for x in coeffs]
-    report = validate(LieAlgebra(c))
-    if not report.ok:
-        first = report.violations[0]
+    except InvalidAlgebraError as exc:
+        first = exc.violations[0]
         raise MlaParseError(
             "jacobi-failure",
             0,
             f"structure constants violate the {first.kind} law at basis indices "
             f"{tuple(k + 1 for k in first.indices)} (magnitude {first.magnitude:.3e})",
-        )
+        ) from None
     return doc
 
 

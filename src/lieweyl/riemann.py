@@ -14,6 +14,11 @@ curvature trace and a structure-constant formula (Killing form plus frame sums
 plus the trace vector), and raises :class:`ConsistencyError` if they disagree.
 The second route never touches the connection, so agreement is a strong check
 on both.
+
+Derived geometry (orthonormal frame, structure constants in that frame,
+Levi-Civita table, checked curvature) is computed once per
+:class:`MetricLieAlgebra` and returned read-only, so the Ricci cross-check
+runs once per algebra and :func:`ricci` returns the same object every time.
 """
 from __future__ import annotations
 
@@ -32,6 +37,11 @@ from .errors import (
     NumericInputError,
     StructureError,
 )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -57,11 +67,13 @@ class MetricLieAlgebra:
         report = validate(self.algebra)
         if not report.ok:
             first = report.violations[0]
-            raise InvalidAlgebraError(
+            error = InvalidAlgebraError(
                 f"structure constants are not a Lie algebra: first violation "
                 f"{first.kind} at {first.indices} with magnitude {first.magnitude:.3e} "
                 f"({len(report.violations)} total)"
             )
+            error.violations = report.violations
+            raise error
         g.setflags(write=False)
         object.__setattr__(self, "metric", g)
 
@@ -76,11 +88,44 @@ class MetricLieAlgebra:
     @cached_property
     def frame(self) -> np.ndarray:
         """Columns form a deterministic g-orthonormal basis."""
-        return frames.orthonormal_frame(self.metric)
+        return _read_only(frames.orthonormal_frame(self.metric))
 
     @cached_property
     def metric_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.metric)
+        return _read_only(np.linalg.inv(self.metric))
+
+    @cached_property
+    def frame_structure(self) -> np.ndarray:
+        """Structure constants in the orthonormal :attr:`frame`."""
+        return _read_only(frames.structure_in_basis(self.c, self.frame))
+
+    @cached_property
+    def connection(self) -> ConnectionTable:
+        """The Levi-Civita table; see :func:`levi_civita`."""
+        c, g = self.c, self.metric
+        t = np.einsum("ijm,mk->ijk", c, g)  # t[i,j,k] = g([e_i, e_j], e_k)
+        rhs = 0.5 * (t - np.einsum("jki->ijk", t) - np.einsum("ikj->ijk", t))
+        n = self.dim
+        gamma = np.linalg.solve(g, rhs.reshape(n * n, n).T).T.reshape(n, n, n)
+        return ConnectionTable(_read_only(gamma))
+
+    @cached_property
+    def curvature_data(self) -> CurvatureData:
+        """Curvature of :attr:`connection`, Ricci-checked; see :func:`ricci`."""
+        riem = curvature(self, levi_civita(self))
+        ric = ricci_trace(riem)
+        oracle = besse_ricci(self)
+        gap = self.form_norm(ric - oracle)
+        bound = self.tolerance * (1.0 + self.form_norm(ric))
+        if gap > bound:
+            raise ConsistencyError(
+                f"curvature-trace Ricci and structure-constant (Besse) Ricci differ by "
+                f"{gap:.3e} in frame norm, above the tolerance {bound:.3e}"
+            )
+        scalar = float(np.trace(self.metric_inv @ ric))
+        return CurvatureData(
+            riem=_read_only(riem), ricci=_read_only(ric), scalar=scalar, besse=_read_only(oracle)
+        )
 
     @cached_property
     def tolerance(self) -> float:
@@ -98,7 +143,12 @@ class MetricLieAlgebra:
 
     def form_norm(self, form: np.ndarray) -> float:
         """Frobenius norm of a bilinear form in the orthonormal frame."""
-        return frames.form_frame_norm(form, self.frame)
+        return float(np.linalg.norm(frames.form_in_basis(form, self.frame)))
+
+    def sym_ad_form(self, t: np.ndarray) -> np.ndarray:
+        """The g-symmetric part of ad_t, as a bilinear form."""
+        ad_t = np.einsum("i,ijk->kj", t, self.c)
+        return 0.5 * (ad_t.T @ self.metric + self.metric @ ad_t)
 
     def covector_norm(self, theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -126,6 +176,7 @@ class CurvatureData:
     riem: np.ndarray  # (1,3) tensor, riem[i, j, k, l]: e_l component of R(e_i, e_j)e_k
     ricci: np.ndarray
     scalar: float
+    besse: np.ndarray | None = None  # the structure-constant Ricci it was checked against
 
 
 def levi_civita(m: MetricLieAlgebra) -> ConnectionTable:
@@ -133,13 +184,9 @@ def levi_civita(m: MetricLieAlgebra) -> ConnectionTable:
 
     On a Lie algebra with a left-invariant metric the Koszul formula reduces
     to  g(D_x y, z) = (g([x,y],z) - g(x,[y,z]) - g(y,[x,z])) / 2.
+    Computed once per algebra; the table is read-only.
     """
-    c, g = m.c, m.metric
-    t = np.einsum("ijm,mk->ijk", c, g)  # t[i,j,k] = g([e_i, e_j], e_k)
-    rhs = 0.5 * (t - np.einsum("jki->ijk", t) - np.einsum("ikj->ijk", t))
-    n = m.dim
-    gamma = np.linalg.solve(g, rhs.reshape(n * n, n).T).T.reshape(n, n, n)
-    return ConnectionTable(gamma)
+    return m.connection
 
 
 def torsion_residual(m: MetricLieAlgebra, table: ConnectionTable) -> float:
@@ -184,7 +231,7 @@ def besse_ricci(m: MetricLieAlgebra) -> np.ndarray:
     """
     c, g = m.c, m.metric
     u = m.frame
-    cf = frames.structure_in_basis(c, u)
+    cf = m.frame_structure
     p_frame = -0.5 * np.einsum("aki,bki->ab", cf, cf) + 0.25 * np.einsum(
         "ika,ikb->ab", cf, cf
     )
@@ -196,29 +243,18 @@ def besse_ricci(m: MetricLieAlgebra) -> np.ndarray:
 
     traces = np.einsum("ijj->i", c)
     z = np.linalg.solve(g, traces)
-    ad_z = np.einsum("i,ijk->kj", z, c)
-    z_form = 0.5 * (ad_z.T @ g + g @ ad_z)
-
-    return p - 0.5 * killing - z_form
+    return p - 0.5 * killing - m.sym_ad_form(z)
 
 
 def ricci(m: MetricLieAlgebra) -> CurvatureData:
     """Curvature, Ricci form and scalar curvature with a built-in cross-check.
 
     Raises :class:`ConsistencyError` if the curvature-trace Ricci and the
-    structure-constant Ricci disagree beyond the input-scaled tolerance.
+    structure-constant Ricci (kept as ``besse``) disagree beyond the
+    input-scaled tolerance.  Computed and checked once per algebra; the
+    arrays are read-only.
     """
-    table = levi_civita(m)
-    riem = curvature(m, table)
-    ric = ricci_trace(riem)
-    oracle = besse_ricci(m)
-    if m.form_norm(ric - oracle) > m.tolerance * (1.0 + m.form_norm(ric)):
-        raise ConsistencyError(
-            "curvature-trace Ricci and structure-constant Ricci disagree; "
-            "this is an internal bug"
-        )
-    scalar = float(np.trace(m.metric_inv @ ric))
-    return CurvatureData(riem=riem, ricci=ric, scalar=scalar)
+    return m.curvature_data
 
 
 def einstein_defect(m: MetricLieAlgebra) -> float:

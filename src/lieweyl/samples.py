@@ -14,7 +14,7 @@ import numpy as np
 
 from . import catalog3d, riemann
 from .algebra import LieAlgebra
-from .almost_abelian import build_semidirect
+from .almost_abelian import _is_flat_pattern, build_semidirect
 from .errors import InputError
 from .riemann import MetricLieAlgebra
 
@@ -115,7 +115,7 @@ def random_almost_abelian(
                 trace_gap >= GENERIC_MARGIN * scale or comm >= GENERIC_MARGIN * scale
             ):
                 break
-        else:  # pragma: no cover - margins make this unreachable
+        else:  # reached from n = 10 on: the margin grows like |sym|^2, faster than off_scalar
             raise RuntimeError("rejection sampling failed")
         m = build_semidirect(skew, sym)
     else:
@@ -183,17 +183,6 @@ def random_trace_case(
         m = riemann.change_basis(m, change)
         theta = change.T @ theta
     return m, theta
-
-
-def _is_flat_pattern(eigs: np.ndarray, tol: float = 1e-7) -> bool:
-    eigs = np.sort(np.asarray(eigs, dtype=float))
-    if eigs[-1] - eigs[0] <= tol:
-        return True
-    zero = np.abs(eigs) <= tol
-    if int(np.sum(zero)) != 1:
-        return False
-    rest = eigs[~zero]
-    return float(np.max(rest) - np.min(rest)) <= tol
 
 
 def _direct_sum_with_abelian(m: MetricLieAlgebra, extra: int) -> MetricLieAlgebra:

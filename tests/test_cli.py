@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lieweyl import mla
+from lieweyl import algebra, cli, frames, mla, riemann
 
 SOL_TEXT = """mla 1
 dim 3
@@ -250,3 +250,28 @@ def test_missing_subcommand_is_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
+
+
+def test_report_computes_shared_geometry_once(tmp_path, monkeypatch, capsys):
+    """One report reads the frame structure constants, the structure-constant
+    Ricci and the validity check from many layers, and computes each once."""
+    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
+    calls = {}
+    package = [mod for name, mod in sys.modules.items()
+               if mod is not None and (name == "lieweyl" or name.startswith("lieweyl."))]
+    for owner, name in ((riemann, "besse_ricci"), (frames, "structure_in_basis"),
+                        (algebra, "validate")):
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every module binding of the function, so `from ... import` names count too
+        for mod in package:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert cli.main(["report", path, "--format", "records"]) == 0
+    assert "aa.lee_forms[1].flat = true" in capsys.readouterr().out
+    assert calls == {"besse_ricci": 1, "structure_in_basis": 1, "validate": 1}

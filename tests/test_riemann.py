@@ -19,7 +19,7 @@ from lieweyl import (
     levi_civita,
     ricci,
 )
-from lieweyl.errors import DimensionError, InvalidAlgebraError, MetricError
+from lieweyl.errors import ConsistencyError, DimensionError, InvalidAlgebraError, MetricError
 from lieweyl.riemann import (
     codifferential_sym2,
     compatibility_residual,
@@ -27,7 +27,7 @@ from lieweyl.riemann import (
     ricci_trace,
     torsion_residual,
 )
-from lieweyl import samples
+from lieweyl import riemann, samples
 
 TOL = 1e-12
 SEEDED_TOL = 1e-10
@@ -189,3 +189,32 @@ def test_inner_and_norm_helpers():
     assert m.inner(v, w) == pytest.approx(float(v @ m.metric @ w), abs=TOL)
     cov = m.lower_vector(v)
     np.testing.assert_allclose(m.raise_covector(cov), v, atol=TOL)
+
+
+def test_derived_geometry_is_computed_once_and_read_only():
+    m = sol()
+    data = ricci(m)
+    assert ricci(m) is data
+    assert levi_civita(m) is levi_civita(m)
+    cached = (data.riem, data.ricci, data.besse, levi_civita(m).gamma,
+              m.frame_structure, m.frame, m.metric_inv)
+    for array in cached:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] += 1.0
+    np.testing.assert_allclose(ricci(m).ricci, np.diag([0.0, 0.0, -2.0]), atol=TOL)
+
+
+def test_ricci_cross_check_alarm_names_routes_gap_and_tolerance(monkeypatch):
+    m = sol()  # a fresh instance: nothing is cached yet
+    honest = riemann.besse_ricci
+    monkeypatch.setattr(riemann, "besse_ricci", lambda m: honest(m) + 1e-3 * m.metric)
+    with pytest.raises(ConsistencyError) as info:
+        ricci(m)
+    monkeypatch.undo()
+    # a failed check caches nothing, so the honest oracle now passes
+    data = ricci(m)
+    gap = m.form_norm(data.ricci - (data.besse + 1e-3 * m.metric))
+    bound = m.tolerance * (1.0 + m.form_norm(data.ricci))
+    message = str(info.value)
+    assert "curvature-trace Ricci" in message and "structure-constant" in message
+    assert f"{gap:.3e}" in message and f"{bound:.3e}" in message

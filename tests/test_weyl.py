@@ -15,10 +15,11 @@ from lieweyl import (
     weyl_einstein_residual,
     weyl_ricci,
 )
-from lieweyl.errors import DimensionError, NotClosedError
+from lieweyl.algebra import coefficient_tolerance
+from lieweyl.errors import ConsistencyError, DimensionError, NotClosedError
 from lieweyl.riemann import levi_civita, torsion_residual
 from lieweyl.weyl import kn_calibration_sign, lee_gradient
-from lieweyl import samples
+from lieweyl import samples, weyl
 
 TOL = 1e-12
 SOLVER_TOL = 1e-8
@@ -243,3 +244,25 @@ def test_ricci_flat_but_not_flat_witness():
     report = conformal_flatness(m, theta)
     assert report.ricci_flat and not report.flat
     assert report.kn_residual == pytest.approx(6.0 * np.sqrt(2.0), abs=1e-9)
+
+
+def test_weyl_ricci_cross_check_alarm_names_routes_gaps_and_tolerances(monkeypatch):
+    m = sol()  # a fresh instance: nothing is cached yet
+    w = weyl_connection(m, np.array([0.3, -0.2, 0.5]))
+    honest = weyl.weyl_ricci_formula
+
+    def skewed(m, theta):
+        ric, scalar = honest(m, theta)
+        return ric + 1e-3 * m.metric, scalar + 1e-3
+
+    monkeypatch.setattr(weyl, "weyl_ricci_formula", skewed)
+    with pytest.raises(ConsistencyError) as info:
+        weyl_ricci(w)
+    monkeypatch.undo()
+    ric, scalar = weyl_ricci(w)
+    ric_f, scalar_f = skewed(m, w.lee)
+    tol = coefficient_tolerance(m.c, m.metric, w.lee.coeffs) * (1.0 + m.form_norm(ric))
+    message = str(info.value)
+    assert "curvature trace" in message and "base-metric formula" in message
+    assert f"{m.form_norm(ric - ric_f):.3e}" in message and f"{tol:.3e}" in message
+    assert f"{abs(scalar - scalar_f):.3e}" in message and f"{tol * m.dim:.3e}" in message
