@@ -341,11 +341,13 @@ def build_semidirect(
         raise StructureError(f"inner product must have shape ({nh}, {nh})")
     tol = coefficient_tolerance(skew, sym, g0)
     if np.max(np.abs(g0 - g0.T)) > tol:
-        raise MetricError("ideal inner product is not symmetric")
+        raise MetricError("ideal inner product is not symmetric", "symmetric")
     try:
         np.linalg.cholesky(g0)
     except np.linalg.LinAlgError:
-        raise MetricError("ideal inner product is not positive definite") from None
+        raise MetricError(
+            "ideal inner product is not positive definite", "positive-definite"
+        ) from None
     if np.max(np.abs((g0 @ skew) + (g0 @ skew).T)) > tol:
         raise InputError("skew part is not skew-adjoint for the given inner product")
     if np.max(np.abs((g0 @ sym) - (g0 @ sym).T)) > tol:

@@ -34,9 +34,16 @@ class InvalidAlgebraError(LieweylError):
 
 
 class MetricError(LieweylError):
-    """Metric matrix is not symmetric positive definite."""
+    """Metric matrix is not symmetric positive definite.
+
+    ``law`` names the law that failed: ``"symmetric"`` or ``"positive-definite"``.
+    """
 
     code = "metric"
+
+    def __init__(self, message: str, law: str):
+        super().__init__(message)
+        self.law = law
 
 
 class DimensionError(LieweylError):

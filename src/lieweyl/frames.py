@@ -18,9 +18,23 @@ def orthonormal_frame(metric: np.ndarray) -> np.ndarray:
     return np.linalg.inv(low).T
 
 
+def _tensor_in_basis(tensor: np.ndarray, basis: np.ndarray, upper: int = 0) -> np.ndarray:
+    """Components of a tensor in a new basis; the last ``upper`` slots are vectors.
+
+    Covector slots transform with ``basis`` and vector slots with its inverse.
+    The slots are contracted one at a time, each ``tensordot`` over the
+    leading axis appending the new index last, so after one pass the indices
+    are back in their original order and a rank-k tensor costs k products of
+    size n^(k+1) instead of one n^(2k) sum.
+    """
+    mats = [basis] * (tensor.ndim - upper) + [np.linalg.inv(basis).T] * upper
+    for mat in mats:
+        tensor = np.tensordot(tensor, mat, axes=(0, 0))
+    return tensor
+
+
 def structure_in_basis(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(basis)
-    return np.einsum("pa,qb,pqr,kr->abk", basis, basis, c, inv)
+    return _tensor_in_basis(c, basis, upper=1)
 
 
 def form_in_basis(form: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -33,9 +47,8 @@ def covector_from_basis(theta_in_frame: np.ndarray, basis: np.ndarray) -> np.nda
 
 
 def curvature13_in_basis(riem: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(basis)
-    return np.einsum("pa,qb,rc,pqrs,ds->abcd", basis, basis, basis, riem, inv)
+    return _tensor_in_basis(riem, basis, upper=1)
 
 
 def curvature04_in_basis(riem4: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("pa,qb,rc,sd,pqrs->abcd", basis, basis, basis, basis, riem4)
+    return _tensor_in_basis(riem4, basis)

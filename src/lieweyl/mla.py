@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, coefficient_tolerance
+from .algebra import LieAlgebra
 from .errors import InvalidAlgebraError, MetricError, MlaParseError
 from .riemann import MetricLieAlgebra
 
@@ -176,12 +176,13 @@ def parse_mla(text: str) -> MlaDocument:
         version=version, dim=dim, brackets=tuple(brackets), metric=tuple(metric_rows)
     )
 
-    g = np.array(doc.metric, dtype=float)
-    if np.max(np.abs(g - g.T)) > coefficient_tolerance(g):
-        raise MlaParseError("metric-not-symmetric", 0, "metric block is not symmetric")
     try:
         doc.to_metric_lie_algebra()
-    except MetricError:  # symmetric, so not positive definite
+    except MetricError as exc:
+        if exc.law == "symmetric":
+            raise MlaParseError(
+                "metric-not-symmetric", 0, "metric block is not symmetric"
+            ) from None
         raise MlaParseError("metric-not-spd", 0, "metric is not positive definite") from None
     except InvalidAlgebraError as exc:
         first = exc.violations[0]

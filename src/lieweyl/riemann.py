@@ -59,11 +59,11 @@ class MetricLieAlgebra:
         if not np.isfinite(g).all():
             raise NumericInputError("metric contains NaN or infinity")
         if np.max(np.abs(g - g.T)) > coefficient_tolerance(g):
-            raise MetricError("metric is not symmetric")
+            raise MetricError("metric is not symmetric", "symmetric")
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
-            raise MetricError("metric is not positive definite") from None
+            raise MetricError("metric is not positive definite", "positive-definite") from None
         report = validate(self.algebra)
         if not report.ok:
             first = report.violations[0]

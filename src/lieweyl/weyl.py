@@ -17,7 +17,7 @@ Weyl-Einstein condition degenerates and none of the formulas below are used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +38,11 @@ DEFAULT_SEED = 0
 DEFAULT_ROOT_TOL = 1e-8
 DEFAULT_DEDUP_TOL = 1e-6
 FLATNESS_RTOL = 1e-8
+# The solver's root floor in units of the evaluation scale of E.  A few ulps
+# per term would do for E itself, but its constant part inherits the rounding
+# of the Ricci form, about 20 ulps of the scale on Ricci-flat almost abelian
+# metrics at n = 7.
+ROOT_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -209,6 +214,9 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
     return WEResidual(matrix=e, norm=m.form_norm(e))
 
 
+EXIT_REASONS = ("root-floor", "step", "damping-cap", "iteration-cap")
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Root set of the Weyl-Einstein equation found by the multistart solver.
@@ -216,113 +224,164 @@ class SolveResult:
     ``roots`` are covectors in the standard dual basis, sorted
     lexicographically; ``residuals`` are their frame norms after polishing;
     ``infimum`` is the smallest residual reached over all starts (a positive
-    value certifies that no start converged to a root).
+    value certifies that no start converged to a root).  ``exits`` counts the
+    starts by the rule that stopped them, keyed by :data:`EXIT_REASONS`; the
+    counts sum to the number of starts.
     """
 
     roots: tuple
     residuals: tuple
     infimum: float
+    exits: dict = field(default_factory=dict)
 
 
 class _ResidualSystem:
-    """Weyl-Einstein residual and Jacobian in an orthonormal frame.
+    """The Weyl-Einstein residual in an orthonormal frame, as a quadratic map.
 
-    Evaluation is batched over candidate Lee forms (rows of ``t``); the
-    Jacobian is affine in ``t`` and assembled from precomputed blocks.
+    In the frame the residual of the frame components ``t`` of a Lee form is
+
+        E(t) = A + L(t) + (n-2) TF(t t^T),
+
+    with A the trace-free Ricci form, L(t) = (n-2) TF(sym ad_t) linear and TF
+    the trace-free part.  E is stored packed: the n(n+1)/2 upper-triangle
+    entries with weight sqrt(2) off the diagonal, so the Euclidean norm of the
+    packed vector is the Frobenius norm of E.  ``const`` is packed A, ``lin``
+    the (n(n+1)/2, n) matrix of L and ``hess`` the constant Hessian, laid out
+    so that ``t @ hess`` is the quadratic part of the Jacobian:
+
+        J(t) = lin + (t @ hess),   E(t) = const + (lin + J(t)) t / 2.
+
+    Everything is batched over the rows of ``t``.
     """
 
     def __init__(self, m: MetricLieAlgebra):
         n = m.dim
-        u = m.frame
+        eye = np.eye(n)
         cf = m.frame_structure
         adf = np.einsum("ijk->ikj", cf)
-        self.n = n
-        self.eye = np.eye(n)
-        self.sym_adf = 0.5 * (adf + np.einsum("ijk->ikj", adf))
-        self.tau = np.einsum("ijj->i", cf)
+        sym_adf = 0.5 * (adf + np.einsum("ijk->ikj", adf))
+        tau = np.einsum("ijj->i", cf)
         base = riemann.ricci(m)
-        self.ric = frames.form_in_basis(base.ricci, u)
+        ric = frames.form_in_basis(base.ricci, m.frame)
+        self.n = n
         self.scal = base.scalar
-        self.ric_scale = 1.0 + float(np.linalg.norm(self.ric))
+        self.ric_scale = 1.0 + float(np.linalg.norm(ric))
 
-        jc = np.empty((n * n, n))
-        for j in range(n):
-            jc[:, j] = ((n - 2) * self.sym_adf[j] - ((n - 2) / n) * self.tau[j] * self.eye).ravel()
-        self.jac_const = jc
-        lin = np.zeros((n, n * n, n))
-        for mm in range(n):
-            for j in range(n):
-                block = (n - 2) * (
-                    np.outer(self.eye[j], self.eye[mm]) + np.outer(self.eye[mm], self.eye[j])
-                )
-                if j == mm:
-                    block = block - (2.0 * (n - 2) / n) * self.eye
-                lin[mm, :, j] = block.ravel()
-        self.jac_lin = lin
-
-    def residual(self, t: np.ndarray) -> np.ndarray:
-        n = self.n
-        sym_ad_t = np.einsum("bj,jkl->bkl", t, self.sym_adf)
-        quad = np.einsum("bi,bj->bij", t, t)
-        trace_part = (self.scal + (n - 2) * (t @ self.tau + np.einsum("bi,bi->b", t, t))) / n
-        e = (
-            self.ric[None]
-            - trace_part[:, None, None] * self.eye[None]
-            + (n - 2) * (sym_ad_t + quad)
+        self.index = np.triu_indices(n)
+        self.weight = np.where(self.index[0] == self.index[1], 1.0, np.sqrt(2.0))
+        self.const = self._pack(ric - (self.scal / n) * eye)
+        self.lin = self._pack((n - 2) * (sym_adf - (tau / n)[:, None, None] * eye)).T
+        self.lin_norm = float(np.linalg.norm(self.lin))
+        # hess[i, j, k, l] = d^2/dt_i dt_j of (n-2)(t_k t_l - |t|^2 delta_kl / n)
+        hess = (n - 2) * (
+            np.einsum("ik,jl->ijkl", eye, eye)
+            + np.einsum("il,jk->ijkl", eye, eye)
+            - (2.0 / n) * np.einsum("ij,kl->ijkl", eye, eye)
         )
-        return e.reshape(t.shape[0], n * n)
+        self.hess = self._pack(hess).transpose(0, 2, 1).reshape(n, -1)
+
+    def _pack(self, sym: np.ndarray) -> np.ndarray:
+        """Upper-triangle entries of symmetric matrices (last two axes), weighted."""
+        return sym[..., self.index[0], self.index[1]] * self.weight
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
-        return self.jac_const[None] + np.einsum("bm,mrj->brj", t, self.jac_lin)
+        return self.lin + (t @ self.hess).reshape(len(t), -1, self.n)
+
+    def residual(self, t: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        """Packed E(t), given ``jac = self.jacobian(t)``."""
+        return self.const + 0.5 * ((jac @ t[:, :, None])[:, :, 0] + t @ self.lin.T)
+
+    def root_floor(self, t_norm: np.ndarray) -> np.ndarray:
+        """Residual norm below which E is rounding noise, at points of norm ``t_norm``.
+
+        Each term bounds the size of one part of E (A, L(t), the quadratic
+        part), and ``ROOT_FLOOR_EPS`` converts the sum into rounding error.
+        ``ric_scale`` stands for A because A vanishes on Einstein metrics
+        while its rounding error does not.
+        """
+        return ROOT_FLOOR_EPS * (
+            self.ric_scale + self.lin_norm * t_norm + (self.n - 2) * t_norm**2
+        )
 
 
 def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int = 250):
-    """Damped Gauss-Newton on all starts at once; returns final points and costs.
+    """Damped Gauss-Newton on all starts at once.
 
-    Rejected steps only raise the damping, so every start's cost is
-    monotonically non-increasing and the iteration is deterministic.  There is
-    no gradient-based stop on purpose: at a root where the residual vanishes
-    to second order the gradient decays like the cube of the offset, and an
-    early gradient exit would leave a cloud of near-duplicates too wide for
-    deduplication.  Stuck starts exit through the damping cap instead.
+    Returns the final points, their packed residual norms and, per start, the
+    index into :data:`EXIT_REASONS` of the rule that stopped it:
+
+    * root floor: |E| is below :meth:`_ResidualSystem.root_floor`, the size
+      of the rounding error of evaluating E at that point.  Nothing below it
+      can be told apart from zero, so the start sits on a root.  This rule,
+      not a gradient test, is what ends starts near a root where E vanishes
+      to second order: there the gradient decays like the cube of the
+      offset and Gauss-Newton only halves the offset per step, so the start
+      would otherwise creep to the iteration cap while its residual is
+      already noise.  The offset at exit is about sqrt(floor / (n-2)), far
+      inside the deduplication radius.
+    * step: an accepted step shorter than 1e-12 (1 + |t|).
+    * damping cap: rejected steps raised the damping to 1e10.
+    * iteration cap: ``max_iter`` evaluations without any of the above.
+
+    Iteration k evaluates the Jacobian once, at the point the previous step
+    proposed (the starts themselves at k = 0), on the active starts only;
+    the residual comes from the same product, and one batched product of
+    [J r] with itself gives J^T J, J^T r and the cost.  Accepted points keep
+    these for the next step and rejected ones only raise their damping, so
+    every start's cost is monotonically non-increasing and the iteration is
+    deterministic.  Finished starts leave the batch.
     """
+    b, n = t0.shape
+    t_out = np.empty_like(t0)
+    res_out = np.empty(b)
+    exit_out = np.empty(b, dtype=np.intp)
+    rows = np.arange(b)
     t = t0.copy()
-    r = system.residual(t)
-    cost = np.einsum("bi,bi->b", r, r)
-    b = t.shape[0]
+    trial = t0
+    # gram = [J r]^T [J r] at the current points: J^T J, J^T r and the cost |r|^2
+    gram = np.zeros((b, n + 1, n + 1))
+    gram[:, n, n] = np.inf
+    step_sq = np.full(b, np.inf)  # squared length of the step that gave trial
     lam = np.full(b, 1e-3)
-    active = np.ones(b, dtype=bool)
-    eye = np.eye(system.n)
+    eye = np.eye(n)
 
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        jac = system.jacobian(t)
-        grad = np.einsum("bri,br->bi", jac, r)
-        jtj = np.einsum("bri,brj->bij", jac, jac)
+    for it in range(max_iter):
+        jac = system.jacobian(trial)
+        aug = np.concatenate((jac, system.residual(trial, jac)[:, :, None]), axis=2)
+        gram_trial = aug.transpose(0, 2, 1) @ aug
+        better = gram_trial[:, n, n] < gram[:, n, n]
+        t[better] = trial[better]
+        gram[better] = gram_trial[better]
+        lam = np.where(better, np.maximum(lam / 3.0, 1e-14), 4.0 * lam)
+
+        cost = gram[:, n, n]
+        t_norm = np.sqrt(np.einsum("bi,bi->b", t, t))
+        at_floor = cost <= system.root_floor(t_norm) ** 2
+        short_step = better & (step_sq <= (1e-12 * (1.0 + t_norm)) ** 2)
+        damped = lam >= 1e10
+        done = at_floor | short_step | damped
+        if it == max_iter - 1:
+            done[:] = True
+        if done.any():
+            out = rows[done]
+            t_out[out] = t[done]
+            res_out[out] = np.sqrt(cost[done])
+            exit_out[out] = np.select([at_floor, short_step, damped], [0, 1, 2], 3)[done]
+            keep = ~done
+            if not keep.any():
+                break
+            rows, t, gram, lam = rows[keep], t[keep], gram[keep], lam[keep]
+
+        jtj = gram[:, :n, :n]
         # The ridge keeps the normal matrix invertible even when a start sits
         # on a root whose Jacobian has an exact null direction; an absolute
         # floor alone underflows against large diagonal entries.
-        ridge = lam + 1e-13 * (1.0 + np.einsum("bii->b", jtj) / system.n)
-        normal = jtj + ridge[:, None, None] * eye[None]
-        delta = -np.linalg.solve(normal, grad[:, :, None])[:, :, 0]
+        ridge = lam + 1e-13 * (1.0 + np.trace(jtj, axis1=1, axis2=2) / n)
+        delta = -np.linalg.solve(jtj + ridge[:, None, None] * eye, gram[:, :n, n:])[:, :, 0]
         trial = t + delta
-        r_trial = system.residual(trial)
-        cost_trial = np.einsum("bi,bi->b", r_trial, r_trial)
-        better = cost_trial < cost
+        step_sq = np.einsum("bi,bi->b", delta, delta)
 
-        step = active & better
-        t[step] = trial[step]
-        r[step] = r_trial[step]
-        cost[step] = cost_trial[step]
-        lam[step] = np.maximum(lam[step] / 3.0, 1e-14)
-        lam[active & ~better] *= 4.0
-
-        tiny = np.linalg.norm(delta, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(t, axis=1))
-        active &= ~(step & tiny)
-        active &= lam < 1e10
-
-    return t, np.sqrt(cost)
+    return t_out, res_out, exit_out
 
 
 def solve_lee_forms(
@@ -336,8 +395,11 @@ def solve_lee_forms(
 
     Starts are unit directions from a seeded generator placed on spheres of
     radius 0, r/2, r and 2r (cycling with the start index), where
-    r = sqrt(|scal| / (n-2)) + 1 bounds the expected root scale.  A start
-    counts as a root when its polished residual is below
+    r = sqrt(|scal| / (n-2)) + 1 bounds the expected root scale.  Each start
+    runs Levenberg-Marquardt on the packed frame residual until one of four
+    rules stops it (root floor, short step, damping cap, iteration cap; see
+    :func:`_levenberg_marquardt`); the result counts the starts per rule.  A
+    start counts as a root when its polished residual is below
     ``tol_root * (1 + |Ric|)``; roots closer than ``tol_dedup`` in the frame
     are merged keeping the earliest start.  Deterministic for fixed inputs.
     """
@@ -357,8 +419,10 @@ def solve_lee_forms(
     radii = np.array([0.0, 0.5 * radius, radius, 2.0 * radius])
     t0 = directions * radii[np.arange(starts) % 4][:, None]
 
-    t_final, res_final = _levenberg_marquardt(system, t0)
+    t_final, res_final, exit_final = _levenberg_marquardt(system, t0)
     infimum = float(np.min(res_final))
+    counts = np.bincount(exit_final, minlength=len(EXIT_REASONS))
+    exits = {reason: int(k) for reason, k in zip(EXIT_REASONS, counts)}
 
     threshold = tol_root * system.ric_scale
     picked: list[np.ndarray] = []
@@ -375,7 +439,7 @@ def solve_lee_forms(
     order = sorted(range(len(picked)), key=lambda i: tuple(picked[i]))
     roots = tuple(frames.covector_from_basis(picked[i], m.frame) for i in order)
     residuals = tuple(picked_res[i] for i in order)
-    return SolveResult(roots=roots, residuals=residuals, infimum=infimum)
+    return SolveResult(roots=roots, residuals=residuals, infimum=infimum, exits=exits)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:

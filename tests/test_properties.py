@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieweyl import mla, riemann, samples, weyl
+from lieweyl import frames, mla, riemann, samples, weyl
 from lieweyl.algebra import validate
 from lieweyl.riemann import (
     change_basis,
@@ -187,3 +187,25 @@ def test_mla_round_trip_preserves_documents(seed, dim):
     back = again.to_metric_lie_algebra()
     np.testing.assert_allclose(np.asarray(back.c), np.asarray(m.c), atol=1e-13)
     np.testing.assert_allclose(np.asarray(back.metric), np.asarray(m.metric), atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seeds, st.integers(min_value=3, max_value=8))
+def test_basis_change_matches_full_einsums(seed, dim):
+    # the one-slot-at-a-time contraction against the single many-operand sums
+    rng = np.random.default_rng(seed)
+    basis = samples.random_basis_change(rng, dim)
+    inv = np.linalg.inv(basis)
+    c = rng.standard_normal((dim,) * 3)
+    riem = rng.standard_normal((dim,) * 4)
+    pairs = (
+        (frames.structure_in_basis(c, basis),
+         np.einsum("pa,qb,pqr,kr->abk", basis, basis, c, inv)),
+        (frames.curvature13_in_basis(riem, basis),
+         np.einsum("pa,qb,rc,pqrs,ds->abcd", basis, basis, basis, riem, inv)),
+        (frames.curvature04_in_basis(riem, basis),
+         np.einsum("pa,qb,rc,sd,pqrs->abcd", basis, basis, basis, basis, riem)),
+    )
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -43,14 +43,16 @@ def sol() -> MetricLieAlgebra:
 def test_metric_must_be_symmetric():
     g = np.eye(3)
     g[0, 1] = 0.2
-    with pytest.raises(MetricError):
+    with pytest.raises(MetricError) as info:
         MetricLieAlgebra(samples.abelian(3).algebra, g)
+    assert info.value.law == "symmetric"
 
 
 def test_metric_must_be_positive_definite():
     g = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(MetricError):
+    with pytest.raises(MetricError) as info:
         MetricLieAlgebra(samples.abelian(3).algebra, g)
+    assert info.value.law == "positive-definite"
 
 
 def test_algebra_must_satisfy_axioms():

@@ -1,5 +1,7 @@
 """Weyl connections, Faraday forms, the residual solver and flatness tests."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from lieweyl.algebra import coefficient_tolerance
 from lieweyl.errors import ConsistencyError, DimensionError, NotClosedError
 from lieweyl.riemann import levi_civita, torsion_residual
 from lieweyl.weyl import kn_calibration_sign, lee_gradient
-from lieweyl import samples, weyl
+from lieweyl import frames, samples, weyl
 
 TOL = 1e-12
 SOLVER_TOL = 1e-8
@@ -188,6 +190,109 @@ def test_solver_is_deterministic():
     for x, y in zip(a.roots, b.roots):
         assert np.array_equal(x, y)
     assert a.infimum == b.infimum
+
+
+def _residual_batches(seed):
+    """A random algebra for each n = 3..8 with its frame system and a batch of t."""
+    rng = np.random.default_rng(seed)
+    for n in range(3, 9):
+        m = samples.random_metric_algebra(rng, n)
+        yield m, weyl._ResidualSystem(m), rng.standard_normal((5, n))
+
+
+def _evaluation_scale(system, t):
+    """Size of the three terms of E(t): constant, linear and quadratic."""
+    t_norm = np.linalg.norm(t, axis=-1)
+    return system.ric_scale + system.lin_norm * t_norm + (system.n - 2) * t_norm**2
+
+
+def _unpack(system, packed):
+    dense = np.zeros(packed.shape[:-1] + (system.n, system.n))
+    dense[..., system.index[0], system.index[1]] = packed / system.weight
+    return dense + np.swapaxes(dense, -1, -2) - dense * np.eye(system.n)
+
+
+def test_packed_residual_matches_dense_oracle():
+    for m, system, t in _residual_batches(21):
+        packed = system.residual(t, system.jacobian(t))
+        dense = _unpack(system, packed)
+        scale = _evaluation_scale(system, t)
+        for k, row in enumerate(t):
+            oracle = weyl_einstein_residual(m, frames.covector_from_basis(row, m.frame))
+            assert abs(packed[k] @ packed[k] - oracle.norm**2) <= 1e-12 * scale[k] ** 2
+            in_frame = frames.form_in_basis(oracle.matrix, m.frame)
+            assert np.max(np.abs(dense[k] - in_frame)) <= 1e-12 * scale[k]
+
+
+def test_jacobian_matches_central_differences():
+    # E is quadratic, so central differences are exact up to rounding
+    h = 1e-3
+    for _, system, t in _residual_batches(22):
+        jac = system.jacobian(t)
+        scale = _evaluation_scale(system, t)
+        for j in range(system.n):
+            step = np.zeros_like(t)
+            step[:, j] = h
+            plus, minus = t + step, t - step
+            diff = (system.residual(plus, system.jacobian(plus))
+                    - system.residual(minus, system.jacobian(minus))) / (2 * h)
+            gap = np.max(np.abs(diff - jac[:, :, j]), axis=1)
+            assert np.all(gap <= 1e-10 * scale / h)
+
+
+def test_step_reuse_identity():
+    # E(t + d) = E(t) + J(t) d + (d @ M) d / 2, exactly for a quadratic map
+    rng = np.random.default_rng(23)
+    for _, system, t in _residual_batches(24):
+        delta = rng.standard_normal(t.shape)
+        jac = system.jacobian(t)
+        quad = (delta @ system.hess).reshape(len(t), -1, system.n)
+        predicted = (
+            system.residual(t, jac)
+            + (jac @ delta[:, :, None])[:, :, 0]
+            + 0.5 * (quad @ delta[:, :, None])[:, :, 0]
+        )
+        moved = t + delta
+        actual = system.residual(moved, system.jacobian(moved))
+        scale = _evaluation_scale(system, t) + _evaluation_scale(system, delta)
+        assert np.all(np.max(np.abs(actual - predicted), axis=1) <= 1e-12 * scale)
+
+
+def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
+    # every start is counted under one exit rule, and a solve whose LM ran to
+    # the iteration cap says so
+    cap = inspect.signature(weyl._levenberg_marquardt).parameters["max_iter"].default
+    calls = [0]
+    jacobian = weyl._ResidualSystem.jacobian
+
+    def counting(self, t):
+        calls[0] += 1
+        return jacobian(self, t)
+
+    monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
+    rng = np.random.default_rng(1000)
+    capped = 0
+    for i in range(150):
+        kind = ("einstein", "trace", "generic")[i % 3]
+        m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
+        calls[0] = 0
+        result = solve_lee_forms(m)
+        assert tuple(result.exits) == weyl.EXIT_REASONS
+        assert sum(result.exits.values()) == weyl.DEFAULT_STARTS
+        assert (result.exits["iteration-cap"] > 0) == (calls[0] >= cap), (i, result.exits)
+        capped += calls[0] >= cap
+    print(f"acceptance mix: {capped} of 150 solves ran to the iteration cap")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_abelian_double_root_ends_at_the_root_floor(n):
+    # theta = 0 is a second-order zero: starts must stop on the root floor
+    # instead of creeping to the iteration cap, and merge into one root
+    result = solve_lee_forms(samples.abelian(n))
+    assert result.exits["iteration-cap"] == 0
+    assert sum(result.exits.values()) == weyl.DEFAULT_STARTS
+    assert len(result.roots) == 1
+    assert np.linalg.norm(result.roots[0]) <= weyl.DEFAULT_DEDUP_TOL
 
 
 def test_kulkarni_nomizu_of_metric():
