@@ -8,9 +8,27 @@ in a fixed basis ``e_1, ..., e_n``.  Construction only checks shape and
 finiteness; antisymmetry and the Jacobi identity are checked by
 :func:`validate`, so that invalid tables can still be inspected and reported.
 
-All zero tests use an absolute tolerance scaled to the size of the input,
-``REL_TOL * (1 + max |entry|)``; subspace dimensions use a relative singular
-value cutoff with the same ``REL_TOL``.
+Tolerance policy.  ``REL_TOL`` = 1e-9 is the one relative tolerance for
+deciding that an input-derived quantity vanishes.  It is scaled by
+1 + max |entry| in :func:`coefficient_tolerance` (every ``.tolerance``, the
+Ricci, Weyl-Ricci and Lee-gradient cross-checks, and ten times that in the 3D
+adapted frame), by the largest singular value in rank cutoffs, by 1 + |sym|^2
+in the almost abelian classifier and by 1 or 1 + t at the 3D catalog's
+parameter boundaries.  The other tolerances measure other things:
+
+* ``almost_abelian.SIGNIFICANT_RTOL`` 1e-8 of a vector's scale, and 1e-16 of
+  max(1, tr g) on squared norms in ``decompose``: choices (complement
+  vectors, orthonormalization, signs) that only have to clear rounding;
+* ``almost_abelian.EIGEN_CLUSTER_RTOL`` 1e-7 of max(1, |eig|): a verdict on
+  the spectrum of ``sym``, where nearly equal eigenvalues form one cluster;
+* ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 of 1 + |Ric|: accepts a given
+  covector as a Lee form, loose enough for any solver root;
+* ``weyl.DEFAULT_ROOT_TOL`` (the CLI's ``--tol``) and ``weyl.FLATNESS_RTOL``,
+  1e-8 of 1 + |Ric| (|R| for flatness): root and flatness verdicts;
+* ``weyl.DEFAULT_DEDUP_TOL`` 1e-6, absolute in the frame, merges roots; it
+  is not scale-equivariant, a known defect;
+* ``weyl.ROOT_FLOOR_EPS`` and the constants of ``weyl._levenberg_marquardt``:
+  rounding and step-control levels of the solver, not zero tests.
 """
 from __future__ import annotations
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import frames, riemann
 from .algebra import (
+    REL_TOL,
     LieAlgebra,
     ad,
     coefficient_tolerance,
@@ -44,11 +45,11 @@ from .errors import (
     StructureError,
 )
 from .riemann import CurvatureData, MetricLieAlgebra
-from .weyl import weyl_einstein_residual
+from .weyl import _as_covector, weyl_einstein_residual
 
-CLASSIFY_RTOL = 1e-9
 EIGEN_CLUSTER_RTOL = 1e-7
 WE_PRECONDITION_RTOL = 1e-6
+SIGNIFICANT_RTOL = 1e-8  # see the tolerance policy in lieweyl.algebra
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def _standard_complement(rows: np.ndarray, n: int, count: int) -> np.ndarray:
     for i in range(n):
         v = np.eye(n)[i]
         resid = v - basis.T @ (basis @ v)
-        if np.linalg.norm(resid) > 1e-8:
+        if np.linalg.norm(resid) > SIGNIFICANT_RTOL:
             picked.append(v)
             basis = row_space(np.vstack([basis, v]), n)
             if len(picked) == count:
@@ -153,7 +154,7 @@ def _central_quotient_ideal(m: MetricLieAlgebra, der: np.ndarray) -> np.ndarray:
 def _first_significant_positive(v: np.ndarray) -> np.ndarray:
     peak = float(np.max(np.abs(v)))
     for x in v:
-        if abs(x) > 1e-8 * peak:
+        if abs(x) > SIGNIFICANT_RTOL * peak:
             return v if x > 0 else -v
     return v
 
@@ -239,9 +240,13 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
 
     ad_b = ad(m.algebra, b)
     restricted = h @ m.metric @ ad_b @ h.T
-    leak = ad_b @ h.T - h.T @ restricted
-    if float(np.max(np.abs(leak))) > tol * (1.0 + float(np.max(np.abs(ad_b)))):
-        raise ConsistencyError("ad_normal does not preserve the computed ideal")
+    gap = float(np.max(np.abs(ad_b @ h.T - h.T @ restricted)))
+    bound = tol * (1.0 + float(np.max(np.abs(ad_b))))
+    if gap > bound:
+        raise ConsistencyError(
+            f"ad_normal on the ideal basis and its projection onto the ideal differ by "
+            f"{gap:.3e} in max norm (tolerance {bound:.3e})"
+        )
     if not _is_abelian_subspace(m, h):
         raise ConsistencyError("computed ideal is not abelian")
 
@@ -293,8 +298,7 @@ def classify_weyl_einstein(dec: AADecomposition, m: MetricLieAlgebra) -> AAClass
     nh = n - 1
     tr_s = float(np.trace(s))
     tr_s2 = float(np.trace(s @ s))
-    scale = 1.0 + float(np.sum(s * s))
-    tol = CLASSIFY_RTOL * scale
+    tol = REL_TOL * (1.0 + float(np.sum(s * s)))
     s0_norm = float(np.linalg.norm(s - (tr_s / nh) * np.eye(nh)))
     b_flat = m.lower_vector(dec.normal)
 
@@ -451,9 +455,7 @@ def conformal_metric_flatness(
     """Spectral verdict for the rescaled metric of a nonzero Weyl-Einstein
     Lee form: always Ricci-flat; flat exactly when ``sym`` is scalar or has
     eigenvalue pattern (alpha repeated, 0 simple) with alpha nonzero."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (m.dim,):
-        raise StructureError(f"covector must have shape ({m.dim},), got {theta.shape}")
+    theta = _as_covector(m, theta)
     if m.covector_norm(theta) <= m.tolerance:
         raise PreconditionError("Lee form must be nonzero")
     resid = weyl_einstein_residual(m, theta)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import almost_abelian, weyl
-from .algebra import LieAlgebra, structure_flags
+from .algebra import REL_TOL, LieAlgebra, structure_flags
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -38,8 +38,6 @@ from .errors import (
     PreconditionError,
 )
 from .riemann import MetricLieAlgebra
-
-PARAM_TOL = 1e-9
 
 
 class BracketFamily(enum.Enum):
@@ -91,7 +89,7 @@ def _check_point(point: Family3D) -> None:
     fam, mf = point.family, point.metric_family
 
     if fam is BracketFamily.GT:
-        if not (point.t == 0.0 or point.t > 1.0 + PARAM_TOL):
+        if not (point.t == 0.0 or point.t > 1.0 + REL_TOL):
             raise InputError("gt bracket family needs t = 0 or t > 1")
         if point.t == 0.0:
             allowed = {MetricFamily.G_MU_NU, MetricFamily.M_NU}
@@ -112,9 +110,9 @@ def _check_point(point: Family3D) -> None:
     if mf in (MetricFamily.G_MU_NU, MetricFamily.H_MU_NU):
         if point.mu <= 0:
             raise InputError("parameter mu must be positive")
-    if fam is BracketFamily.SO2R2 and point.mu > 1.0 + PARAM_TOL:
+    if fam is BracketFamily.SO2R2 and point.mu > 1.0 + REL_TOL:
         raise InputError("so2r2 catalog metrics need mu <= 1")
-    if fam is BracketFamily.GT and point.t > 1.0 and point.mu > point.t + PARAM_TOL * (1 + point.t):
+    if fam is BracketFamily.GT and point.t > 1.0 and point.mu > point.t + REL_TOL * (1 + point.t):
         raise InputError("gt catalog metrics need mu <= t")
 
 
@@ -171,10 +169,10 @@ def table_admits(point: Family3D) -> bool:
     if fam is BracketFamily.R_ID_R2:
         return True
     if fam is BracketFamily.SO2R2:
-        return abs(point.mu - 1.0) <= PARAM_TOL
+        return abs(point.mu - 1.0) <= REL_TOL
     if point.t == 0.0:
         return point.metric_family is MetricFamily.M_NU
-    return abs(point.mu - point.t) <= PARAM_TOL * (1.0 + point.t)
+    return abs(point.mu - point.t) <= REL_TOL * (1.0 + point.t)
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,6 @@ def adapted_frame(m: MetricLieAlgebra) -> AdaptedFrame3D:
         raise NoNormalFormError("no Weyl-Einstein structure, hence no adapted frame")
 
     b = dec.normal
-    tol = m.tolerance * 10.0
 
     if cls.case is almost_abelian.WEClass.EINSTEIN_FAMILY:
         k = cls.coefficient
@@ -257,8 +254,8 @@ def adapted_frame(m: MetricLieAlgebra) -> AdaptedFrame3D:
             v = -v
             l = -l
         basis = np.column_stack([b, u, v])
-        _verify_bracket(m, b, u, k * u - l * v, tol)
-        _verify_bracket(m, b, v, l * u + k * v, tol)
+        _verify_bracket(m, b, u, k * u - l * v)
+        _verify_bracket(m, b, v, l * u + k * v)
         return AdaptedFrame3D(kind=FrameKind.SIMILARITY, basis=basis, k=k, l=l)
 
     eigvals, eigvecs = np.linalg.eigh(dec.sym)
@@ -269,12 +266,16 @@ def adapted_frame(m: MetricLieAlgebra) -> AdaptedFrame3D:
     u = almost_abelian._first_significant_positive(h @ eigvecs[:, alpha_i])
     v = almost_abelian._first_significant_positive(h @ eigvecs[:, zero_i])
     basis = np.column_stack([b, u, v])
-    _verify_bracket(m, b, u, alpha * u, tol)
-    _verify_bracket(m, b, v, np.zeros(3), tol)
+    _verify_bracket(m, b, u, alpha * u)
+    _verify_bracket(m, b, v, np.zeros(3))
     return AdaptedFrame3D(kind=FrameKind.RANK_ONE, basis=basis, alpha=alpha)
 
 
-def _verify_bracket(m, x, y, expected, tol):
-    got = m.algebra.bracket(x, y)
-    if float(np.max(np.abs(got - expected))) > tol * (1.0 + float(np.max(np.abs(m.c)))):
-        raise ConsistencyError("adapted frame does not reproduce the bracket")
+def _verify_bracket(m, x, y, expected):
+    gap = float(np.max(np.abs(m.algebra.bracket(x, y) - expected)))
+    bound = 10.0 * m.tolerance * (1.0 + float(np.max(np.abs(m.c))))
+    if gap > bound:
+        raise ConsistencyError(
+            f"adapted frame bracket from the structure constants and from the normal form "
+            f"differ by {gap:.3e} in max norm (tolerance {bound:.3e})"
+        )

@@ -18,12 +18,11 @@ Weyl-Einstein condition degenerates and none of the formulas below are used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import frames, riemann
-from .algebra import LieAlgebra, coefficient_tolerance, derived_subalgebra
+from .algebra import coefficient_tolerance, derived_subalgebra
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -38,6 +37,7 @@ DEFAULT_SEED = 0
 DEFAULT_ROOT_TOL = 1e-8
 DEFAULT_DEDUP_TOL = 1e-6
 FLATNESS_RTOL = 1e-8
+KN_CALIBRATION_SIGN = 1.0  # R = sign * kulkarni_nomizu(g, B) iff the rescaled metric is flat
 # The solver's root floor in units of the evaluation scale of E.  A few ulps
 # per term would do for E itself, but its constant part inherits the rounding
 # of the Ricci form, about 20 ulps of the scale on Ricci-flat almost abelian
@@ -140,11 +140,13 @@ def weyl_ricci_formula(m: MetricLieAlgebra, theta) -> tuple[np.ndarray, float]:
     grad = lee_gradient(m, theta)
 
     # self-check: the symmetric part of D theta is -sym(ad_T) as a form
-    sym_grad = 0.5 * (grad + grad.T)
-    if m.form_norm(sym_grad + m.sym_ad_form(lee.dual)) > m.tolerance * (
-        1.0 + float(np.linalg.norm(theta))
-    ):
-        raise ConsistencyError("Lee form gradient disagrees with ad-based formula")
+    gap = m.form_norm(0.5 * (grad + grad.T) + m.sym_ad_form(lee.dual))
+    tol = m.tolerance * (1.0 + float(np.linalg.norm(theta)))
+    if gap > tol:
+        raise ConsistencyError(
+            f"symmetric Lee form gradient from the Levi-Civita table and -sym(ad_T) from "
+            f"the structure constants differ by {gap:.3e} in frame norm (tolerance {tol:.3e})"
+        )
 
     delta = riemann.codifferential_oneform(m, theta)
     ric = (
@@ -167,8 +169,7 @@ def weyl_ricci(w: WeylStructure) -> tuple[np.ndarray, float]:
     """
     m = w.base
     riem = riemann.curvature(m, w.table)
-    fara = -np.einsum("ijk,k->ij", m.c, w.lee.coeffs)
-    ric = riemann.ricci_trace(riem) + fara
+    ric = riemann.ricci_trace(riem) - np.einsum("ijk,k->ij", m.c, w.lee.coeffs)
     scalar = float(np.trace(m.metric_inv @ ric))
 
     ric_f, scalar_f = weyl_ricci_formula(m, w.lee)
@@ -197,21 +198,16 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
     E = Ric^g - (scal + (n-2)(tr ad_T + |theta|^2)) g / n
         + (n-2)(sym(ad_T) + theta (x) theta)
 
-    E is trace-free with respect to g by construction.
+    E is trace-free with respect to g by construction.  It is the solver's
+    frame map :class:`_ResidualSystem`, mapped back to the standard basis.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein residual needs dimension at least 3")
-    n = m.dim
-    theta = _as_covector(m, theta)
-    lee = LeeForm.from_covector(m, theta)
-    base = riemann.ricci(m)
-    tr_ad = riemann.codifferential_oneform(m, theta)
-    e = (
-        base.ricci
-        - ((base.scalar + (n - 2) * (tr_ad + lee.norm_sq)) / n) * m.metric
-        + (n - 2) * (m.sym_ad_form(lee.dual) + np.outer(theta, theta))
-    )
-    return WEResidual(matrix=e, norm=m.form_norm(e))
+    t = (m.frame.T @ _as_covector(m, theta))[None]
+    system = _ResidualSystem(m)
+    packed = system.residual(t, system.jacobian(t))[0]
+    matrix = frames.form_in_basis(system.unpack(packed), np.linalg.inv(m.frame))
+    return WEResidual(matrix=matrix, norm=float(np.linalg.norm(packed)))
 
 
 EXIT_REASONS = ("root-floor", "step", "damping-cap", "iteration-cap")
@@ -283,6 +279,12 @@ class _ResidualSystem:
     def _pack(self, sym: np.ndarray) -> np.ndarray:
         """Upper-triangle entries of symmetric matrices (last two axes), weighted."""
         return sym[..., self.index[0], self.index[1]] * self.weight
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Symmetric matrices from packed vectors (last axis); inverse of ``_pack``."""
+        upper = np.zeros(packed.shape[:-1] + (self.n, self.n))
+        upper[..., self.index[0], self.index[1]] = packed / self.weight
+        return upper + np.swapaxes(upper, -1, -2) - upper * np.eye(self.n)
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
         return self.lin + (t @ self.hess).reshape(len(t), -1, self.n)
@@ -389,7 +391,6 @@ def solve_lee_forms(
     starts: int = DEFAULT_STARTS,
     seed: int = DEFAULT_SEED,
     tol_root: float = DEFAULT_ROOT_TOL,
-    tol_dedup: float = DEFAULT_DEDUP_TOL,
 ) -> SolveResult:
     """Find all Lee forms solving the Weyl-Einstein equation on ``m``.
 
@@ -400,8 +401,9 @@ def solve_lee_forms(
     rules stops it (root floor, short step, damping cap, iteration cap; see
     :func:`_levenberg_marquardt`); the result counts the starts per rule.  A
     start counts as a root when its polished residual is below
-    ``tol_root * (1 + |Ric|)``; roots closer than ``tol_dedup`` in the frame
-    are merged keeping the earliest start.  Deterministic for fixed inputs.
+    ``tol_root * (1 + |Ric|)``; roots closer than :data:`DEFAULT_DEDUP_TOL`
+    in the frame are merged keeping the earliest start.  Deterministic for
+    fixed inputs.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
@@ -414,7 +416,7 @@ def solve_lee_forms(
     directions = rng.standard_normal((starts, n))
     norms = np.linalg.norm(directions, axis=1)
     directions[norms < 1e-12] = np.eye(n)[0]
-    directions /= np.maximum(np.linalg.norm(directions, axis=1), 1e-300)[:, None]
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
     radius = np.sqrt(abs(system.scal) / (n - 2)) + 1.0
     radii = np.array([0.0, 0.5 * radius, radius, 2.0 * radius])
     t0 = directions * radii[np.arange(starts) % 4][:, None]
@@ -431,7 +433,7 @@ def solve_lee_forms(
         if res_final[i] > threshold:
             continue
         t = t_final[i]
-        if any(np.linalg.norm(t - p) <= tol_dedup for p in picked):
+        if any(np.linalg.norm(t - p) <= DEFAULT_DEDUP_TOL for p in picked):
             continue
         picked.append(t)
         picked_res.append(float(res_final[i]))
@@ -455,29 +457,6 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
         - np.einsum("il,jk->ijkl", h, k)
         - np.einsum("jk,il->ijkl", h, k)
     )
-
-
-@lru_cache(maxsize=1)
-def kn_calibration_sign() -> float:
-    """Global sign matching the curvature convention to the product above.
-
-    Fixed once against a constant-curvature witness (hyperbolic structure on
-    the algebra [b, u] = u, [b, v] = v with orthonormal b, u, v and Lee form
-    the metric dual of b): the lowered curvature must equal
-    sign * (g . B) with B = D theta - theta (x) theta + |theta|^2 g / 2.
-    """
-    alg = LieAlgebra.from_brackets(3, {(0, 1): (0.0, 1.0, 0.0), (0, 2): (0.0, 0.0, 1.0)})
-    m = MetricLieAlgebra(alg, np.eye(3))
-    theta = np.array([1.0, 0.0, 0.0])
-    r4 = riemann.curvature_lowered(m, riemann.curvature(m, riemann.levi_civita(m)))
-    lee = LeeForm.from_covector(m, theta)
-    b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * lee.norm_sq * m.metric
-    prod = kulkarni_nomizu(m.metric, b)
-    gap_plus = float(np.linalg.norm(r4 - prod))
-    gap_minus = float(np.linalg.norm(r4 + prod))
-    if min(gap_plus, gap_minus) > 1e-10:
-        raise ConsistencyError("curvature conventions broke the product calibration")
-    return 1.0 if gap_plus <= gap_minus else -1.0
 
 
 @dataclass(frozen=True)
@@ -512,9 +491,8 @@ def conformal_flatness(m: MetricLieAlgebra, theta) -> FlatnessReport:
     ric_scale = 1.0 + m.form_norm(base.ricci)
     ricci_flat = m.form_norm(ric_w) <= FLATNESS_RTOL * ric_scale
 
-    lee = w.lee
-    b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * lee.norm_sq * m.metric
-    target = kn_calibration_sign() * kulkarni_nomizu(m.metric, b)
+    b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * w.lee.norm_sq * m.metric
+    target = KN_CALIBRATION_SIGN * kulkarni_nomizu(m.metric, b)
     r4 = riemann.curvature_lowered(m, base.riem)
     diff_frame = frames.curvature04_in_basis(r4 - target, m.frame)
     kn_residual = float(np.linalg.norm(diff_frame))

@@ -17,13 +17,14 @@ from lieweyl import (
     weyl_einstein_residual,
 )
 from lieweyl.errors import (
+    ConsistencyError,
     HintError,
     InputError,
     NotAlmostAbelianError,
     PreconditionError,
 )
 from lieweyl.riemann import change_basis, curvature, levi_civita, ricci
-from lieweyl import samples
+from lieweyl import almost_abelian, samples
 
 TOL = 1e-12
 CLS_TOL = 1e-9
@@ -255,3 +256,24 @@ def test_classification_survives_basis_change():
     want = basis.T @ np.array([1.0, 0.0, 0.0, 0.0])
     nonzero = max(cls.lee_forms, key=np.linalg.norm)
     np.testing.assert_allclose(nonzero, want, atol=1e-9)
+
+
+def test_ideal_invariance_alarm_names_routes_gap_and_tolerance(monkeypatch):
+    m = sol()
+    honest = almost_abelian.ad
+
+    def leaky(algebra, x):
+        # a constant shift leaks ad_normal out of the ideal along the normal
+        return honest(algebra, x) + 1e-3 * np.ones((3, 3))
+
+    monkeypatch.setattr(almost_abelian, "ad", leaky)
+    with pytest.raises(ConsistencyError) as info:
+        decompose(m)
+    monkeypatch.undo()
+    dec = decompose(m)
+    h, ad_b = dec.ideal_basis, leaky(m.algebra, dec.normal)
+    gap = float(np.max(np.abs(ad_b @ h.T - h.T @ (h @ m.metric @ ad_b @ h.T))))
+    bound = m.tolerance * (1.0 + float(np.max(np.abs(ad_b))))
+    message = str(info.value)
+    assert "ideal basis" in message and "projection onto the ideal" in message
+    assert f"{gap:.3e}" in message and f"{bound:.3e}" in message

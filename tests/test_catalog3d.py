@@ -16,6 +16,7 @@ from lieweyl import (
     table_admits,
 )
 from lieweyl.errors import (
+    ConsistencyError,
     DimensionError,
     InputError,
     NoNormalFormError,
@@ -196,3 +197,23 @@ def test_abelian_point_admits_trivially():
     assert v.admits and v.by_table and v.by_solver
     assert len(v.lee_forms) == 1
     assert np.linalg.norm(v.lee_forms[0]) <= 1e-7
+
+
+def test_adapted_frame_alarm_names_routes_gap_and_tolerance(monkeypatch):
+    m = build_family(point(BracketFamily.R_ID_R2, MetricFamily.G_NU, nu=1.5))
+    honest = LieAlgebra.bracket
+
+    def shifted(self, x, y):
+        return honest(self, x, y) + 1e-3
+
+    monkeypatch.setattr(LieAlgebra, "bracket", shifted)
+    with pytest.raises(ConsistencyError) as info:
+        adapted_frame(m)
+    monkeypatch.undo()
+    frame = adapted_frame(m)
+    b, u, v = frame.basis.T
+    gap = float(np.max(np.abs(shifted(m.algebra, b, u) - (frame.k * u - frame.l * v))))
+    bound = 10.0 * m.tolerance * (1.0 + float(np.max(np.abs(m.c))))
+    message = str(info.value)
+    assert "structure constants" in message and "normal form" in message
+    assert f"{gap:.3e}" in message and f"{bound:.3e}" in message

@@ -8,7 +8,10 @@ import pytest
 from lieweyl import (
     LieAlgebra,
     MetricLieAlgebra,
+    build_semidirect,
+    classify_weyl_einstein,
     conformal_flatness,
+    decompose,
     faraday,
     kulkarni_nomizu,
     ricci,
@@ -19,9 +22,10 @@ from lieweyl import (
 )
 from lieweyl.algebra import coefficient_tolerance
 from lieweyl.errors import ConsistencyError, DimensionError, NotClosedError
-from lieweyl.riemann import levi_civita, torsion_residual
-from lieweyl.weyl import kn_calibration_sign, lee_gradient
+from lieweyl.riemann import curvature, curvature_lowered, levi_civita, torsion_residual
+from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
+from oracle import dense_weyl_einstein_residual
 
 TOL = 1e-12
 SOLVER_TOL = 1e-8
@@ -206,22 +210,37 @@ def _evaluation_scale(system, t):
     return system.ric_scale + system.lin_norm * t_norm + (system.n - 2) * t_norm**2
 
 
-def _unpack(system, packed):
-    dense = np.zeros(packed.shape[:-1] + (system.n, system.n))
-    dense[..., system.index[0], system.index[1]] = packed / system.weight
-    return dense + np.swapaxes(dense, -1, -2) - dense * np.eye(system.n)
-
-
 def test_packed_residual_matches_dense_oracle():
     for m, system, t in _residual_batches(21):
         packed = system.residual(t, system.jacobian(t))
-        dense = _unpack(system, packed)
+        dense = system.unpack(packed)
         scale = _evaluation_scale(system, t)
         for k, row in enumerate(t):
-            oracle = weyl_einstein_residual(m, frames.covector_from_basis(row, m.frame))
+            oracle = dense_weyl_einstein_residual(m, frames.covector_from_basis(row, m.frame))
             assert abs(packed[k] @ packed[k] - oracle.norm**2) <= 1e-12 * scale[k] ** 2
             in_frame = frames.form_in_basis(oracle.matrix, m.frame)
             assert np.max(np.abs(dense[k] - in_frame)) <= 1e-12 * scale[k]
+
+
+def test_residual_matches_dense_oracle_at_random_forms_and_classifier_roots():
+    # weyl_einstein_residual evaluates the frame map; the dense standard-basis
+    # formula is the independent route
+    rng = np.random.default_rng(25)
+    random_forms, roots = [], []
+    for n in range(3, 9):
+        m = samples.random_metric_algebra(rng, n)
+        random_forms += [(m, rng.standard_normal(n)) for _ in range(4)]
+        for kind in ("einstein", "trace", "generic"):
+            m = samples.random_almost_abelian(rng, n, kind)
+            roots += [(m, root) for root in classify_weyl_einstein(decompose(m), m).lee_forms]
+    assert len(roots) >= 12  # every einstein and trace instance has a root
+    for m, theta in random_forms + roots:
+        res = weyl_einstein_residual(m, theta)
+        oracle = dense_weyl_einstein_residual(m, theta)
+        scale = _evaluation_scale(weyl._ResidualSystem(m), m.frame.T @ theta)
+        assert abs(res.norm - oracle.norm) <= 1e-12 * scale
+        assert m.form_norm(res.matrix - oracle.matrix) <= 1e-12 * scale
+        assert np.max(np.abs(res.matrix - oracle.matrix)) <= 1e-12 * scale
 
 
 def test_jacobian_matches_central_differences():
@@ -316,7 +335,21 @@ def test_kulkarni_nomizu_symmetries():
 
 
 def test_calibration_sign():
-    assert kn_calibration_sign() == 1.0
+    # On the hyperbolic witness [b, u] = u, [b, v] = v (b, u, v orthonormal,
+    # Lee form the dual of b) the lowered curvature is +-(g . B) with
+    # B = D theta - theta (x) theta + |theta|^2 g / 2; the sign that fits is
+    # the one conformal_flatness uses.
+    alg = LieAlgebra.from_brackets(3, {(0, 1): (0.0, 1.0, 0.0), (0, 2): (0.0, 0.0, 1.0)})
+    m = MetricLieAlgebra(alg, np.eye(3))
+    theta = np.array([1.0, 0.0, 0.0])
+    r4 = curvature_lowered(m, curvature(m, levi_civita(m)))
+    lee = LeeForm.from_covector(m, theta)
+    b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * lee.norm_sq * m.metric
+    prod = kulkarni_nomizu(m.metric, b)
+    gap_plus = float(np.linalg.norm(r4 - prod))
+    gap_minus = float(np.linalg.norm(r4 + prod))
+    assert min(gap_plus, gap_minus) <= 1e-10
+    assert weyl.KN_CALIBRATION_SIGN == (1.0 if gap_plus <= gap_minus else -1.0)
 
 
 def test_conformal_flatness_hyperbolic():
@@ -341,8 +374,6 @@ def test_conformal_flatness_rejects_open_lee_form():
 def test_ricci_flat_but_not_flat_witness():
     # S = diag(1,1,1,3) gives a Ricci-flat Weyl structure whose lowered
     # curvature stays far from any Kulkarni-Nomizu square
-    from lieweyl import build_semidirect
-
     m = build_semidirect(np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 3.0]))
     theta = np.zeros(5)
     theta[0] = 2.0
@@ -371,3 +402,62 @@ def test_weyl_ricci_cross_check_alarm_names_routes_gaps_and_tolerances(monkeypat
     assert "curvature trace" in message and "base-metric formula" in message
     assert f"{m.form_norm(ric - ric_f):.3e}" in message and f"{tol:.3e}" in message
     assert f"{abs(scalar - scalar_f):.3e}" in message and f"{tol * m.dim:.3e}" in message
+
+
+def test_lee_gradient_alarm_names_routes_gap_and_tolerance(monkeypatch):
+    m = sol()
+    theta = np.array([0.3, -0.2, 0.5])
+    honest = weyl.lee_gradient
+
+    def skewed(m, theta):
+        return honest(m, theta) + 1e-3 * m.metric
+
+    monkeypatch.setattr(weyl, "lee_gradient", skewed)
+    with pytest.raises(ConsistencyError) as info:
+        weyl.weyl_ricci_formula(m, theta)
+    monkeypatch.undo()
+    weyl.weyl_ricci_formula(m, theta)
+    grad = skewed(m, theta)
+    gap = m.form_norm(0.5 * (grad + grad.T) + m.sym_ad_form(m.raise_covector(theta)))
+    tol = m.tolerance * (1.0 + float(np.linalg.norm(theta)))
+    message = str(info.value)
+    assert "Levi-Civita table" in message and "structure constants" in message
+    assert f"{gap:.3e}" in message and f"{tol:.3e}" in message
+
+
+# Known scale defect: the root threshold scales with 1 + |Ric| and the dedup
+# radius is absolute, so root sets change when the structure constants are
+# rescaled.  These pin the defect until the solver is nondimensionalized.
+SCALE_DEFECT = pytest.mark.xfail(
+    strict=True, reason="known defect: solver tolerances are not scale-equivariant"
+)
+
+
+def _rotating_flat_metric(rate):
+    """ad of the normal rotates two planes of a 4-dimensional abelian ideal at
+    rates ``rate`` and 2 ``rate``: a flat metric whose only Lee form is 0."""
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[2, 3] = -rate, -2.0 * rate
+    return build_semidirect(skew - skew.T, np.zeros((4, 4)))
+
+
+@SCALE_DEFECT
+def test_solver_finds_both_roots_of_a_small_hyperbolic_metric():
+    m = samples.hyperbolic(4, 1e-7)
+    expected = classify_weyl_einstein(decompose(m), m).lee_forms
+    assert len(expected) == 2
+    assert len(solve_lee_forms(m).roots) == len(expected)
+
+
+@SCALE_DEFECT
+def test_solver_ends_fast_rotation_starts_before_the_iteration_cap():
+    result = solve_lee_forms(_rotating_flat_metric(6.0))
+    assert result.exits["iteration-cap"] == 0
+
+
+@SCALE_DEFECT
+def test_solver_merges_the_double_root_of_a_very_fast_rotation():
+    m = _rotating_flat_metric(100.0)
+    expected = classify_weyl_einstein(decompose(m), m).lee_forms
+    assert len(expected) == 1
+    assert len(solve_lee_forms(m).roots) == len(expected)
