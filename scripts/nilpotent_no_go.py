@@ -4,7 +4,9 @@
 None should admit one; the interesting output is the infimum of the residual
 over an escalating number of solver starts.  A floor that stays put as the
 start count grows is numerical evidence that the equation really has no
-solution, rather than the solver missing one.
+solution, rather than the solver missing one.  Below each model, one line
+per rung counts the starts by the rule that stopped them (see
+``weyl.EXIT_REASONS``), so the evidence says why every start ended.
 """
 from __future__ import annotations
 
@@ -38,16 +40,21 @@ def main(argv=None) -> int:
     begin = time.perf_counter()
     for name, m in models(args.max_extra):
         infima = []
+        exits = []
         root_count = None
         for starts in args.ladder:
             result = weyl.solve_lee_forms(m, starts=starts, seed=args.seed)
             infima.append(result.infimum)
+            exits.append((starts, result.exits))
             root_count = len(result.roots)
             if root_count:
                 failures += 1
                 break
         cells = " ".join(f"{v:14.6f}" for v in infima)
         print(f"{name:{width}s} {m.dim:3d} {cells}   {root_count}")
+        for starts, counts in exits:
+            stops = ", ".join(f"{reason} {k}" for reason, k in counts.items() if k)
+            print(f"{'':{width}s}     exits at starts={starts}: {stops}")
         spread = max(infima) - min(infima)
         if spread > 1e-6 * (1.0 + max(infima)):
             print(f"{'':{width}s}     warning: infimum drifted by {spread:.2e} across the ladder")

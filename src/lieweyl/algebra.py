@@ -21,14 +21,16 @@ parameter boundaries.  The other tolerances measure other things:
   vectors, orthonormalization, signs) that only have to clear rounding;
 * ``almost_abelian.EIGEN_CLUSTER_RTOL`` 1e-7 of max(1, |eig|): a verdict on
   the spectrum of ``sym``, where nearly equal eigenvalues form one cluster;
-* ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 of 1 + |Ric|: accepts a given
+* ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 of 1 + |Ric| (computed once,
+  as ``MetricLieAlgebra.ricci_scale``): accepts a given
   covector as a Lee form, loose enough for any solver root;
 * ``weyl.DEFAULT_ROOT_TOL`` (the CLI's ``--tol``) and ``weyl.FLATNESS_RTOL``,
   1e-8 of 1 + |Ric| (|R| for flatness): root and flatness verdicts;
 * ``weyl.DEFAULT_DEDUP_TOL`` 1e-6, absolute in the frame, merges roots; it
   is not scale-equivariant, a known defect;
 * ``weyl.ROOT_FLOOR_EPS`` and the constants of ``weyl._levenberg_marquardt``:
-  rounding and step-control levels of the solver, not zero tests.
+  rounding and step-control levels of the solver (the root floor, the stall
+  rule, the 20% cost cut that switches Newton steps on), not zero tests.
 """
 from __future__ import annotations
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames, riemann
+from . import frames
 from .algebra import (
     REL_TOL,
     LieAlgebra,
@@ -459,8 +459,7 @@ def conformal_metric_flatness(
     if m.covector_norm(theta) <= m.tolerance:
         raise PreconditionError("Lee form must be nonzero")
     resid = weyl_einstein_residual(m, theta)
-    ric_scale = 1.0 + m.form_norm(riemann.ricci(m).ricci)
-    if resid.norm > WE_PRECONDITION_RTOL * ric_scale:
+    if resid.norm > WE_PRECONDITION_RTOL * m.ricci_scale:
         raise PreconditionError("covector is not a Weyl-Einstein Lee form")
 
     eigs = np.linalg.eigvalsh(dec.sym)

@@ -128,6 +128,11 @@ class MetricLieAlgebra:
         )
 
     @cached_property
+    def ricci_scale(self) -> float:
+        """1 + |Ric| in the frame: the scale of every Ricci-sized tolerance."""
+        return 1.0 + self.form_norm(self.curvature_data.ricci)
+
+    @cached_property
     def tolerance(self) -> float:
         return coefficient_tolerance(self.c, self.metric)
 

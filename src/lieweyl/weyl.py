@@ -10,7 +10,12 @@ where ``T`` is the g-dual vector of ``theta``; it rescales the metric,
 Weyl-Einstein when the symmetrised Ricci form of ``D`` is proportional to the
 metric; :func:`weyl_einstein_residual` measures the defect and
 :func:`solve_lee_forms` finds all Lee forms that make it vanish by a seeded
-multistart Gauss-Newton/Levenberg-Marquardt search in an orthonormal frame.
+multistart Levenberg-Marquardt search in an orthonormal frame.  Starts heading
+for a root take Gauss-Newton steps; starts heading for a minimum where the
+defect does not vanish switch to damped Newton steps, which cost one more
+product because the defect is quadratic, and stop once no step can lower the
+defect by more than rounding.  The quadratic map is built once per metric Lie
+algebra and shared by the solver and every residual evaluation.
 
 Everything here requires dimension at least 3: in lower dimensions the
 Weyl-Einstein condition degenerates and none of the formulas below are used.
@@ -30,7 +35,7 @@ from .errors import (
     NumericInputError,
     StructureError,
 )
-from .riemann import ConnectionTable, MetricLieAlgebra
+from .riemann import ConnectionTable, MetricLieAlgebra, _read_only
 
 DEFAULT_STARTS = 64
 DEFAULT_SEED = 0
@@ -109,9 +114,14 @@ class FaradayForm:
     exact: bool
 
 
+def _faraday_matrix(m: MetricLieAlgebra, theta: np.ndarray) -> np.ndarray:
+    """F(x, y) = -theta([x, y]) as a matrix in the standard basis."""
+    return -np.einsum("ijk,k->ij", m.c, theta)
+
+
 def faraday(m: MetricLieAlgebra, theta) -> FaradayForm:
     theta = _as_covector(m, theta)
-    f = -np.einsum("ijk,k->ij", m.c, theta)
+    f = _faraday_matrix(m, theta)
     tol = coefficient_tolerance(m.c, m.metric, theta)
     closed = bool(np.max(np.abs(f)) <= tol) if f.size else True
     der = derived_subalgebra(m.algebra)
@@ -169,7 +179,7 @@ def weyl_ricci(w: WeylStructure) -> tuple[np.ndarray, float]:
     """
     m = w.base
     riem = riemann.curvature(m, w.table)
-    ric = riemann.ricci_trace(riem) - np.einsum("ijk,k->ij", m.c, w.lee.coeffs)
+    ric = riemann.ricci_trace(riem) + _faraday_matrix(m, w.lee.coeffs)
     scalar = float(np.trace(m.metric_inv @ ric))
 
     ric_f, scalar_f = weyl_ricci_formula(m, w.lee)
@@ -204,13 +214,13 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein residual needs dimension at least 3")
     t = (m.frame.T @ _as_covector(m, theta))[None]
-    system = _ResidualSystem(m)
+    system = _residual_system(m)
     packed = system.residual(t, system.jacobian(t))[0]
     matrix = frames.form_in_basis(system.unpack(packed), np.linalg.inv(m.frame))
     return WEResidual(matrix=matrix, norm=float(np.linalg.norm(packed)))
 
 
-EXIT_REASONS = ("root-floor", "step", "damping-cap", "iteration-cap")
+EXIT_REASONS = ("root-floor", "step", "stall", "damping-cap", "iteration-cap")
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,12 @@ class _ResidualSystem:
 
         J(t) = lin + (t @ hess),   E(t) = const + (lin + J(t)) t / 2.
 
-    Everything is batched over the rows of ``t``.
+    ``curv`` is the same Hessian laid out by residual component, so that for
+    a packed residual ``r`` the second-order term of the Hessian of |E|^2 / 2,
+    sum_q r_q Hess(E_q), is the flattened (n, n) matrix ``r @ curv``.
+    Everything is batched over the rows of ``t``.  ``const``, ``lin``,
+    ``hess`` and ``curv`` are read-only, because one system serves every
+    evaluation on its algebra (see :func:`_residual_system`).
     """
 
     def __init__(self, m: MetricLieAlgebra):
@@ -261,12 +276,12 @@ class _ResidualSystem:
         ric = frames.form_in_basis(base.ricci, m.frame)
         self.n = n
         self.scal = base.scalar
-        self.ric_scale = 1.0 + float(np.linalg.norm(ric))
+        self.ric_scale = m.ricci_scale
 
         self.index = np.triu_indices(n)
         self.weight = np.where(self.index[0] == self.index[1], 1.0, np.sqrt(2.0))
-        self.const = self._pack(ric - (self.scal / n) * eye)
-        self.lin = self._pack((n - 2) * (sym_adf - (tau / n)[:, None, None] * eye)).T
+        self.const = _read_only(self._pack(ric - (self.scal / n) * eye))
+        self.lin = _read_only(self._pack((n - 2) * (sym_adf - (tau / n)[:, None, None] * eye)).T)
         self.lin_norm = float(np.linalg.norm(self.lin))
         # hess[i, j, k, l] = d^2/dt_i dt_j of (n-2)(t_k t_l - |t|^2 delta_kl / n)
         hess = (n - 2) * (
@@ -274,7 +289,10 @@ class _ResidualSystem:
             + np.einsum("il,jk->ijkl", eye, eye)
             - (2.0 / n) * np.einsum("ij,kl->ijkl", eye, eye)
         )
-        self.hess = self._pack(hess).transpose(0, 2, 1).reshape(n, -1)
+        self.hess = _read_only(self._pack(hess).transpose(0, 2, 1).reshape(n, -1))
+        # curv[q] = hess[:, q, :], the Hessian of packed component q, flattened
+        size = self.const.size
+        self.curv = _read_only(self.hess.reshape(n, size, n).transpose(1, 0, 2).reshape(size, -1))
 
     def _pack(self, sym: np.ndarray) -> np.ndarray:
         """Upper-triangle entries of symmetric matrices (last two axes), weighted."""
@@ -306,8 +324,37 @@ class _ResidualSystem:
         )
 
 
+def _residual_system(m: MetricLieAlgebra) -> _ResidualSystem:
+    """The :class:`_ResidualSystem` of ``m``, built on first use and kept on
+    ``m`` beside its cached geometry, so the solver, every residual check and
+    every flatness precondition share one build."""
+    system = vars(m).get("_residual_system")
+    if system is None:
+        system = vars(m)["_residual_system"] = _ResidualSystem(m)
+    return system
+
+
+def _solve_rows(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps -normal^-1 rhs of a batch, and which rows have a singular matrix.
+
+    A singular row gets the zero step instead of failing the whole batch.
+    """
+    singular = np.zeros(len(normal), dtype=bool)
+    try:
+        return -np.linalg.solve(normal, rhs)[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        delta = np.zeros(rhs.shape[:2])
+        for k in range(len(normal)):
+            try:
+                delta[k] = -np.linalg.solve(normal[k], rhs[k])[:, 0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return delta, singular
+
+
 def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int = 250):
-    """Damped Gauss-Newton on all starts at once.
+    """Damped Gauss-Newton on all starts at once, with Newton steps for starts
+    that head for a minimum where E does not vanish.
 
     Returns the final points, their packed residual norms and, per start, the
     index into :data:`EXIT_REASONS` of the rule that stopped it:
@@ -322,16 +369,32 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
       already noise.  The offset at exit is about sqrt(floor / (n-2)), far
       inside the deduplication radius.
     * step: an accepted step shorter than 1e-12 (1 + |t|).
+    * stall: a descent step was rejected although the model of |E|^2 it was
+      solved from promised a decrease of at most ``ROOT_FLOOR_EPS`` |E|^2,
+      a rounding-level change.  The start sits on a critical point of |E|
+      (a minimum, in practice) where |E| is above the root floor.
     * damping cap: rejected steps raised the damping to 1e10.
     * iteration cap: ``max_iter`` evaluations without any of the above.
+
+    A start solves the Gauss-Newton equations (J^T J + rho I) delta = -J^T r
+    while it heads for a root.  Once an accepted step cuts |E|^2 by less than
+    20%, the behaviour of a minimum with a nonzero residual, where
+    Gauss-Newton converges only linearly, the start adds the second-order
+    term S(r) = sum_q r_q Hess(E_q) = ``r @ curv`` and takes damped Newton
+    steps on |E|^2 / 2; it drops the term again after an accepted step that
+    cuts more.  Since E is quadratic, S costs one product with a constant
+    tensor.  The Newton matrix can be indefinite or singular: a step that
+    does not descend, or that has no solution, is rejected, so the damping
+    rises until the matrix is positive definite.  With either matrix the
+    promised decrease of |E|^2 is rho |delta|^2 - J^T r . delta.
 
     Iteration k evaluates the Jacobian once, at the point the previous step
     proposed (the starts themselves at k = 0), on the active starts only;
     the residual comes from the same product, and one batched product of
     [J r] with itself gives J^T J, J^T r and the cost.  Accepted points keep
-    these for the next step and rejected ones only raise their damping, so
-    every start's cost is monotonically non-increasing and the iteration is
-    deterministic.  Finished starts leave the batch.
+    these and the residual for the next step and rejected ones only raise
+    their damping, so every start's cost is monotonically non-increasing and
+    the iteration is deterministic.  Finished starts leave the batch.
     """
     b, n = t0.shape
     t_out = np.empty_like(t0)
@@ -343,45 +406,62 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     # gram = [J r]^T [J r] at the current points: J^T J, J^T r and the cost |r|^2
     gram = np.zeros((b, n + 1, n + 1))
     gram[:, n, n] = np.inf
+    res = np.zeros((b, system.const.size))  # r, for the second-order term
     step_sq = np.full(b, np.inf)  # squared length of the step that gave trial
+    promised = np.full(b, np.inf)  # its promised decrease of |r|^2; inf unless descent
+    refused = np.zeros(b, dtype=bool)  # it does not descend, or has no solution
+    newton = np.zeros(b, dtype=bool)
     lam = np.full(b, 1e-3)
     eye = np.eye(n)
 
     for it in range(max_iter):
         jac = system.jacobian(trial)
-        aug = np.concatenate((jac, system.residual(trial, jac)[:, :, None]), axis=2)
+        res_trial = system.residual(trial, jac)
+        aug = np.concatenate((jac, res_trial[:, :, None]), axis=2)
         gram_trial = aug.transpose(0, 2, 1) @ aug
-        better = gram_trial[:, n, n] < gram[:, n, n]
-        t[better] = trial[better]
-        gram[better] = gram_trial[better]
+        better = (gram_trial[:, n, n] < gram[:, n, n]) & ~refused
+        newton = np.where(better, gram_trial[:, n, n] > 0.8 * gram[:, n, n], newton)
+        np.copyto(t, trial, where=better[:, None])
+        np.copyto(gram, gram_trial, where=better[:, None, None])
+        np.copyto(res, res_trial, where=better[:, None])
         lam = np.where(better, np.maximum(lam / 3.0, 1e-14), 4.0 * lam)
 
         cost = gram[:, n, n]
         t_norm = np.sqrt(np.einsum("bi,bi->b", t, t))
         at_floor = cost <= system.root_floor(t_norm) ** 2
         short_step = better & (step_sq <= (1e-12 * (1.0 + t_norm)) ** 2)
+        stalled = ~better & (promised <= ROOT_FLOOR_EPS * cost)
         damped = lam >= 1e10
-        done = at_floor | short_step | damped
+        done = at_floor | short_step | stalled | damped
         if it == max_iter - 1:
             done[:] = True
         if done.any():
             out = rows[done]
             t_out[out] = t[done]
             res_out[out] = np.sqrt(cost[done])
-            exit_out[out] = np.select([at_floor, short_step, damped], [0, 1, 2], 3)[done]
+            exit_out[out] = np.select([at_floor, short_step, stalled, damped], [0, 1, 2, 3], 4)[done]
             keep = ~done
             if not keep.any():
                 break
-            rows, t, gram, lam = rows[keep], t[keep], gram[keep], lam[keep]
+            rows, t, gram, res, lam, newton = (
+                rows[keep], t[keep], gram[keep], res[keep], lam[keep], newton[keep]
+            )
 
         jtj = gram[:, :n, :n]
+        grad = gram[:, :n, n]
         # The ridge keeps the normal matrix invertible even when a start sits
         # on a root whose Jacobian has an exact null direction; an absolute
         # floor alone underflows against large diagonal entries.
         ridge = lam + 1e-13 * (1.0 + np.trace(jtj, axis1=1, axis2=2) / n)
-        delta = -np.linalg.solve(jtj + ridge[:, None, None] * eye, gram[:, :n, n:])[:, :, 0]
+        normal = jtj + ridge[:, None, None] * eye
+        if newton.any():
+            normal[newton] += (res[newton] @ system.curv).reshape(-1, n, n)
+        delta, refused = _solve_rows(normal, gram[:, :n, n:])
         trial = t + delta
         step_sq = np.einsum("bi,bi->b", delta, delta)
+        slope = np.einsum("bi,bi->b", grad, delta)
+        promised = np.where(slope < 0.0, ridge * step_sq - slope, np.inf)
+        refused |= slope > 0.0
 
     return t_out, res_out, exit_out
 
@@ -397,8 +477,9 @@ def solve_lee_forms(
     Starts are unit directions from a seeded generator placed on spheres of
     radius 0, r/2, r and 2r (cycling with the start index), where
     r = sqrt(|scal| / (n-2)) + 1 bounds the expected root scale.  Each start
-    runs Levenberg-Marquardt on the packed frame residual until one of four
-    rules stops it (root floor, short step, damping cap, iteration cap; see
+    runs Levenberg-Marquardt on the packed frame residual, with Newton steps
+    while it heads for a minimum that is not a root, until one of five rules
+    stops it (root floor, short step, stall, damping cap, iteration cap; see
     :func:`_levenberg_marquardt`); the result counts the starts per rule.  A
     start counts as a root when its polished residual is below
     ``tol_root * (1 + |Ric|)``; roots closer than :data:`DEFAULT_DEDUP_TOL`
@@ -410,7 +491,7 @@ def solve_lee_forms(
     if starts < 1:
         raise StructureError("need at least one start")
     n = m.dim
-    system = _ResidualSystem(m)
+    system = _residual_system(m)
 
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((starts, n))
@@ -488,8 +569,7 @@ def conformal_flatness(m: MetricLieAlgebra, theta) -> FlatnessReport:
     w = weyl_connection(m, theta)
     ric_w, _ = weyl_ricci(w)
     base = riemann.ricci(m)
-    ric_scale = 1.0 + m.form_norm(base.ricci)
-    ricci_flat = m.form_norm(ric_w) <= FLATNESS_RTOL * ric_scale
+    ricci_flat = m.form_norm(ric_w) <= FLATNESS_RTOL * m.ricci_scale
 
     b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * w.lee.norm_sq * m.metric
     target = KN_CALIBRATION_SIGN * kulkarni_nomizu(m.metric, b)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lieweyl import algebra, cli, frames, mla, riemann
+from lieweyl import algebra, cli, frames, mla, riemann, weyl
 
 SOL_TEXT = """mla 1
 dim 3
@@ -254,7 +254,8 @@ def test_missing_subcommand_is_usage_error():
 
 def test_report_computes_shared_geometry_once(tmp_path, monkeypatch, capsys):
     """One report reads the frame structure constants, the structure-constant
-    Ricci and the validity check from many layers, and computes each once."""
+    Ricci, the validity check and the solver's residual system from many
+    layers, and computes each once."""
     path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
     calls = {}
     package = [mod for name, mod in sys.modules.items()
@@ -272,6 +273,17 @@ def test_report_computes_shared_geometry_once(tmp_path, monkeypatch, capsys):
         for mod in package:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    # the solve, each classifier root's residual and the flatness
+    # precondition of the nonzero root all evaluate E
+    build = weyl._ResidualSystem.__init__
+    calls["residual_system"] = 0
+
+    def counted_build(self, m):
+        calls["residual_system"] += 1
+        build(self, m)
+
+    monkeypatch.setattr(weyl._ResidualSystem, "__init__", counted_build)
     assert cli.main(["report", path, "--format", "records"]) == 0
     assert "aa.lee_forms[1].flat = true" in capsys.readouterr().out
-    assert calls == {"besse_ricci": 1, "structure_in_basis": 1, "validate": 1}
+    assert calls == {"besse_ricci": 1, "structure_in_basis": 1, "validate": 1,
+                     "residual_system": 1}

@@ -2,6 +2,8 @@
 
 Each script exits 0 only when its check holds: no classifier/solver mismatch,
 no root on a nilpotent model, no table/solver disagreement in the catalog.
+The nilpotent ladder also says why each start stopped: one line of exit
+counts per model and rung.
 """
 import os
 import subprocess
@@ -30,3 +32,11 @@ def test_script_exits_clean(script, args):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if script == "nilpotent_no_go.py":
+        # three models (Heisenberg, filiform4, free 2-step) at two rungs; the
+        # root-free starts away from t = 0 end at the residual's minimum
+        rungs = [line.split(":", 1) for line in proc.stdout.splitlines()
+                 if "exits at starts=" in line]
+        assert [head.strip() for head, _ in rungs] == ["exits at starts=8",
+                                                      "exits at starts=16"] * 3
+        assert all("stall" in counts for _, counts in rungs), proc.stdout

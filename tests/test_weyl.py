@@ -210,6 +210,16 @@ def _evaluation_scale(system, t):
     return system.ric_scale + system.lin_norm * t_norm + (system.n - 2) * t_norm**2
 
 
+def test_residual_system_is_built_once_per_algebra_and_read_only():
+    m = samples.random_metric_algebra(np.random.default_rng(28), 5)
+    system = weyl._residual_system(m)
+    assert weyl._residual_system(m) is system
+    assert system.ric_scale == m.ricci_scale == 1.0 + m.form_norm(ricci(m).ricci)
+    for name in ("const", "lin", "hess", "curv"):
+        with pytest.raises(ValueError):
+            getattr(system, name)[...] = 0.0
+
+
 def test_packed_residual_matches_dense_oracle():
     for m, system, t in _residual_batches(21):
         packed = system.residual(t, system.jacobian(t))
@@ -278,19 +288,27 @@ def test_step_reuse_identity():
 
 
 def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
-    # every start is counted under one exit rule, and a solve whose LM ran to
-    # the iteration cap says so
+    # every start is counted under one exit rule, no solve runs to the
+    # iteration cap, and no start on a root is ended by the stall rule
     cap = inspect.signature(weyl._levenberg_marquardt).parameters["max_iter"].default
     calls = [0]
     jacobian = weyl._ResidualSystem.jacobian
+    solve = weyl._levenberg_marquardt
+    runs = []
 
     def counting(self, t):
         calls[0] += 1
         return jacobian(self, t)
 
+    def recording(system, t0, max_iter=cap):
+        out = solve(system, t0, max_iter)
+        runs.append((system, out))
+        return out
+
     monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
+    monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
+    stall = weyl.EXIT_REASONS.index("stall")
     rng = np.random.default_rng(1000)
-    capped = 0
     for i in range(150):
         kind = ("einstein", "trace", "generic")[i % 3]
         m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
@@ -299,8 +317,125 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
         assert tuple(result.exits) == weyl.EXIT_REASONS
         assert sum(result.exits.values()) == weyl.DEFAULT_STARTS
         assert (result.exits["iteration-cap"] > 0) == (calls[0] >= cap), (i, result.exits)
-        capped += calls[0] >= cap
-    print(f"acceptance mix: {capped} of 150 solves ran to the iteration cap")
+        assert calls[0] < cap, (i, result.exits)
+        system, (_, residuals, exits) = runs[-1]
+        stalled = residuals[exits == stall]
+        assert np.all(stalled > weyl.DEFAULT_ROOT_TOL * system.ric_scale), (i, stalled)
+
+
+def test_nilpotent_ladder_solves_within_40_jacobian_calls(monkeypatch):
+    # root-free starts end by the stall rule at the residual's minimum
+    # instead of running about 19 rejected steps up to the damping cap
+    calls = [0]
+    jacobian = weyl._ResidualSystem.jacobian
+
+    def counting(self, t):
+        calls[0] += 1
+        return jacobian(self, t)
+
+    monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
+    models = [samples.heisenberg(extra=k) for k in range(3)]
+    models += [samples.filiform4(), samples.free_two_step()]
+    for m in models:
+        for starts in (50, 200, 800):
+            calls[0] = 0
+            result = solve_lee_forms(m, starts=starts)
+            assert result.roots == ()
+            assert calls[0] <= 40, (m.dim, starts, calls[0], result.exits)
+
+
+def test_newton_matrix_matches_central_difference_hessian():
+    # J^T J + r @ curv is the Hessian of |E|^2 / 2; its gradient J^T r is
+    # cubic, so central differences are exact up to h^2 and rounding
+    h = 1e-5
+    for _, system, t in _residual_batches(26):
+        n = system.n
+
+        def gradient(at):
+            jac = system.jacobian(at)
+            return (jac.transpose(0, 2, 1) @ system.residual(at, jac)[:, :, None])[:, :, 0]
+
+        jac = system.jacobian(t)
+        res = system.residual(t, jac)
+        newton = jac.transpose(0, 2, 1) @ jac + (res @ system.curv).reshape(-1, n, n)
+        scale = _evaluation_scale(system, t)
+        for j in range(n):
+            step = np.zeros_like(t)
+            step[:, j] = h
+            diff = (gradient(t + step) - gradient(t - step)) / (2 * h)
+            gap = np.max(np.abs(diff - newton[:, :, j]), axis=1)
+            assert np.all(gap <= 1e-9 * scale**2), (n, j, gap / scale**2)
+
+
+def test_singular_newton_row_is_rejected_without_failing_the_batch(monkeypatch):
+    # with curv huge and constant, the damped Newton matrix of a start that
+    # switches to Newton steps rounds to a multiple of the all-ones matrix,
+    # which is exactly singular; t = 0 is a critical point on the Heisenberg
+    # algebra and never leaves Gauss-Newton
+    system = weyl._ResidualSystem(samples.heisenberg())
+    t0 = np.array([[0.0, 0.0, 0.0], [0.3, -0.7, 0.5]])
+    honest_t, honest_res, honest_exits = weyl._levenberg_marquardt(system, t0)
+    assert tuple(honest_exits) == (weyl.EXIT_REASONS.index("damping-cap"),
+                                   weyl.EXIT_REASONS.index("stall"))
+
+    solve_rows = weyl._solve_rows
+    singular_rows = []
+
+    def recording(normal, rhs):
+        delta, singular = solve_rows(normal, rhs)
+        singular_rows.append(singular.copy())
+        assert np.all(delta[singular] == 0.0)
+        return delta, singular
+
+    monkeypatch.setattr(weyl, "_solve_rows", recording)
+    monkeypatch.setattr(system, "curv", np.full_like(system.curv, 1e300))
+    t, res, exits = weyl._levenberg_marquardt(system, t0)
+    assert any(s.any() for s in singular_rows)
+    assert all(not s[0] for s in singular_rows if len(s) == 2)
+    # the singular row's steps are all rejected, so the damping runs to its cap
+    assert tuple(exits) == (weyl.EXIT_REASONS.index("damping-cap"),) * 2
+    assert res[1] > honest_res[1]
+    assert np.array_equal(t[0], honest_t[0]) and res[0] == honest_res[0]
+
+
+def test_ascent_step_is_rejected_even_where_it_lowers_the_cost(monkeypatch):
+    # the minima of |E| on the Heisenberg algebra form a circle in the
+    # (t_1, t_2) plane; from a point inside it, the far side of the circle is
+    # lower but lies in the half-space where the gradient rises
+    system = weyl._ResidualSystem(samples.heisenberg())
+    t0 = np.array([[0.1, 0.0, 0.0]])
+    far = np.array([[-0.3, 0.0, 0.0]])
+
+    def cost(t):
+        return float(np.sum(system.residual(t, system.jacobian(t)) ** 2))
+
+    assert cost(far) < cost(t0)
+    solve_rows = weyl._solve_rows
+    gradients = []
+
+    def scripted(normal, rhs):
+        gradients.append(rhs[:, :, 0].copy())
+        if len(gradients) == 1:
+            return far - t0, np.zeros(1, dtype=bool)
+        return solve_rows(normal, rhs)
+
+    monkeypatch.setattr(weyl, "_solve_rows", scripted)
+    weyl._levenberg_marquardt(system, t0, max_iter=3)
+    assert gradients[0][0] @ (far - t0)[0] > 0.0
+    # the start did not move: the next step is solved at t0 again
+    assert np.array_equal(gradients[1], gradients[0])
+
+
+def test_solve_rows_gives_a_singular_row_the_zero_step():
+    rng = np.random.default_rng(27)
+    normal = rng.standard_normal((3, 4, 4)) + 4.0 * np.eye(4)
+    normal[1] = np.ones((4, 4))
+    rhs = rng.standard_normal((3, 4, 1))
+    delta, singular = weyl._solve_rows(normal, rhs)
+    assert singular.tolist() == [False, True, False]
+    assert np.all(delta[1] == 0.0)
+    for k in (0, 2):
+        np.testing.assert_allclose(normal[k] @ delta[k], -rhs[k, :, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
