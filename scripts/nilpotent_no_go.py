@@ -6,7 +6,10 @@ over an escalating number of solver starts.  A floor that stays put as the
 start count grows is numerical evidence that the equation really has no
 solution, rather than the solver missing one.  Below each model, one line
 per rung counts the starts by the rule that stopped them (see
-``weyl.EXIT_REASONS``), so the evidence says why every start ended.
+``weyl.EXIT_REASONS``), so the evidence says why every start ended.  The
+script exits 1 when a model has a root or a start ends by the damping or
+iteration cap, so a clean run says that every start ended at a critical
+point of |E| above the root floor.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ def main(argv=None) -> int:
     header = " ".join(f"{f'starts={s}':>14s}" for s in args.ladder)
     print(f"{'model':{width}s} dim {header}   roots")
     failures = 0
+    capped = []
     begin = time.perf_counter()
     for name, m in models(args.max_extra):
         infima = []
@@ -55,13 +59,17 @@ def main(argv=None) -> int:
         for starts, counts in exits:
             stops = ", ".join(f"{reason} {k}" for reason, k in counts.items() if k)
             print(f"{'':{width}s}     exits at starts={starts}: {stops}")
+            if counts["damping-cap"] or counts["iteration-cap"]:
+                capped.append(f"{name} at starts={starts}")
         spread = max(infima) - min(infima)
         if spread > 1e-6 * (1.0 + max(infima)):
             print(f"{'':{width}s}     warning: infimum drifted by {spread:.2e} across the ladder")
     print(f"\n{time.perf_counter() - begin:.1f}s total")
     if failures:
         print(f"unexpected: {failures} model(s) produced a root")
-    return 1 if failures else 0
+    for rung in capped:
+        print(f"unexpected: a start ended by a cap on {rung}")
+    return 1 if failures or capped else 0
 
 
 if __name__ == "__main__":

@@ -29,8 +29,11 @@ parameter boundaries.  The other tolerances measure other things:
 * ``weyl.DEFAULT_DEDUP_TOL`` 1e-6, absolute in the frame, merges roots; it
   is not scale-equivariant, a known defect;
 * ``weyl.ROOT_FLOOR_EPS`` and the constants of ``weyl._levenberg_marquardt``:
-  rounding and step-control levels of the solver (the root floor, the stall
-  rule, the 20% cost cut that switches Newton steps on), not zero tests.
+  rounding and step-control levels of the solver, not zero tests.  The root
+  floor is 32 ulps of 1 + |Ric| + |c|^2 + |L| |t| + (n-2) |t|^2, where the
+  |c|^2 term (frame norm of the structure constants) bounds the rounding of
+  the trace-free Ricci form; the stall rule ends a start whose rejected step
+  promised at most 32 ulps of |E|^2; the damping cap is 1e10.
 """
 from __future__ import annotations
 

@@ -104,12 +104,12 @@ def _parse_ideal_option(text: str, dim: int) -> np.ndarray:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise InputError(f"cannot parse --ideal entry {chunk!r}") from exc
-    arr = np.array(rows, dtype=float)
-    if arr.shape != (dim - 1, dim):
+    if len(rows) != dim - 1 or any(len(row) != dim for row in rows):
         raise InputError(
-            f"--ideal needs {dim - 1} rows of {dim} numbers separated by ';', got shape {arr.shape}"
+            f"--ideal needs {dim - 1} rows of {dim} numbers separated by ';', "
+            f"got rows of {[len(row) for row in rows]} numbers"
         )
-    return arr
+    return np.array(rows, dtype=float)
 
 
 def _cmd_validate(args) -> str:

@@ -10,12 +10,12 @@ where ``T`` is the g-dual vector of ``theta``; it rescales the metric,
 Weyl-Einstein when the symmetrised Ricci form of ``D`` is proportional to the
 metric; :func:`weyl_einstein_residual` measures the defect and
 :func:`solve_lee_forms` finds all Lee forms that make it vanish by a seeded
-multistart Levenberg-Marquardt search in an orthonormal frame.  Starts heading
-for a root take Gauss-Newton steps; starts heading for a minimum where the
-defect does not vanish switch to damped Newton steps, which cost one more
-product because the defect is quadratic, and stop once no step can lower the
-defect by more than rounding.  The quadratic map is built once per metric Lie
-algebra and shared by the solver and every residual evaluation.
+multistart search in an orthonormal frame.  Every start takes damped Newton
+steps on the squared defect, whose second-order term costs one product
+because the defect is quadratic, until it reaches the rounding floor of a
+root or no step can lower the defect by more than rounding.  The quadratic
+map is built once per metric Lie algebra and shared by the solver and every
+residual evaluation.
 
 Everything here requires dimension at least 3: in lower dimensions the
 Weyl-Einstein condition degenerates and none of the formulas below are used.
@@ -31,6 +31,7 @@ from .algebra import coefficient_tolerance, derived_subalgebra
 from .errors import (
     ConsistencyError,
     DimensionError,
+    InputError,
     NotClosedError,
     NumericInputError,
     StructureError,
@@ -45,8 +46,8 @@ FLATNESS_RTOL = 1e-8
 KN_CALIBRATION_SIGN = 1.0  # R = sign * kulkarni_nomizu(g, B) iff the rescaled metric is flat
 # The solver's root floor in units of the evaluation scale of E.  A few ulps
 # per term would do for E itself, but its constant part inherits the rounding
-# of the Ricci form, about 20 ulps of the scale on Ricci-flat almost abelian
-# metrics at n = 7.
+# of the Ricci form, about 20 ulps of 1 + |Ric| on Ricci-flat almost abelian
+# metrics at n = 7; the same constant bounds the stall rule's rounding level.
 ROOT_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
@@ -220,7 +221,7 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
     return WEResidual(matrix=matrix, norm=float(np.linalg.norm(packed)))
 
 
-EXIT_REASONS = ("root-floor", "step", "stall", "damping-cap", "iteration-cap")
+EXIT_REASONS = ("root-floor", "stall", "damping-cap", "iteration-cap")
 
 
 @dataclass(frozen=True)
@@ -231,8 +232,9 @@ class SolveResult:
     lexicographically; ``residuals`` are their frame norms after polishing;
     ``infimum`` is the smallest residual reached over all starts (a positive
     value certifies that no start converged to a root).  ``exits`` counts the
-    starts by the rule that stopped them, keyed by :data:`EXIT_REASONS`; the
-    counts sum to the number of starts.
+    starts by the rule that stopped them, keyed by :data:`EXIT_REASONS` (root
+    floor, stall, damping cap, iteration cap); the counts sum to the number of
+    starts, and a start that ends by a cap did not reach a critical point.
     """
 
     roots: tuple
@@ -277,6 +279,7 @@ class _ResidualSystem:
         self.n = n
         self.scal = base.scalar
         self.ric_scale = m.ricci_scale
+        self.const_scale = self.ric_scale + float(np.sum(cf**2))
 
         self.index = np.triu_indices(n)
         self.weight = np.where(self.index[0] == self.index[1], 1.0, np.sqrt(2.0))
@@ -316,11 +319,13 @@ class _ResidualSystem:
 
         Each term bounds the size of one part of E (A, L(t), the quadratic
         part), and ``ROOT_FLOOR_EPS`` converts the sum into rounding error.
-        ``ric_scale`` stands for A because A vanishes on Einstein metrics
-        while its rounding error does not.
+        A stands in as ``const_scale`` = ``ric_scale`` + |c|^2, with |c| the
+        frame norm of the structure constants: A vanishes on Einstein metrics
+        while its rounding error does not, and that error grows like |c|^2,
+        the size of the products the Ricci form is summed from.
         """
         return ROOT_FLOOR_EPS * (
-            self.ric_scale + self.lin_norm * t_norm + (self.n - 2) * t_norm**2
+            self.const_scale + self.lin_norm * t_norm + (self.n - 2) * t_norm**2
         )
 
 
@@ -353,8 +358,7 @@ def _solve_rows(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int = 250):
-    """Damped Gauss-Newton on all starts at once, with Newton steps for starts
-    that head for a minimum where E does not vanish.
+    """Damped Newton on |E|^2 / 2 for all starts at once.
 
     Returns the final points, their packed residual norms and, per start, the
     index into :data:`EXIT_REASONS` of the rule that stopped it:
@@ -364,29 +368,28 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
       can be told apart from zero, so the start sits on a root.  This rule,
       not a gradient test, is what ends starts near a root where E vanishes
       to second order: there the gradient decays like the cube of the
-      offset and Gauss-Newton only halves the offset per step, so the start
-      would otherwise creep to the iteration cap while its residual is
-      already noise.  The offset at exit is about sqrt(floor / (n-2)), far
-      inside the deduplication radius.
-    * step: an accepted step shorter than 1e-12 (1 + |t|).
-    * stall: a descent step was rejected although the model of |E|^2 it was
-      solved from promised a decrease of at most ``ROOT_FLOOR_EPS`` |E|^2,
-      a rounding-level change.  The start sits on a critical point of |E|
-      (a minimum, in practice) where |E| is above the root floor.
+      offset and each Newton step only cuts the offset by a third, so the
+      start would otherwise creep to the iteration cap while its residual is
+      already noise.  The offset at exit is about
+      sqrt(floor / (n-2)), far inside the deduplication radius.
+    * stall: a step was rejected although the model of |E|^2 it was solved
+      from promised a decrease of at most ``ROOT_FLOOR_EPS`` |E|^2, a
+      rounding-level change.  The start sits on a critical point of |E| (a
+      minimum, in practice) where |E| is above the root floor.  A zero step,
+      as on a start placed exactly on a critical point, promises no decrease
+      and so ends its start after one rejected trial.
     * damping cap: rejected steps raised the damping to 1e10.
     * iteration cap: ``max_iter`` evaluations without any of the above.
 
-    A start solves the Gauss-Newton equations (J^T J + rho I) delta = -J^T r
-    while it heads for a root.  Once an accepted step cuts |E|^2 by less than
-    20%, the behaviour of a minimum with a nonzero residual, where
-    Gauss-Newton converges only linearly, the start adds the second-order
-    term S(r) = sum_q r_q Hess(E_q) = ``r @ curv`` and takes damped Newton
-    steps on |E|^2 / 2; it drops the term again after an accepted step that
-    cuts more.  Since E is quadratic, S costs one product with a constant
-    tensor.  The Newton matrix can be indefinite or singular: a step that
-    does not descend, or that has no solution, is rejected, so the damping
-    rises until the matrix is positive definite.  With either matrix the
-    promised decrease of |E|^2 is rho |delta|^2 - J^T r . delta.
+    Every start solves the damped Newton equations
+    (J^T J + S(r) + rho I) delta = -J^T r, where S(r) = sum_q r_q Hess(E_q)
+    = ``r @ curv`` is the second-order term of the Hessian of |E|^2 / 2;
+    since E is quadratic, it costs one product with a constant tensor.  The
+    matrix can be indefinite or singular.  A step that ascends, or that has
+    no solution, is refused: it promises nothing and is rejected, so the
+    damping rises until the matrix is positive definite, and it never counts
+    as a stall.  Any other step promises the decrease rho |delta|^2 -
+    J^T r . delta of |E|^2.
 
     Iteration k evaluates the Jacobian once, at the point the previous step
     proposed (the starts themselves at k = 0), on the active starts only;
@@ -407,10 +410,8 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     gram = np.zeros((b, n + 1, n + 1))
     gram[:, n, n] = np.inf
     res = np.zeros((b, system.const.size))  # r, for the second-order term
-    step_sq = np.full(b, np.inf)  # squared length of the step that gave trial
-    promised = np.full(b, np.inf)  # its promised decrease of |r|^2; inf unless descent
-    refused = np.zeros(b, dtype=bool)  # it does not descend, or has no solution
-    newton = np.zeros(b, dtype=bool)
+    promised = np.full(b, np.inf)  # decrease of |r|^2 promised by the step to trial
+    refused = np.zeros(b, dtype=bool)  # that step ascends, or has no solution
     lam = np.full(b, 1e-3)
     eye = np.eye(n)
 
@@ -420,7 +421,6 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
         aug = np.concatenate((jac, res_trial[:, :, None]), axis=2)
         gram_trial = aug.transpose(0, 2, 1) @ aug
         better = (gram_trial[:, n, n] < gram[:, n, n]) & ~refused
-        newton = np.where(better, gram_trial[:, n, n] > 0.8 * gram[:, n, n], newton)
         np.copyto(t, trial, where=better[:, None])
         np.copyto(gram, gram_trial, where=better[:, None, None])
         np.copyto(res, res_trial, where=better[:, None])
@@ -429,23 +429,20 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
         cost = gram[:, n, n]
         t_norm = np.sqrt(np.einsum("bi,bi->b", t, t))
         at_floor = cost <= system.root_floor(t_norm) ** 2
-        short_step = better & (step_sq <= (1e-12 * (1.0 + t_norm)) ** 2)
         stalled = ~better & (promised <= ROOT_FLOOR_EPS * cost)
         damped = lam >= 1e10
-        done = at_floor | short_step | stalled | damped
+        done = at_floor | stalled | damped
         if it == max_iter - 1:
             done[:] = True
         if done.any():
             out = rows[done]
             t_out[out] = t[done]
             res_out[out] = np.sqrt(cost[done])
-            exit_out[out] = np.select([at_floor, short_step, stalled, damped], [0, 1, 2, 3], 4)[done]
+            exit_out[out] = np.select([at_floor, stalled, damped], [0, 1, 2], 3)[done]
             keep = ~done
             if not keep.any():
                 break
-            rows, t, gram, res, lam, newton = (
-                rows[keep], t[keep], gram[keep], res[keep], lam[keep], newton[keep]
-            )
+            rows, t, gram, res, lam = rows[keep], t[keep], gram[keep], res[keep], lam[keep]
 
         jtj = gram[:, :n, :n]
         grad = gram[:, :n, n]
@@ -453,15 +450,12 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
         # on a root whose Jacobian has an exact null direction; an absolute
         # floor alone underflows against large diagonal entries.
         ridge = lam + 1e-13 * (1.0 + np.trace(jtj, axis1=1, axis2=2) / n)
-        normal = jtj + ridge[:, None, None] * eye
-        if newton.any():
-            normal[newton] += (res[newton] @ system.curv).reshape(-1, n, n)
+        normal = jtj + ridge[:, None, None] * eye + (res @ system.curv).reshape(-1, n, n)
         delta, refused = _solve_rows(normal, gram[:, :n, n:])
         trial = t + delta
-        step_sq = np.einsum("bi,bi->b", delta, delta)
         slope = np.einsum("bi,bi->b", grad, delta)
-        promised = np.where(slope < 0.0, ridge * step_sq - slope, np.inf)
         refused |= slope > 0.0
+        promised = np.where(refused, np.inf, ridge * np.einsum("bi,bi->b", delta, delta) - slope)
 
     return t_out, res_out, exit_out
 
@@ -477,19 +471,23 @@ def solve_lee_forms(
     Starts are unit directions from a seeded generator placed on spheres of
     radius 0, r/2, r and 2r (cycling with the start index), where
     r = sqrt(|scal| / (n-2)) + 1 bounds the expected root scale.  Each start
-    runs Levenberg-Marquardt on the packed frame residual, with Newton steps
-    while it heads for a minimum that is not a root, until one of five rules
-    stops it (root floor, short step, stall, damping cap, iteration cap; see
+    takes damped Newton steps on the packed frame residual until one of four
+    rules stops it (root floor, stall, damping cap, iteration cap; see
     :func:`_levenberg_marquardt`); the result counts the starts per rule.  A
     start counts as a root when its polished residual is below
     ``tol_root * (1 + |Ric|)``; roots closer than :data:`DEFAULT_DEDUP_TOL`
     in the frame are merged keeping the earliest start.  Deterministic for
-    fixed inputs.
+    fixed inputs.  ``starts`` below 1, a negative ``seed`` and a ``tol_root``
+    that is not finite and positive raise :class:`InputError`.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
     if starts < 1:
-        raise StructureError("need at least one start")
+        raise InputError(f"need at least one start, got {starts}")
+    if seed < 0:
+        raise InputError(f"the seed must be non-negative, got {seed}")
+    if not (np.isfinite(tol_root) and tol_root > 0.0):
+        raise InputError(f"the root tolerance must be finite and positive, got {tol_root}")
     n = m.dim
     system = _residual_system(m)
 

@@ -159,6 +159,24 @@ def test_aa_classify_rejects_bad_hint_shape(tmp_path):
     assert proc.stderr.startswith("error[input]:")
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("weyl-solve", "--tol", "nan"),
+        ("weyl-solve", "--tol", "inf"),
+        ("weyl-solve", "--seed", "-1"),
+        ("weyl-solve", "--starts", "0"),
+        ("aa-classify", "--ideal", "1 0 0; 0 1"),
+    ],
+)
+def test_bad_solver_parameters_exit_two(tmp_path, command, option, value):
+    path = write_mla(tmp_path, "sol.mla", SOL_TEXT)
+    proc = run_cli(command, path, option, value)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error[input]:")
+    assert proc.stdout == ""
+
+
 def test_aa_classify_domain_failure_exit_one(tmp_path):
     path = write_mla(tmp_path, "rank2step3.mla", RANK2_STEP3_TEXT)
     proc = run_cli("aa-classify", path)

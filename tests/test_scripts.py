@@ -3,7 +3,7 @@
 Each script exits 0 only when its check holds: no classifier/solver mismatch,
 no root on a nilpotent model, no table/solver disagreement in the catalog.
 The nilpotent ladder also says why each start stopped: one line of exit
-counts per model and rung.
+counts per model and rung, and it exits 1 when any start ends by a cap.
 """
 import os
 import subprocess
@@ -33,10 +33,13 @@ def test_script_exits_clean(script, args):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     if script == "nilpotent_no_go.py":
-        # three models (Heisenberg, filiform4, free 2-step) at two rungs; the
-        # root-free starts away from t = 0 end at the residual's minimum
+        # three models (Heisenberg, filiform4, free 2-step) at two rungs; every
+        # start, those placed on the critical point t = 0 included, ends by
+        # the stall rule at a critical point of |E| above the root floor
         rungs = [line.split(":", 1) for line in proc.stdout.splitlines()
                  if "exits at starts=" in line]
         assert [head.strip() for head, _ in rungs] == ["exits at starts=8",
                                                       "exits at starts=16"] * 3
-        assert all("stall" in counts for _, counts in rungs), proc.stdout
+        for head, counts in rungs:
+            want = head.rsplit("=", 1)[1]
+            assert counts.strip() == f"stall {want}", proc.stdout
