@@ -261,10 +261,24 @@ class _ResidualSystem:
 
     ``curv`` is the same Hessian laid out by residual component, so that for
     a packed residual ``r`` the second-order term of the Hessian of |E|^2 / 2,
-    sum_q r_q Hess(E_q), is the flattened (n, n) matrix ``r @ curv``.
-    Everything is batched over the rows of ``t``.  ``const``, ``lin``,
-    ``hess`` and ``curv`` are read-only, because one system serves every
-    evaluation on its algebra (see :func:`_residual_system`).
+    S(r) = sum_q r_q Hess(E_q), is the flattened (n, n) matrix ``r @ curv``.
+    Every Hess(E_q) is trace-free, because the Laplacian in t of the
+    quadratic part (n-2) TF(t t^T) is 2(n-2) TF(I) = 0, so tr S(r) = 0.
+    With H_k the (n(n+1)/2, n) matrix ``hess[k]``, the quadratic part of
+    J(t) is H(t) = sum_k t_k H_k, and H(t)^T r = S(r) t, so the gradient of
+    |E|^2 / 2 is J^T r = lin^T r + S(r) t.  J^T J is a quadratic polynomial
+    in t with constant coefficients:
+
+        J^T J = lin^T lin + sum_k t_k (lin^T H_k + H_k^T lin)
+                + sum_kl t_k t_l H_k^T H_l
+              = lin_gram + [t, vec(t t^T)] @ gram,
+
+    where ``lin_gram`` is lin^T lin flattened and ``gram``, of shape
+    (n + n^2, n^2), holds the flattened lin^T H_k + H_k^T lin in its first n
+    rows and H_k^T H_l in row n + k n + l.  Everything is batched over the
+    rows of ``t``.  ``const``, ``lin``, ``hess``, ``curv``, ``lin_gram`` and
+    ``gram`` are read-only, because one system serves every evaluation on
+    its algebra (see :func:`_residual_system`).
     """
 
     def __init__(self, m: MetricLieAlgebra):
@@ -296,6 +310,14 @@ class _ResidualSystem:
         # curv[q] = hess[:, q, :], the Hessian of packed component q, flattened
         size = self.const.size
         self.curv = _read_only(self.hess.reshape(n, size, n).transpose(1, 0, 2).reshape(size, -1))
+        # the columns of curv are those of the stacked [H_0 ... H_{n-1}], so
+        # lin^T curv holds every lin^T H_k and curv^T curv every H_k^T H_l
+        self.lin_gram = _read_only((self.lin.T @ self.lin).ravel())
+        lin_h = (self.lin.T @ self.curv).reshape(n, n, n).transpose(1, 0, 2)
+        h_h = (self.curv.T @ self.curv).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        self.gram = _read_only(np.concatenate(
+            ((lin_h + lin_h.transpose(0, 2, 1)).reshape(n, -1), h_h.reshape(n * n, -1))
+        ))
 
     def _pack(self, sym: np.ndarray) -> np.ndarray:
         """Upper-triangle entries of symmetric matrices (last two axes), weighted."""
@@ -389,15 +411,21 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     no solution, is refused: it promises nothing and is rejected, so the
     damping rises until the matrix is positive definite, and it never counts
     as a stall.  Any other step promises the decrease rho |delta|^2 -
-    J^T r . delta of |E|^2.
+    J^T r . delta of |E|^2.  The ridge rho is the damping plus
+    1e-13 (1 + tr N / n), with the trace taken of the Newton matrix
+    N = J^T J + S(r); it is the trace of J^T J, because tr S(r) = 0.
 
     Iteration k evaluates the Jacobian once, at the point the previous step
-    proposed (the starts themselves at k = 0), on the active starts only;
-    the residual comes from the same product, and one batched product of
-    [J r] with itself gives J^T J, J^T r and the cost.  Accepted points keep
-    these and the residual for the next step and rejected ones only raise
-    their damping, so every start's cost is monotonically non-increasing and
-    the iteration is deterministic.  Finished starts leave the batch.
+    proposed (the starts themselves at k = 0), on the active starts only,
+    and the residual comes from the same product.  The rest of the Newton
+    system comes from the constants of :class:`_ResidualSystem` instead of
+    per-start products with the Jacobian: S(r) = ``r @ curv``, N from one
+    product of [t, vec(t t^T)] with ``gram``, the gradient
+    J^T r = lin^T r + S(r) t and the cost r . r.  Accepted points keep N,
+    the gradient and the cost for the next step and rejected ones only
+    raise their damping, so every start's cost is monotonically
+    non-increasing and the iteration is deterministic.  Finished starts
+    leave the batch.
     """
     b, n = t0.shape
     t_out = np.empty_like(t0)
@@ -406,10 +434,14 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     rows = np.arange(b)
     t = t0.copy()
     trial = t0
-    # gram = [J r]^T [J r] at the current points: J^T J, J^T r and the cost |r|^2
-    gram = np.zeros((b, n + 1, n + 1))
-    gram[:, n, n] = np.inf
-    res = np.zeros((b, system.const.size))  # r, for the second-order term
+    # [t, vec(t t^T)] is trial[:, first] with its last n^2 columns times trial[:, second]
+    first = np.concatenate((np.arange(n), np.repeat(np.arange(n), n)))
+    second = np.tile(np.arange(n), n)
+    # at the current points: the Newton matrix N = J^T J + S(r), flattened,
+    # the gradient J^T r and the cost |r|^2
+    newton = np.zeros((b, n * n))
+    grad = np.zeros((b, n))
+    cost = np.full(b, np.inf)
     promised = np.full(b, np.inf)  # decrease of |r|^2 promised by the step to trial
     refused = np.zeros(b, dtype=bool)  # that step ascends, or has no solution
     lam = np.full(b, 1e-3)
@@ -418,15 +450,22 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     for it in range(max_iter):
         jac = system.jacobian(trial)
         res_trial = system.residual(trial, jac)
-        aug = np.concatenate((jac, res_trial[:, :, None]), axis=2)
-        gram_trial = aug.transpose(0, 2, 1) @ aug
-        better = (gram_trial[:, n, n] < gram[:, n, n]) & ~refused
+        s_r = res_trial @ system.curv
+        powers = trial[:, first]
+        powers[:, n:] *= trial[:, second]
+        newton_trial = powers @ system.gram
+        newton_trial += system.lin_gram
+        newton_trial += s_r
+        grad_trial = res_trial @ system.lin
+        grad_trial += np.einsum("bij,bj->bi", s_r.reshape(-1, n, n), trial)
+        cost_trial = np.einsum("bq,bq->b", res_trial, res_trial)
+        better = (cost_trial < cost) & ~refused
         np.copyto(t, trial, where=better[:, None])
-        np.copyto(gram, gram_trial, where=better[:, None, None])
-        np.copyto(res, res_trial, where=better[:, None])
+        np.copyto(newton, newton_trial, where=better[:, None])
+        np.copyto(grad, grad_trial, where=better[:, None])
+        np.copyto(cost, cost_trial, where=better)
         lam = np.where(better, np.maximum(lam / 3.0, 1e-14), 4.0 * lam)
 
-        cost = gram[:, n, n]
         t_norm = np.sqrt(np.einsum("bi,bi->b", t, t))
         at_floor = cost <= system.root_floor(t_norm) ** 2
         stalled = ~better & (promised <= ROOT_FLOOR_EPS * cost)
@@ -438,20 +477,21 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
             out = rows[done]
             t_out[out] = t[done]
             res_out[out] = np.sqrt(cost[done])
-            exit_out[out] = np.select([at_floor, stalled, damped], [0, 1, 2], 3)[done]
+            exit_out[out] = np.where(
+                at_floor[done], 0, np.where(stalled[done], 1, np.where(damped[done], 2, 3))
+            )
             keep = ~done
             if not keep.any():
                 break
-            rows, t, gram, res, lam = rows[keep], t[keep], gram[keep], res[keep], lam[keep]
+            rows, t, lam = rows[keep], t[keep], lam[keep]
+            newton, grad, cost = newton[keep], grad[keep], cost[keep]
 
-        jtj = gram[:, :n, :n]
-        grad = gram[:, :n, n]
         # The ridge keeps the normal matrix invertible even when a start sits
         # on a root whose Jacobian has an exact null direction; an absolute
         # floor alone underflows against large diagonal entries.
-        ridge = lam + 1e-13 * (1.0 + np.trace(jtj, axis1=1, axis2=2) / n)
-        normal = jtj + ridge[:, None, None] * eye + (res @ system.curv).reshape(-1, n, n)
-        delta, refused = _solve_rows(normal, gram[:, :n, n:])
+        normal = newton.reshape(-1, n, n)
+        ridge = lam + 1e-13 * (1.0 + np.trace(normal, axis1=1, axis2=2) / n)
+        delta, refused = _solve_rows(normal + ridge[:, None, None] * eye, grad[:, :, None])
         trial = t + delta
         slope = np.einsum("bi,bi->b", grad, delta)
         refused |= slope > 0.0
@@ -508,9 +548,7 @@ def solve_lee_forms(
     threshold = tol_root * system.ric_scale
     picked: list[np.ndarray] = []
     picked_res: list[float] = []
-    for i in range(starts):
-        if res_final[i] > threshold:
-            continue
+    for i in np.flatnonzero(~(res_final > threshold)):
         t = t_final[i]
         if any(np.linalg.norm(t - p) <= DEFAULT_DEDUP_TOL for p in picked):
             continue

@@ -206,10 +206,10 @@ def test_solver_rejects_bad_parameters_as_input_errors(name, value):
         solve_lee_forms(sol(), **{name: value})
 
 
-def _residual_batches(seed):
-    """A random algebra for each n = 3..8 with its frame system and a batch of t."""
+def _residual_batches(seed, dims=range(3, 9)):
+    """A random algebra for each n in ``dims`` with its frame system and a batch of t."""
     rng = np.random.default_rng(seed)
-    for n in range(3, 9):
+    for n in dims:
         m = samples.random_metric_algebra(rng, n)
         yield m, weyl._ResidualSystem(m), rng.standard_normal((5, n))
 
@@ -225,7 +225,7 @@ def test_residual_system_is_built_once_per_algebra_and_read_only():
     system = weyl._residual_system(m)
     assert weyl._residual_system(m) is system
     assert system.ric_scale == m.ricci_scale == 1.0 + m.form_norm(ricci(m).ricci)
-    for name in ("const", "lin", "hess", "curv"):
+    for name in ("const", "lin", "hess", "curv", "lin_gram", "gram"):
         with pytest.raises(ValueError):
             getattr(system, name)[...] = 0.0
 
@@ -295,6 +295,46 @@ def test_step_reuse_identity():
         actual = system.residual(moved, system.jacobian(moved))
         scale = _evaluation_scale(system, t) + _evaluation_scale(system, delta)
         assert np.all(np.max(np.abs(actual - predicted), axis=1) <= 1e-12 * scale)
+
+
+def test_newton_system_from_the_constants_matches_the_jacobian():
+    # J^T J = lin_gram + [t, vec(t t^T)] @ gram and J^T r = r @ lin + S(r) t,
+    # with S(r) = r @ curv, up to rounding.  Seed 30 would draw a generic
+    # almost abelian algebra at n >= 10, which samples.random_almost_abelian
+    # cannot yet produce there.
+    for _, system, t in _residual_batches(31, dims=range(3, 13)):
+        n = system.n
+        jac = system.jacobian(t)
+        res = system.residual(t, jac)
+        powers = np.concatenate((t, np.einsum("bi,bj->bij", t, t).reshape(len(t), -1)), axis=1)
+        jtj = (system.lin_gram + powers @ system.gram).reshape(-1, n, n)
+        grad = res @ system.lin + np.einsum("bij,bj->bi", (res @ system.curv).reshape(-1, n, n), t)
+        scale = _evaluation_scale(system, t)
+        gap = np.max(np.abs(jtj - jac.transpose(0, 2, 1) @ jac), axis=(1, 2))
+        assert np.all(gap <= 1e-12 * scale**2), (n, gap / scale**2)
+        gap = np.max(np.abs(grad - (jac.transpose(0, 2, 1) @ res[:, :, None])[:, :, 0]), axis=1)
+        assert np.all(gap <= 1e-12 * scale), (n, gap / scale)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_levenberg_marquardt_evaluates_the_jacobian_once_per_iteration(monkeypatch, k):
+    # starts far from every critical point cannot finish within k iterations,
+    # so they all end by the iteration cap after exactly k Jacobian calls
+    rng = np.random.default_rng(31)
+    system = weyl._ResidualSystem(samples.random_almost_abelian(rng, 5, "generic"))
+    directions = rng.standard_normal((4, 5))
+    t0 = 10.0 * directions / np.linalg.norm(directions, axis=1)[:, None]
+    calls = [0]
+    jacobian = weyl._ResidualSystem.jacobian
+
+    def counting(self, t):
+        calls[0] += 1
+        return jacobian(self, t)
+
+    monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
+    _, _, exits = weyl._levenberg_marquardt(system, t0, max_iter=k)
+    assert calls[0] == k
+    assert exits.tolist() == [weyl.EXIT_REASONS.index("iteration-cap")] * len(t0)
 
 
 def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
