@@ -3,15 +3,18 @@
 
 Draws random almost abelian metric Lie algebras of each classification kind,
 computes the exact Lee form set from the closed-form case analysis, and
-compares it with the multistart solver's root set.  Reports the worst
-root-set distance seen; a structural mismatch (different root counts) is a
-hard failure.
+compares it with the solver's root set.  Reports the worst root-set
+distance seen; a structural mismatch (different root counts) is a hard
+failure.  Per kind it also prints how often each quotient dimension occurred
+and how many solves fell back to the seeded multistart search; an instance
+with Lee forms that needed the fallback is a failure too, because the
+quotient ring route should have found them.
 """
 from __future__ import annotations
 
 import argparse
-import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -46,7 +49,10 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     per_kind = {kind: 0 for kind in KINDS}
     worst = {kind: 0.0 for kind in KINDS}
+    quotient_dims = {kind: Counter() for kind in KINDS}
+    fallbacks = {kind: 0 for kind in KINDS}
     mismatches = 0
+    missed = 0
     begin = time.perf_counter()
     for i in range(args.count):
         kind = KINDS[i % 3]
@@ -57,6 +63,13 @@ def main(argv=None) -> int:
         result = weyl.solve_lee_forms(m, starts=args.starts)
         distance = root_set_distance(cls.lee_forms, result.roots)
         per_kind[kind] += 1
+        quotient_dims[kind][result.quotient_dim] += 1
+        if result.seeded:
+            fallbacks[kind] += 1
+            if cls.lee_forms:
+                missed += 1
+                print(f"FALLBACK #{i}: kind={kind} dim={dim} has {len(cls.lee_forms)} Lee forms "
+                      f"but needed the seeded search (quotient dim {result.quotient_dim})")
         if distance > args.tol:
             mismatches += 1
             print(
@@ -69,11 +82,15 @@ def main(argv=None) -> int:
 
     for kind in KINDS:
         print(f"{kind:9s} {per_kind[kind]:5d} instances, worst matched distance {worst[kind]:.3e}")
+    for kind in KINDS:
+        dims = ", ".join(f"{r}: {k}" for r, k in sorted(quotient_dims[kind].items()))
+        print(f"{kind:9s} quotient dims {{{dims}}}, seeded fallbacks {fallbacks[kind]}")
     print(
         f"total {args.count} instances in {elapsed:.1f}s "
-        f"({1000.0 * elapsed / max(args.count, 1):.1f} ms each), {mismatches} mismatches"
+        f"({1000.0 * elapsed / max(args.count, 1):.1f} ms each), {mismatches} mismatches, "
+        f"{missed} fallbacks with Lee forms"
     )
-    return 1 if mismatches else 0
+    return 1 if mismatches or missed else 0
 
 
 if __name__ == "__main__":

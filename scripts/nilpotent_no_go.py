@@ -9,7 +9,10 @@ per rung counts the starts by the rule that stopped them (see
 ``weyl.EXIT_REASONS``), so the evidence says why every start ended.  The
 script exits 1 when a model has a root or a start ends by the damping or
 iteration cap, so a clean run says that every start ended at a critical
-point of |E| above the root floor.
+point of |E| above the root floor.  Each model also gets one ``quotient dim
+r`` line: the number of complex roots of E counted with multiplicity, from
+the solver's quotient ring route.  r = 0 says that E has no complex root at
+all; Heisenberg keeps a complex pair (r = 2) with no real candidate.
 """
 from __future__ import annotations
 
@@ -56,6 +59,7 @@ def main(argv=None) -> int:
                 break
         cells = " ".join(f"{v:14.6f}" for v in infima)
         print(f"{name:{width}s} {m.dim:3d} {cells}   {root_count}")
+        print(f"{'':{width}s}     quotient dim {result.quotient_dim}")
         for starts, counts in exits:
             stops = ", ".join(f"{reason} {k}" for reason, k in counts.items() if k)
             print(f"{'':{width}s}     exits at starts={starts}: {stops}")

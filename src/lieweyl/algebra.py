@@ -11,10 +11,16 @@ finiteness; antisymmetry and the Jacobi identity are checked by
 Tolerance policy.  ``REL_TOL`` = 1e-9 is the one relative tolerance for
 deciding that an input-derived quantity vanishes.  It is scaled by
 1 + max |entry| in :func:`coefficient_tolerance` (every ``.tolerance``, the
-Ricci, Weyl-Ricci and Lee-gradient cross-checks, and ten times that in the 3D
-adapted frame), by the largest singular value in rank cutoffs, by 1 + |sym|^2
-in the almost abelian classifier and by 1 or 1 + t at the 3D catalog's
-parameter boundaries.  The other tolerances measure other things:
+antisymmetry test of :func:`validate`, the Ricci, Weyl-Ricci and
+Lee-gradient cross-checks, and ten times that in the 3D adapted frame), by
+1 + max |c|^2 for the Jacobi sums of :func:`validate`, which are products of
+two structure constants, by the largest singular value in rank cutoffs
+(:func:`row_space`, :func:`nullspace`, and so the relation space of the
+Lee-form quotient ring, where a dropped relation only adds candidates), by
+the norm of an eigenvector when its constant coordinate is tested (below it,
+the quotient eigenvector lies at infinity), by 1 + |sym|^2 in the almost
+abelian classifier and by 1 or 1 + t at the 3D catalog's parameter
+boundaries.  The other tolerances measure other things:
 
 * ``almost_abelian.SIGNIFICANT_RTOL`` 1e-8 of a vector's scale, and 1e-16 of
   max(1, tr g) on squared norms in ``decompose``: choices (complement
@@ -25,15 +31,26 @@ parameter boundaries.  The other tolerances measure other things:
   as ``MetricLieAlgebra.ricci_scale``): accepts a given
   covector as a Lee form, loose enough for any solver root;
 * ``weyl.DEFAULT_ROOT_TOL`` (the CLI's ``--tol``) and ``weyl.FLATNESS_RTOL``,
-  1e-8 of 1 + |Ric| (|R| for flatness): root and flatness verdicts;
-* ``weyl.DEFAULT_DEDUP_TOL`` 1e-6, absolute in the frame, merges roots; it
-  is not scale-equivariant, a known defect;
+  1e-8 of 1 + |Ric| (|R| for flatness): root and flatness verdicts.  The
+  root test is nondimensional: ``weyl.solve_lee_forms`` divides the
+  structure constants by their frame norm lam (1 on an abelian algebra), so
+  the test reads |E| <= 1e-8 (lam^2 + |Ric|) in the units of the input, for
+  the quotient candidates and for the seeded search alike;
+* ``weyl.DEFAULT_DEDUP_TOL`` 1e-6 of the frame distance at unit frame norm
+  of the structure constants, so lam 1e-6 in the units of the input: merges
+  roots;
+* ``weyl.NEAR_REAL_RTOL`` 1e-2 of 1 + |Re z|: a quotient candidate z whose
+  imaginary part is below it is polished from its real part.  It is
+  liberal on purpose: a real root of multiplicity k splits under rounding
+  into slightly complex candidates, by about eps^(1/k), and a candidate that
+  is not a root only costs a polish and then fails the root test;
 * ``weyl.ROOT_FLOOR_EPS`` and the constants of ``weyl._levenberg_marquardt``:
   rounding and step-control levels of the solver, not zero tests.  The root
   floor is 32 ulps of 1 + |Ric| + |c|^2 + |L| |t| + (n-2) |t|^2, where the
   |c|^2 term (frame norm of the structure constants) bounds the rounding of
-  the trace-free Ricci form; the stall rule ends a start whose rejected step
-  promised at most 32 ulps of |E|^2; the damping cap is 1e10.
+  the trace-free Ricci form; the polish evaluates it at unit |c|, the seeded
+  search at the input's |c|.  The stall rule ends a start whose rejected
+  step promised at most 32 ulps of |E|^2; the damping cap is 1e10.
 """
 from __future__ import annotations
 
@@ -159,6 +176,10 @@ def validate(algebra: LieAlgebra) -> ValidityReport:
     c = algebra.c
     n = algebra.dim
     tol = algebra.tolerance
+    # the Jacobi sums are products of two structure constants, so their
+    # tolerance grows like max |c|^2 where the antisymmetry one grows like max |c|
+    peak = float(np.max(np.abs(c)))
+    jacobi_tol = REL_TOL * (1.0 + peak**2)
     violations = []
 
     anti = c + np.einsum("ijk->jik", c)
@@ -178,7 +199,7 @@ def validate(algebra: LieAlgebra) -> ValidityReport:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 m = float(np.linalg.norm(jac[i, j, k]))
-                if m > tol:
+                if m > jacobi_tol:
                     violations.append(Violation("jacobi", (i, j, k), m))
 
     return ValidityReport(not violations, tuple(violations))

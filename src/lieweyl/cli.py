@@ -241,9 +241,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl-solve", help="find all Weyl-Einstein Lee forms")
     add_common(p)
-    p.add_argument("--starts", type=int, default=weyl.DEFAULT_STARTS)
-    p.add_argument("--seed", type=int, default=weyl.DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=weyl.DEFAULT_ROOT_TOL)
+    p.add_argument(
+        "--starts", type=int, default=weyl.DEFAULT_STARTS,
+        help=f"starts of the seeded multistart search (1 to {weyl.MAX_STARTS}); it runs only "
+             "when the quotient ring route accepts no root, and then sets the infimum",
+    )
+    p.add_argument(
+        "--seed", type=int, default=weyl.DEFAULT_SEED,
+        help="non-negative seed of the seeded search's start directions",
+    )
+    p.add_argument(
+        "--tol", type=float, default=weyl.DEFAULT_ROOT_TOL,
+        help="root test: residual at most TOL (1 + |Ric|), both measured after scaling "
+             "the structure constants to unit frame norm",
+    )
     p.set_defaults(run=_cmd_weyl_solve)
 
     p = sub.add_parser("aa-classify", help="almost abelian decomposition and classification")

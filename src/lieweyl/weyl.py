@@ -9,11 +9,19 @@ where ``T`` is the g-dual vector of ``theta``; it rescales the metric,
 ``D g = -2 theta (x) g``, instead of preserving it.  The structure is
 Weyl-Einstein when the symmetrised Ricci form of ``D`` is proportional to the
 metric; :func:`weyl_einstein_residual` measures the defect and
-:func:`solve_lee_forms` finds all Lee forms that make it vanish by a seeded
-multistart search in an orthonormal frame.  Every start takes damped Newton
-steps on the squared defect, whose second-order term costs one product
-because the defect is quadratic, until it reaches the rounding floor of a
-root or no step can lower the defect by more than rounding.  The quadratic
+:func:`solve_lee_forms` finds all Lee forms that make it vanish.  In an
+orthonormal frame the defect is a quadratic map E(t) of the Lee form's frame
+components, and E = 0 rewrites every polynomial in t into the span of
+{1, t_1, ..., t_n, |t|^2 / n}.  So E has at most n + 2 complex roots, and
+they are the joint eigenvectors of n multiplication matrices of that size
+(Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 2).  The solver reads
+its candidates from them and polishes each with damped Newton steps on the
+squared defect, whose second-order term costs one product because the
+defect is quadratic, until it reaches the rounding floor of a root or no
+step can lower the defect by more than rounding.  All of it runs with the
+structure constants scaled to unit frame norm, so root sets are equivariant
+under rescaling.  Only when no candidate is a root does a seeded multistart
+search run, for the residual infimum and as a cross-check.  The quadratic
 map is built once per metric Lie algebra and shared by the solver and every
 residual evaluation.
 
@@ -22,12 +30,13 @@ Weyl-Einstein condition degenerates and none of the formulas below are used.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import frames, riemann
-from .algebra import coefficient_tolerance, derived_subalgebra
+from .algebra import REL_TOL, coefficient_tolerance, derived_subalgebra, nullspace, row_space
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -43,6 +52,8 @@ DEFAULT_SEED = 0
 DEFAULT_ROOT_TOL = 1e-8
 DEFAULT_DEDUP_TOL = 1e-6
 FLATNESS_RTOL = 1e-8
+MAX_STARTS = 10**5
+NEAR_REAL_RTOL = 1e-2
 KN_CALIBRATION_SIGN = 1.0  # R = sign * kulkarni_nomizu(g, B) iff the rescaled metric is flat
 # The solver's root floor in units of the evaluation scale of E.  A few ulps
 # per term would do for E itself, but its constant part inherits the rounding
@@ -226,21 +237,28 @@ EXIT_REASONS = ("root-floor", "stall", "damping-cap", "iteration-cap")
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Root set of the Weyl-Einstein equation found by the multistart solver.
+    """Root set of the Weyl-Einstein equation found by :func:`solve_lee_forms`.
 
     ``roots`` are covectors in the standard dual basis, sorted
-    lexicographically; ``residuals`` are their frame norms after polishing;
-    ``infimum`` is the smallest residual reached over all starts (a positive
-    value certifies that no start converged to a root).  ``exits`` counts the
-    starts by the rule that stopped them, keyed by :data:`EXIT_REASONS` (root
-    floor, stall, damping cap, iteration cap); the counts sum to the number of
-    starts, and a start that ends by a cap did not reach a critical point.
+    lexicographically by their frame components; ``residuals`` are their
+    frame norms after polishing; ``infimum`` is the smallest residual reached
+    over all starts that ran (a positive value certifies that no start
+    converged to a root).  ``exits`` counts those starts, the polished
+    quotient candidates and, when it ran, the seeded search's starts, by the
+    rule that stopped them, keyed by :data:`EXIT_REASONS` (root floor, stall,
+    damping cap, iteration cap); a start that ends by a cap did not reach a
+    critical point.  ``quotient_dim`` is the dimension r of the quotient
+    ring, the number of complex roots counted with multiplicity (0: none at
+    all), and ``seeded`` says whether the seeded search ran, which it does
+    exactly when no quotient candidate was accepted.
     """
 
     roots: tuple
     residuals: tuple
     infimum: float
     exits: dict = field(default_factory=dict)
+    quotient_dim: int = 0
+    seeded: bool = False
 
 
 class _ResidualSystem:
@@ -293,7 +311,9 @@ class _ResidualSystem:
         self.n = n
         self.scal = base.scalar
         self.ric_scale = m.ricci_scale
-        self.const_scale = self.ric_scale + float(np.sum(cf**2))
+        self.ric_norm = float(np.linalg.norm(ric))
+        self.c_norm_sq = float(np.sum(cf**2))
+        self.const_scale = self.ric_scale + self.c_norm_sq
 
         self.index = np.triu_indices(n)
         self.weight = np.where(self.index[0] == self.index[1], 1.0, np.sqrt(2.0))
@@ -350,6 +370,59 @@ class _ResidualSystem:
             self.const_scale + self.lin_norm * t_norm + (self.n - 2) * t_norm**2
         )
 
+    def scaled(self, lam: float) -> "_ResidualSystem":
+        """The system of the structure constants divided by ``lam``.
+
+        A is quadratic and L linear in the structure constants, so
+        E(c / lam, t / lam) = E(c, t) / lam^2: the constants are this
+        system's, rescaled, and its roots are this system's divided by
+        ``lam``.  No geometry is recomputed.
+        """
+        out = object.__new__(_ResidualSystem)
+        vars(out).update(vars(self))
+        inv, inv_sq = 1.0 / lam, 1.0 / lam**2
+        out.scal = self.scal * inv_sq
+        out.ric_norm = self.ric_norm * inv_sq
+        out.ric_scale = 1.0 + out.ric_norm
+        out.c_norm_sq = self.c_norm_sq * inv_sq
+        out.const_scale = out.ric_scale + out.c_norm_sq
+        out.const = _read_only(self.const * inv_sq)
+        out.lin = _read_only(self.lin * inv)
+        out.lin_norm = self.lin_norm * inv
+        out.lin_gram = _read_only(self.lin_gram * inv_sq)
+        gram = self.gram.copy()
+        gram[: self.n] *= inv
+        out.gram = _read_only(gram)
+        return out
+
+    def multiplication_matrices(self) -> np.ndarray:
+        """Multiplication by each t_k on B = {1, t_1, ..., t_n, s}, modulo E = 0.
+
+        E(t) = 0 says t_i t_j = delta_ij s + P_ij(t) with s = |t|^2 / n and
+        P = -(A + L(t)) / (n-2) affine in t, read off ``const`` and ``lin``.
+        Summing t_i (t_i t_k) over i gives (n-1) s t_k = sum_i t_i P_ik(t),
+        whose right side rewrites by the same rules.  So every product of t_k
+        with an element of B rewrites into the span of B, and ``out[k]`` is
+        the (n+2, n+2) matrix whose column b holds the coefficients of t_k b,
+        in the order of B.
+        """
+        n = self.n
+        p0 = self.unpack(self.const) / (2 - n)
+        p1 = self.unpack(self.lin.T) / (2 - n)  # p1[m] = dP / dt_m
+        ks = np.arange(n)
+        out = np.zeros((n, n + 2, n + 2))
+        out[ks, 1 + ks, 0] = 1.0
+        out[:, 0, 1 : n + 1] = p0
+        out[:, 1 : n + 1, 1 : n + 1] = p1.transpose(1, 0, 2)
+        out[ks, n + 1, 1 + ks] = 1.0
+        # (n-1) s t_k = sum_im P1[m,i,k] t_i t_m + sum_i P0[i,k] t_i, rewritten
+        p1_k = p1.transpose(2, 0, 1).reshape(n, n * n)  # [k, (m, i)]
+        out[:, 0, n + 1] = p1_k @ p0.ravel()
+        out[:, 1 : n + 1, n + 1] = p0 + p1_k @ p1.transpose(2, 1, 0).reshape(n * n, n)
+        out[:, n + 1, n + 1] = np.trace(p1, axis1=0, axis2=1)
+        out[:, :, n + 1] /= n - 1
+        return out
+
 
 def _residual_system(m: MetricLieAlgebra) -> _ResidualSystem:
     """The :class:`_ResidualSystem` of ``m``, built on first use and kept on
@@ -359,6 +432,79 @@ def _residual_system(m: MetricLieAlgebra) -> _ResidualSystem:
     if system is None:
         system = vars(m)["_residual_system"] = _ResidualSystem(m)
     return system
+
+
+@functools.lru_cache(maxsize=None)
+def _combination_weights(n: int) -> np.ndarray:
+    """sqrt(2), sqrt(3), sqrt(5), ...: the square roots of the first n primes.
+
+    They are linearly independent over the rationals, so the combination
+    sum_k w_k t_k takes different values at any two roots that differ by a
+    rational vector, as the roots of symmetric algebras often do; no random
+    draw is needed.
+    """
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return _read_only(np.sqrt(np.array(primes, dtype=float)))
+
+
+@functools.lru_cache(maxsize=None)
+def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs k < l below n, as ``np.triu_indices(n, 1)``."""
+    return tuple(_read_only(a) for a in np.triu_indices(n, 1))
+
+
+def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
+    """Dimension r of C[t]/(E) and the real candidate roots, one per row.
+
+    Two rewrites of the same product t_k t_l b must agree modulo the ideal,
+    so the columns of the commutators [M_k, M_l] of
+    :meth:`_ResidualSystem.multiplication_matrices` are relations: elements
+    of the ideal inside span(B).  Their span is closed under every M_k;
+    its annihilator, of dimension r, holds the evaluation vectors
+    (1, z, |z|^2 / n) of the complex roots z, which are the joint
+    eigenvectors of the M_k^T there.  The candidates are read from the
+    eigenvectors of one fixed combination sum_k w_k M_k^T on the
+    annihilator (:func:`_combination_weights`).  Rank decisions use the
+    ``REL_TOL`` cutoff of ``algebra.row_space``; dropping a relation only
+    enlarges the quotient, so it adds candidates and loses no root.
+    Eigenvectors whose constant coordinate is below ``REL_TOL`` of their
+    norm lie at infinity and are skipped.  A candidate is near-real when
+    |Im z| <= ``NEAR_REAL_RTOL`` (1 + |Re z|), and its real part is kept:
+    a multiple root splits under rounding into slightly complex ones, by
+    about eps^(1/multiplicity).  r = 0 means that E has no complex root.
+    """
+    n = system.n
+    size = n + 2
+    mult = system.multiplication_matrices()
+    products = mult[:, None] @ mult
+    k, l = _index_pairs(n)
+    commutators = products[k, l] - products[l, k]
+    relations = row_space(commutators.transpose(0, 2, 1), size)
+    while 0 < len(relations) < size:
+        shifted = (relations @ mult.transpose(0, 2, 1)).reshape(-1, size)
+        grown = row_space(np.concatenate((relations, shifted)), size)
+        if len(grown) == len(relations):
+            break
+        relations = grown
+    annihilator = nullspace(relations)
+    r = len(annihilator)
+    if r == 0:
+        return 0, np.zeros((0, n))
+    combination = np.einsum("k,kab->ba", _combination_weights(n), mult)
+    _, vecs = np.linalg.eig(annihilator @ combination @ annihilator.T)
+    evaluations = annihilator.T @ vecs
+    const = evaluations[0]
+    finite = np.abs(const) > REL_TOL * np.linalg.norm(evaluations, axis=0)
+    z = (evaluations[1 : n + 1, finite] / const[finite]).T
+    near_real = np.linalg.norm(z.imag, axis=1) <= NEAR_REAL_RTOL * (
+        1.0 + np.linalg.norm(z.real, axis=1)
+    )
+    return r, np.ascontiguousarray(z.real[near_real])
 
 
 def _solve_rows(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,6 +646,43 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     return t_out, res_out, exit_out
 
 
+def _seeded_search(system: _ResidualSystem, starts: int, seed: int):
+    """:func:`_levenberg_marquardt` from ``starts`` seeded starts: unit
+    directions from a seeded generator on spheres of radius 0, r/2, r and 2r
+    (cycling with the start index), r = sqrt(|scal| / (n-2)) + 1."""
+    n = system.n
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((starts, n))
+    norms = np.linalg.norm(directions, axis=1)
+    directions[norms < 1e-12] = np.eye(n)[0]
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    radius = np.sqrt(abs(system.scal) / (n - 2)) + 1.0
+    radii = np.array([0.0, 0.5 * radius, radius, 2.0 * radius])
+    return _levenberg_marquardt(system, directions * radii[np.arange(starts) % 4][:, None])
+
+
+def _exit_counts(exit_codes: np.ndarray) -> dict:
+    """Starts per exit rule, keyed by :data:`EXIT_REASONS`."""
+    counts = np.bincount(exit_codes, minlength=len(EXIT_REASONS))
+    return {reason: int(k) for reason, k in zip(EXIT_REASONS, counts)}
+
+
+def _distinct_roots(t: np.ndarray, res: np.ndarray, threshold: float) -> list[int]:
+    """Rows whose residual is at most ``threshold``, dropping each one within
+    :data:`DEFAULT_DEDUP_TOL` of an earlier kept row."""
+    kept: list[int] = []
+    for i in np.flatnonzero(~(res > threshold)):
+        if not any(np.linalg.norm(t[i] - t[k]) <= DEFAULT_DEDUP_TOL for k in kept):
+            kept.append(int(i))
+    return kept
+
+
+def _unit_scale(system: _ResidualSystem) -> float:
+    """lam of the nondimensional solve: the frame norm of the structure
+    constants, or 1 on an abelian algebra."""
+    return float(np.sqrt(system.c_norm_sq)) if system.c_norm_sq > 0.0 else 1.0
+
+
 def solve_lee_forms(
     m: MetricLieAlgebra,
     starts: int = DEFAULT_STARTS,
@@ -508,57 +691,68 @@ def solve_lee_forms(
 ) -> SolveResult:
     """Find all Lee forms solving the Weyl-Einstein equation on ``m``.
 
-    Starts are unit directions from a seeded generator placed on spheres of
-    radius 0, r/2, r and 2r (cycling with the start index), where
-    r = sqrt(|scal| / (n-2)) + 1 bounds the expected root scale.  Each start
-    takes damped Newton steps on the packed frame residual until one of four
-    rules stops it (root floor, stall, damping cap, iteration cap; see
-    :func:`_levenberg_marquardt`); the result counts the starts per rule.  A
-    start counts as a root when its polished residual is below
-    ``tol_root * (1 + |Ric|)``; roots closer than :data:`DEFAULT_DEDUP_TOL`
-    in the frame are merged keeping the earliest start.  Deterministic for
-    fixed inputs.  ``starts`` below 1, a negative ``seed`` and a ``tol_root``
-    that is not finite and positive raise :class:`InputError`.
+    The solve is nondimensional: with lam the frame norm of the structure
+    constants (1 on an abelian algebra), E(lam c, lam t) = lam^2 E(c, t), so
+    it runs on the system of c / lam (:meth:`_ResidualSystem.scaled`) and
+    maps roots back by lam and residuals by lam^2.  The candidates are the
+    real roots of the quotient ring (:func:`_quotient_candidates`), at most
+    n + 2; each is polished by damped Newton steps until one of four rules
+    stops it (root floor, stall, damping cap, iteration cap; see
+    :func:`_levenberg_marquardt`).  A polished candidate is a root when its
+    residual is at most ``tol_root * (1 + |Ric|)`` at |c| = 1; roots closer
+    than :data:`DEFAULT_DEDUP_TOL` at |c| = 1 are merged keeping the first.
+
+    Only when no candidate is accepted does the seeded multistart run
+    (:func:`_seeded_search` with ``starts`` and ``seed``, on the system of
+    ``m`` itself).  It supplies ``infimum`` on algebras without a root, and
+    it cross-checks the quotient route: a start that passes the same
+    nondimensional root test raises :class:`ConsistencyError`.  The result
+    counts the starts that ran, of both routes, per exit rule.
+    Deterministic for fixed inputs.  ``starts`` below 1 or above
+    :data:`MAX_STARTS`, a negative ``seed`` and a ``tol_root`` that is not
+    finite and positive raise :class:`InputError`.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
-    if starts < 1:
-        raise InputError(f"need at least one start, got {starts}")
+    if not 1 <= starts <= MAX_STARTS:
+        raise InputError(f"need between 1 and {MAX_STARTS} starts, got {starts}")
     if seed < 0:
         raise InputError(f"the seed must be non-negative, got {seed}")
     if not (np.isfinite(tol_root) and tol_root > 0.0):
         raise InputError(f"the root tolerance must be finite and positive, got {tol_root}")
-    n = m.dim
     system = _residual_system(m)
+    lam = _unit_scale(system)
+    unit = system.scaled(lam)
+    threshold = tol_root * unit.ric_scale
 
-    rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((starts, n))
-    norms = np.linalg.norm(directions, axis=1)
-    directions[norms < 1e-12] = np.eye(n)[0]
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
-    radius = np.sqrt(abs(system.scal) / (n - 2)) + 1.0
-    radii = np.array([0.0, 0.5 * radius, radius, 2.0 * radius])
-    t0 = directions * radii[np.arange(starts) % 4][:, None]
+    quotient_dim, candidates = _quotient_candidates(unit)
+    exit_codes = np.zeros(0, dtype=np.intp)
+    infimum = np.inf
+    roots: list[np.ndarray] = []
+    residuals: list[float] = []
+    if len(candidates):
+        t_final, res_final, exit_codes = _levenberg_marquardt(unit, candidates)
+        infimum = lam**2 * float(np.min(res_final))
+        kept = _distinct_roots(t_final, res_final, threshold)
+        kept.sort(key=lambda i: tuple(t_final[i]))
+        roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in kept]
+        residuals = [lam**2 * float(res_final[i]) for i in kept]
 
-    t_final, res_final, exit_final = _levenberg_marquardt(system, t0)
-    infimum = float(np.min(res_final))
-    counts = np.bincount(exit_final, minlength=len(EXIT_REASONS))
-    exits = {reason: int(k) for reason, k in zip(EXIT_REASONS, counts)}
+    seeded = not roots
+    if seeded:
+        _, res_seeded, seeded_codes = _seeded_search(system, starts, seed)
+        exit_codes = np.concatenate((exit_codes, seeded_codes))
+        infimum = min(infimum, float(np.min(res_seeded)))
+        best = float(np.min(res_seeded)) / lam**2
+        if not best > threshold:
+            raise ConsistencyError(
+                f"the seeded search reached a root with residual {best:.3e} at |c| = 1 "
+                f"(root tolerance {threshold:.3e}) where the quotient ring route accepted none "
+                f"of its {len(candidates)} candidates (quotient dimension {quotient_dim})"
+            )
 
-    threshold = tol_root * system.ric_scale
-    picked: list[np.ndarray] = []
-    picked_res: list[float] = []
-    for i in np.flatnonzero(~(res_final > threshold)):
-        t = t_final[i]
-        if any(np.linalg.norm(t - p) <= DEFAULT_DEDUP_TOL for p in picked):
-            continue
-        picked.append(t)
-        picked_res.append(float(res_final[i]))
-
-    order = sorted(range(len(picked)), key=lambda i: tuple(picked[i]))
-    roots = tuple(frames.covector_from_basis(picked[i], m.frame) for i in order)
-    residuals = tuple(picked_res[i] for i in order)
-    return SolveResult(roots=roots, residuals=residuals, infimum=infimum, exits=exits)
+    return SolveResult(roots=tuple(roots), residuals=tuple(residuals), infimum=infimum,
+                       exits=_exit_counts(exit_codes), quotient_dim=quotient_dim, seeded=seeded)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -26,3 +26,71 @@ def dense_weyl_einstein_residual(m, theta) -> WEResidual:
         + (n - 2) * (m.sym_ad_form(dual) + np.outer(theta, theta))
     )
     return WEResidual(matrix=e, norm=m.form_norm(e))
+
+
+def _monomials(n: int, degree: int) -> list[tuple]:
+    """Exponent tuples of the monomials in n variables of degree at most ``degree``."""
+    out = [()]
+    for _ in range(n):
+        out = [e + (k,) for e in out for k in range(degree + 1) if sum(e) + k <= degree]
+    return out
+
+
+def weyl_einstein_polynomials(m) -> list[dict]:
+    """The entries E_ij (i <= j) of the dense residual as polynomials in the
+    covector coordinates, as {exponent tuple: coefficient} maps.  E is
+    quadratic, so its coefficients follow by polarization at 0, +-e_a and
+    e_a + e_b."""
+    n = m.dim
+    eye = np.eye(n)
+
+    def e(theta):
+        return dense_weyl_einstein_residual(m, theta).matrix
+
+    e0 = e(np.zeros(n))
+    plus = [e(eye[a]) for a in range(n)]
+    minus = [e(-eye[a]) for a in range(n)]
+    lin = [(p - q) / 2.0 for p, q in zip(plus, minus)]
+    quad = {(a, a): (plus[a] + minus[a]) / 2.0 - e0 for a in range(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            quad[a, b] = e(eye[a] + eye[b]) - e0 - lin[a] - lin[b] - quad[a, a] - quad[b, b]
+    polys = []
+    for i, j in zip(*np.triu_indices(n)):
+        poly = {(0,) * n: e0[i, j]}
+        for a in range(n):
+            poly[tuple(eye[a].astype(int))] = lin[a][i, j]
+        for (a, b), coeff in quad.items():
+            poly[tuple((eye[a] + eye[b]).astype(int))] = coeff[i, j]
+        polys.append(poly)
+    return polys
+
+
+def macaulay_nullity(m, degree: int = 4, rtol: float = 1e-9) -> int:
+    """Nullity of the degree-``degree`` Macaulay matrix of E = 0.
+
+    Rows are the products of every entry E_ij with every monomial of degree
+    at most ``degree`` - 2, columns the monomials of degree at most
+    ``degree``.  E = 0 has no root at infinity (its quadratic part
+    TF(theta theta^T) vanishes only at 0), so once the degree is high enough
+    the nullity is the number of complex roots counted with multiplicity,
+    an independent construction of the quotient dimension (Dreesen,
+    Batselier & De Moor 2012).  The rank cutoff is ``rtol`` of the largest
+    singular value, after scaling the covector by the frame norm of the
+    structure constants so that the entries are of comparable size.
+    """
+    n = m.dim
+    scale = float(np.sqrt(np.sum(m.frame_structure**2))) or 1.0
+    columns = {e: k for k, e in enumerate(_monomials(n, degree))}
+    rows = []
+    for poly in weyl_einstein_polynomials(m):
+        for shift in _monomials(n, degree - 2):
+            row = np.zeros(len(columns))
+            for exps, coeff in poly.items():
+                # theta = scale * u: a monomial of degree d gains scale^d,
+                # and the whole row is divided by scale^2
+                d = sum(exps)
+                row[columns[tuple(a + b for a, b in zip(exps, shift))]] = coeff * scale ** (d - 2)
+            rows.append(row)
+    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    return len(columns) - int(np.sum(s > rtol * s[0]))

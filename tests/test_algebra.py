@@ -92,6 +92,40 @@ def test_validate_flags_jacobi_violation():
     assert viol.magnitude == pytest.approx(1.0, abs=TOL)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_validate_accepts_rescaled_algebras(scale):
+    # Jacobi sums are products of two constants: their rounding grows like
+    # max |c|^2, and so does the tolerance they are tested against
+    # (a linear tolerance rejected draws 70, 77, 101 and 118 here at 1e6)
+    rng = np.random.default_rng(0)
+    tables = [m.c for m in (samples.heisenberg(), samples.filiform4(), samples.free_two_step(),
+                            samples.hyperbolic(4, 1.5))]
+    tables += [so3().c]
+    for i in range(120):
+        n = 3 + i % 6
+        kind = ("einstein", "trace", "generic")[i % 3]
+        m = (samples.random_metric_algebra(rng, n) if i % 2
+             else samples.random_almost_abelian(rng, n, kind))
+        tables.append(m.c)
+    for c in tables:
+        report = validate(LieAlgebra(scale * np.asarray(c)))
+        assert report.ok, (scale, report.violations[:1])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_validate_flags_a_jacobi_defect_relative_to_the_squared_constants(scale):
+    # so3 with [e1, e3] = -e2 - 1e-6 e1: max |c| = 1 and a Jacobi defect of
+    # 1e-6 max |c|^2, rejected at every scale from 1 up.  Below max |c| = 1
+    # the tolerance keeps its absolute floor REL_TOL, which hides defects
+    # smaller than 1e-9 whatever their size relative to max |c|^2.
+    alg = LieAlgebra.from_brackets(
+        3, {(0, 1): [0.0, 0.0, 1.0], (1, 2): [1.0, 0.0, 0.0], (0, 2): [-1e-6, -1.0, 0.0]}
+    )
+    report = validate(LieAlgebra(scale * alg.c))
+    assert [v.kind for v in report.violations] == ["jacobi"]
+    assert report.violations[0].magnitude == pytest.approx(1e-6 * scale**2, rel=1e-6)
+
+
 def test_validate_flags_antisymmetry_violation():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2] = 1.0

@@ -166,6 +166,8 @@ def test_aa_classify_rejects_bad_hint_shape(tmp_path):
         ("weyl-solve", "--tol", "inf"),
         ("weyl-solve", "--seed", "-1"),
         ("weyl-solve", "--starts", "0"),
+        ("weyl-solve", "--starts", str(weyl.MAX_STARTS + 1)),
+        ("weyl-solve", "--starts", "100000000000"),
         ("aa-classify", "--ideal", "1 0 0; 0 1"),
     ],
 )
@@ -197,6 +199,21 @@ def test_report_covers_all_sections(tmp_path):
     assert records["aa.almost_abelian"] is True
     assert records["aa.case"] == "NoWE"
     assert np.isnan(records["aa.coefficient"])
+
+
+def test_report_with_roots_does_not_import_numpy_random(tmp_path):
+    # the quotient route finds the roots, so the seeded search and its
+    # generator (a lazy import of numpy.random) never run
+    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
+    probe = (
+        "import sys\n"
+        "from lieweyl import cli\n"
+        "code = cli.main(['report', sys.argv[1], '--format', 'records'])\n"
+        "sys.stderr.write(f'{code} {\"numpy.random\" in sys.modules}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, path], capture_output=True, text=True)
+    assert proc.stderr == "0 False"
+    assert mla.parse_records(proc.stdout)["weyl.root_count"] == 2
 
 
 def test_report_flags_non_almost_abelian(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieweyl import frames, mla, riemann, samples, weyl
-from lieweyl.algebra import validate
+from lieweyl.algebra import LieAlgebra, validate
 from lieweyl.riemann import (
     change_basis,
     codifferential_oneform,
@@ -175,6 +175,38 @@ def test_solver_roots_have_small_residuals(seed, dim):
     result = weyl.solve_lee_forms(m, starts=24, seed=3)
     for root in result.roots:
         assert dense_weyl_einstein_residual(m, root).norm <= ROOT_TOL * scale_of(m)
+
+
+SCALES = (1e-6, 1e-3, 1e3, 1e6)
+
+
+def rescaled(m, lam):
+    """The same metric with every structure constant multiplied by ``lam``."""
+    return riemann.MetricLieAlgebra(LieAlgebra(lam * np.asarray(m.c)), m.metric)
+
+
+def assert_scaled_roots(base, scaled, lam):
+    assert len(scaled.roots) == len(base.roots), (lam, len(base.roots), len(scaled.roots))
+    for a, b in zip(base.roots, scaled.roots):
+        assert np.linalg.norm(b - lam * a) <= 1e-6 * lam * (1.0 + np.linalg.norm(a)), lam
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seeds, st.integers(min_value=3, max_value=7), st.sampled_from(("einstein", "trace", "generic")))
+def test_root_sets_are_equivariant_under_rescaling(seed, dim, kind):
+    # E(lam c, lam t) = lam^2 E(c, t): the roots of lam c are lam times those of c
+    m = samples.random_almost_abelian(np.random.default_rng(seed), dim, kind)
+    base = weyl.solve_lee_forms(m)
+    for lam in SCALES:
+        assert_scaled_roots(base, weyl.solve_lee_forms(rescaled(m, lam)), lam)
+
+
+def test_heisenberg_plus_line_has_no_root_at_any_scale():
+    m = samples.heisenberg(extra=1)
+    for lam in (1.0,) + SCALES:
+        result = weyl.solve_lee_forms(rescaled(m, lam))
+        assert result.roots == () and result.quotient_dim == 0, lam
+        assert result.infimum > 0.1 * lam**2, (lam, result.infimum)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -4,6 +4,9 @@ Each script exits 0 only when its check holds: no classifier/solver mismatch,
 no root on a nilpotent model, no table/solver disagreement in the catalog.
 The nilpotent ladder also says why each start stopped: one line of exit
 counts per model and rung, and it exits 1 when any start ends by a cap.
+Both solver scripts report the quotient dimension of each solve: the ladder
+once per model, the classifier comparison as a histogram per kind beside the
+number of seeded fallbacks, which only root-free kinds may need.
 """
 import os
 import subprocess
@@ -43,3 +46,17 @@ def test_script_exits_clean(script, args):
         for head, counts in rungs:
             want = head.rsplit("=", 1)[1]
             assert counts.strip() == f"stall {want}", proc.stdout
+    if script == "nilpotent_no_go.py":
+        # Heisenberg keeps a complex pair; filiform4 and free 2-step have no
+        # complex root at all
+        dims = [line.strip() for line in proc.stdout.splitlines() if "quotient dim" in line]
+        assert dims == ["quotient dim 2", "quotient dim 0", "quotient dim 0"], proc.stdout
+    if script == "classification_equivalence.py":
+        # 6 instances: two per kind; only the root-free generic kind falls back
+        lines = {line.split()[0]: line for line in proc.stdout.splitlines()
+                 if "quotient dims" in line}
+        assert sorted(lines) == ["einstein", "generic", "trace"], proc.stdout
+        assert lines["einstein"].endswith("seeded fallbacks 0")
+        assert lines["trace"].endswith("seeded fallbacks 0")
+        assert lines["generic"].endswith("quotient dims {0: 2}, seeded fallbacks 2")
+        assert "0 fallbacks with Lee forms" in proc.stdout

@@ -25,7 +25,7 @@ from lieweyl.errors import ConsistencyError, DimensionError, InputError, NotClos
 from lieweyl.riemann import curvature, curvature_lowered, levi_civita, torsion_residual
 from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
-from oracle import dense_weyl_einstein_residual
+from oracle import dense_weyl_einstein_residual, macaulay_nullity
 
 TOL = 1e-12
 SOLVER_TOL = 1e-8
@@ -199,7 +199,8 @@ def test_solver_is_deterministic():
 @pytest.mark.parametrize(
     "name, value",
     [("starts", 0), ("seed", -1), ("tol_root", float("nan")), ("tol_root", float("inf")),
-     ("tol_root", 0.0), ("tol_root", -1e-8)],
+     ("tol_root", 0.0), ("tol_root", -1e-8), ("starts", weyl.MAX_STARTS + 1),
+     ("starts", 10**11)],
 )
 def test_solver_rejects_bad_parameters_as_input_errors(name, value):
     with pytest.raises(InputError):
@@ -338,8 +339,10 @@ def test_levenberg_marquardt_evaluates_the_jacobian_once_per_iteration(monkeypat
 
 
 def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
-    # every start is counted under one exit rule, no solve runs to the
-    # iteration cap, and no start on a root is ended by the stall rule
+    # every seeded start is counted under one exit rule, no seeded search runs
+    # to the iteration cap, and no start on a root is ended by the stall rule;
+    # a solve counts exactly the starts that ran, at most n + 2 candidates
+    # when the quotient route accepted a root
     cap = inspect.signature(weyl._levenberg_marquardt).parameters["max_iter"].default
     calls = [0]
     jacobian = weyl._ResidualSystem.jacobian
@@ -351,9 +354,8 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
         return jacobian(self, t)
 
     def recording(system, t0, max_iter=cap):
-        out = solve(system, t0, max_iter)
-        runs.append((system, out))
-        return out
+        runs.append(len(t0))
+        return solve(system, t0, max_iter)
 
     monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
     monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
@@ -362,14 +364,23 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
     for i in range(150):
         kind = ("einstein", "trace", "generic")[i % 3]
         m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
-        calls[0] = 0
+        runs.clear()
         result = solve_lee_forms(m)
         assert tuple(result.exits) == weyl.EXIT_REASONS
-        assert sum(result.exits.values()) == weyl.DEFAULT_STARTS
-        assert (result.exits["iteration-cap"] > 0) == (calls[0] >= cap), (i, result.exits)
-        assert calls[0] < cap, (i, result.exits)
-        system, (_, residuals, exits) = runs[-1]
-        stalled = residuals[exits == stall]
+        assert sum(result.exits.values()) == sum(runs), (i, runs, result.exits)
+        candidates = runs[:-1] if result.seeded else runs
+        assert sum(candidates) <= m.dim + 2, (i, runs)
+        assert result.seeded == (result.roots == ()), i
+
+        system = weyl._residual_system(m)
+        calls[0] = 0
+        _, residuals, codes = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
+        exits = weyl._exit_counts(codes)
+        assert tuple(exits) == weyl.EXIT_REASONS
+        assert sum(exits.values()) == weyl.DEFAULT_STARTS
+        assert (exits["iteration-cap"] > 0) == (calls[0] >= cap), (i, exits)
+        assert calls[0] < cap, (i, exits)
+        stalled = residuals[codes == stall]
         assert np.all(stalled > weyl.DEFAULT_ROOT_TOL * system.ric_scale), (i, stalled)
 
 
@@ -539,9 +550,17 @@ def test_solve_rows_gives_a_singular_row_the_zero_step():
 def test_abelian_double_root_ends_at_the_root_floor(n):
     # theta = 0 is a second-order zero: starts must stop on the root floor
     # instead of creeping to the iteration cap, and merge into one root
-    result = solve_lee_forms(samples.abelian(n))
-    assert result.exits["iteration-cap"] == 0
-    assert sum(result.exits.values()) == weyl.DEFAULT_STARTS
+    m = samples.abelian(n)
+    system = weyl._residual_system(m)
+    _, _, codes = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
+    exits = weyl._exit_counts(codes)
+    assert exits["iteration-cap"] == 0
+    assert sum(exits.values()) == weyl.DEFAULT_STARTS
+    # the quotient is all of B, n + 2 copies of the root 0, and each
+    # candidate is polished onto the root floor
+    result = solve_lee_forms(m)
+    assert result.quotient_dim == n + 2 and not result.seeded
+    assert result.exits == {**dict.fromkeys(weyl.EXIT_REASONS, 0), "root-floor": n + 2}
     assert len(result.roots) == 1
     assert np.linalg.norm(result.roots[0]) <= weyl.DEFAULT_DEDUP_TOL
 
@@ -672,15 +691,9 @@ def test_solver_ends_fast_rotation_starts_before_the_iteration_cap():
     assert result.exits["iteration-cap"] == 0
 
 
-# Known scale defect: the root threshold scales with 1 + |Ric| and the dedup
-# radius is absolute, so root sets change when the structure constants are
-# rescaled.  These pin the defect until the solver is nondimensionalized.
-SCALE_DEFECT = pytest.mark.xfail(
-    strict=True, reason="known defect: solver tolerances are not scale-equivariant"
-)
-
-
-@SCALE_DEFECT
+# The solve runs at |c| = 1, so its root test and dedup radius follow the
+# structure constants: a small metric keeps both roots, and the double root
+# of a fast rotation stays one root.
 def test_solver_finds_both_roots_of_a_small_hyperbolic_metric():
     m = samples.hyperbolic(4, 1e-7)
     expected = classify_weyl_einstein(decompose(m), m).lee_forms
@@ -688,9 +701,86 @@ def test_solver_finds_both_roots_of_a_small_hyperbolic_metric():
     assert len(solve_lee_forms(m).roots) == len(expected)
 
 
-@SCALE_DEFECT
 def test_solver_merges_the_double_root_of_a_very_fast_rotation():
     m = _rotating_flat_metric(100.0)
     expected = classify_weyl_einstein(decompose(m), m).lee_forms
     assert len(expected) == 1
     assert len(solve_lee_forms(m).roots) == len(expected)
+
+
+def test_quotient_dimension_matches_the_macaulay_nullity_on_random_algebras():
+    rng = np.random.default_rng(5)
+    dims = []
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            m = samples.random_metric_algebra(rng, n)
+            result = solve_lee_forms(m)
+            assert result.quotient_dim == macaulay_nullity(m), (n, result.quotient_dim)
+            dims.append(result.quotient_dim)
+    assert len(set(dims)) >= 3, dims
+
+
+@pytest.mark.parametrize(
+    "name, m, r",
+    [("hyperbolic", samples.hyperbolic(4, 1.0), 2), ("heisenberg", samples.heisenberg(), 2),
+     ("heisenberg+1", samples.heisenberg(extra=1), 0),
+     ("heisenberg+2", samples.heisenberg(extra=2), 0), ("filiform4", samples.filiform4(), 0),
+     ("free 2-step", samples.free_two_step(), 0), ("R^4", samples.abelian(4), 6)],
+)
+def test_quotient_dimension_on_the_probes(name, m, r):
+    # Heisenberg keeps a complex pair, so it has a quotient but no candidate;
+    # the other nilpotent models have no complex root at all
+    result = solve_lee_forms(m)
+    assert result.quotient_dim == r == macaulay_nullity(m)
+    assert result.seeded == (result.roots == ())
+
+
+def _seeded_roots(m):
+    """Root set of the seeded 64-start search alone, under the solver's
+    nondimensional root test and dedup radius, in the frame."""
+    system = weyl._residual_system(m)
+    lam = weyl._unit_scale(system)
+    t, res, _ = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
+    threshold = weyl.DEFAULT_ROOT_TOL * system.scaled(lam).ric_scale
+    return [t[i] for i in weyl._distinct_roots(t / lam, res / lam**2, threshold)], lam
+
+
+def test_seeded_roots_are_a_subset_of_the_quotient_roots():
+    rng = np.random.default_rng(1000)
+    models = [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
+                                            ("einstein", "trace", "generic")[i % 3])
+              for i in range(90)]
+    models += [samples.hyperbolic(5, 2.0), samples.abelian(5), _rotating_flat_metric(6.0)]
+    for i, m in enumerate(models):
+        seeded, lam = _seeded_roots(m)
+        quotient = [m.frame.T @ root for root in solve_lee_forms(m).roots]
+        for t in seeded:
+            gap = min(np.linalg.norm(t - q) for q in quotient) / lam
+            assert gap <= 1e-6, (i, t, quotient)
+
+
+def test_seeded_root_after_an_empty_quotient_route_is_a_consistency_error(monkeypatch):
+    m = samples.hyperbolic(4, 1.0)
+    monkeypatch.setattr(weyl, "_quotient_candidates", lambda system: (0, np.zeros((0, 4))))
+    with pytest.raises(ConsistencyError) as info:
+        solve_lee_forms(m)
+    message = str(info.value)
+    assert "seeded search" in message and "quotient ring route" in message
+    assert "residual" in message and "root tolerance" in message
+
+
+def test_quotient_route_is_deterministic_and_polishes_at_most_n_plus_2_candidates(monkeypatch):
+    solve = weyl._levenberg_marquardt
+    sizes = []
+
+    def recording(system, t0, *args):
+        sizes.append(len(t0))
+        return solve(system, t0, *args)
+
+    monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
+    m = samples.random_almost_abelian(np.random.default_rng(3), 6, "einstein")
+    first, second = solve_lee_forms(m, seed=1), solve_lee_forms(m, seed=2)
+    assert not first.seeded and sizes[0] == sizes[1] == sum(first.exits.values()) <= 8
+    assert len(first.roots) == len(second.roots) > 0
+    for a, b in zip(first.roots, second.roots):
+        assert np.array_equal(a, b)
