@@ -30,7 +30,6 @@ Weyl-Einstein condition degenerates and none of the formulas below are used.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,8 +248,7 @@ class SolveResult:
     damping cap, iteration cap); a start that ends by a cap did not reach a
     critical point.  ``quotient_dim`` is the dimension r of the quotient
     ring, the number of complex roots counted with multiplicity (0: none at
-    all), and ``seeded`` says whether the seeded search ran, which it does
-    exactly when no quotient candidate was accepted.
+    all).
     """
 
     roots: tuple
@@ -258,7 +256,14 @@ class SolveResult:
     infimum: float
     exits: dict = field(default_factory=dict)
     quotient_dim: int = 0
-    seeded: bool = False
+
+    @property
+    def seeded(self) -> bool:
+        """Whether the seeded search ran, derived from ``roots``: it runs
+        exactly when no quotient candidate is accepted, and a root it finds
+        then raises :class:`ConsistencyError`, so it ran iff ``roots`` is
+        empty."""
+        return not self.roots
 
 
 class _ResidualSystem:
@@ -434,7 +439,6 @@ def _residual_system(m: MetricLieAlgebra) -> _ResidualSystem:
     return system
 
 
-@functools.lru_cache(maxsize=None)
 def _combination_weights(n: int) -> np.ndarray:
     """sqrt(2), sqrt(3), sqrt(5), ...: the square roots of the first n primes.
 
@@ -449,13 +453,7 @@ def _combination_weights(n: int) -> np.ndarray:
         if all(k % p for p in primes):
             primes.append(k)
         k += 1
-    return _read_only(np.sqrt(np.array(primes, dtype=float)))
-
-
-@functools.lru_cache(maxsize=None)
-def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs k < l below n, as ``np.triu_indices(n, 1)``."""
-    return tuple(_read_only(a) for a in np.triu_indices(n, 1))
+    return np.sqrt(np.array(primes, dtype=float))
 
 
 def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
@@ -482,7 +480,9 @@ def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
     size = n + 2
     mult = system.multiplication_matrices()
     products = mult[:, None] @ mult
-    k, l = _index_pairs(n)
+    k, l = system.index
+    pairs = k < l
+    k, l = k[pairs], l[pairs]
     commutators = products[k, l] - products[l, k]
     relations = row_space(commutators.transpose(0, 2, 1), size)
     while 0 < len(relations) < size:
@@ -738,8 +738,7 @@ def solve_lee_forms(
         roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in kept]
         residuals = [lam**2 * float(res_final[i]) for i in kept]
 
-    seeded = not roots
-    if seeded:
+    if not roots:
         _, res_seeded, seeded_codes = _seeded_search(system, starts, seed)
         exit_codes = np.concatenate((exit_codes, seeded_codes))
         infimum = min(infimum, float(np.min(res_seeded)))
@@ -752,7 +751,7 @@ def solve_lee_forms(
             )
 
     return SolveResult(roots=tuple(roots), residuals=tuple(residuals), infimum=infimum,
-                       exits=_exit_counts(exit_codes), quotient_dim=quotient_dim, seeded=seeded)
+                       exits=_exit_counts(exit_codes), quotient_dim=quotient_dim)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -231,6 +231,23 @@ def test_residual_system_is_built_once_per_algebra_and_read_only():
             getattr(system, name)[...] = 0.0
 
 
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 7.0, 1e6])
+def test_scaled_system_equals_the_system_built_from_scaled_constants(lam):
+    # every attribute, so a constant added to _ResidualSystem later cannot
+    # keep the input scale in the |c| = 1 solve unnoticed
+    rng = np.random.default_rng(41)
+    models = [samples.random_metric_algebra(rng, 5), samples.random_almost_abelian(rng, 4, "generic")]
+    for m in models:
+        scaled = weyl._residual_system(m).scaled(lam)
+        reference = weyl._ResidualSystem(MetricLieAlgebra(LieAlgebra(m.c / lam), m.metric))
+        assert vars(scaled).keys() == vars(reference).keys()
+        for name, expected in vars(reference).items():
+            expected = np.asarray(expected, dtype=float)
+            atol = 1e-12 * max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+            np.testing.assert_allclose(np.asarray(getattr(scaled, name), dtype=float), expected,
+                                       rtol=1e-10, atol=atol, err_msg=name)
+
+
 def test_packed_residual_matches_dense_oracle():
     for m, system, t in _residual_batches(21):
         packed = system.residual(t, system.jacobian(t))
@@ -339,10 +356,11 @@ def test_levenberg_marquardt_evaluates_the_jacobian_once_per_iteration(monkeypat
 
 
 def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
-    # every seeded start is counted under one exit rule, no seeded search runs
-    # to the iteration cap, and no start on a root is ended by the stall rule;
-    # a solve counts exactly the starts that ran, at most n + 2 candidates
-    # when the quotient route accepted a root
+    # every start is counted under one exit rule, no run reaches the
+    # iteration cap, and no start on a root is ended by the stall rule: on
+    # the solve itself, which polishes at most n + 2 candidates and runs the
+    # seeded search only when it accepts none of them, and on the seeded
+    # search alone
     cap = inspect.signature(weyl._levenberg_marquardt).parameters["max_iter"].default
     calls = [0]
     jacobian = weyl._ResidualSystem.jacobian
@@ -354,8 +372,9 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
         return jacobian(self, t)
 
     def recording(system, t0, max_iter=cap):
-        runs.append(len(t0))
-        return solve(system, t0, max_iter)
+        out = solve(system, t0, max_iter)
+        runs.append((system, out))
+        return out
 
     monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
     monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
@@ -364,15 +383,20 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
     for i in range(150):
         kind = ("einstein", "trace", "generic")[i % 3]
         m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
+        system = weyl._residual_system(m)
         runs.clear()
         result = solve_lee_forms(m)
         assert tuple(result.exits) == weyl.EXIT_REASONS
-        assert sum(result.exits.values()) == sum(runs), (i, runs, result.exits)
-        candidates = runs[:-1] if result.seeded else runs
-        assert sum(candidates) <= m.dim + 2, (i, runs)
-        assert result.seeded == (result.roots == ()), i
+        assert sum(result.exits.values()) == sum(len(out[0]) for _, out in runs), (i, runs)
+        assert result.exits["iteration-cap"] == 0, (i, result.exits)
+        polished = [out for run_system, out in runs if run_system is not system]
+        seeded = [out for run_system, out in runs if run_system is system]
+        assert sum(len(out[0]) for out in polished) <= m.dim + 2, (i, result.exits)
+        assert len(seeded) == (result.roots == ()), (i, len(seeded))
+        for run_system, (_, residuals, codes) in runs:
+            stalled = residuals[codes == stall]
+            assert np.all(stalled > weyl.DEFAULT_ROOT_TOL * run_system.ric_scale), (i, stalled)
 
-        system = weyl._residual_system(m)
         calls[0] = 0
         _, residuals, codes = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
         exits = weyl._exit_counts(codes)
@@ -727,12 +751,20 @@ def test_quotient_dimension_matches_the_macaulay_nullity_on_random_algebras():
      ("heisenberg+2", samples.heisenberg(extra=2), 0), ("filiform4", samples.filiform4(), 0),
      ("free 2-step", samples.free_two_step(), 0), ("R^4", samples.abelian(4), 6)],
 )
-def test_quotient_dimension_on_the_probes(name, m, r):
+def test_quotient_dimension_on_the_probes(monkeypatch, name, m, r):
     # Heisenberg keeps a complex pair, so it has a quotient but no candidate;
     # the other nilpotent models have no complex root at all
+    ran = []
+    search = weyl._seeded_search
+
+    def recording(*args):
+        ran.append(True)
+        return search(*args)
+
+    monkeypatch.setattr(weyl, "_seeded_search", recording)
     result = solve_lee_forms(m)
     assert result.quotient_dim == r == macaulay_nullity(m)
-    assert result.seeded == (result.roots == ())
+    assert result.seeded == bool(ran) == (result.roots == ())
 
 
 def _seeded_roots(m):
