@@ -9,33 +9,39 @@ finiteness; antisymmetry and the Jacobi identity are checked by
 :func:`validate`, so that invalid tables can still be inspected and reported.
 
 Tolerance policy.  ``REL_TOL`` = 1e-9 is the one relative tolerance for
-deciding that an input-derived quantity vanishes.  It is scaled by
+deciding that an input-derived quantity vanishes.  Scale-free tests divide
+c by lam = ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an
+abelian algebra) and Ricci-sized quantities by lam^2, since c -> lam c with
+g fixed is a homothety.  ``REL_TOL`` is scaled by
 1 + max |entry| in :func:`coefficient_tolerance` (every ``.tolerance``, the
-antisymmetry test of :func:`validate`, the Ricci, Weyl-Ricci and
-Lee-gradient cross-checks, and ten times that in the 3D adapted frame), by
+antisymmetry test of :func:`validate`, the Ricci cross-check, plus
+``REL_TOL`` lam^2 for the rounding of its products where Ric vanishes, the
+Weyl-Ricci and Lee-gradient cross-checks, and ten times that in the 3D
+adapted frame), by
 1 + max |c|^2 for the Jacobi sums of :func:`validate`, which are products of
 two structure constants, by the largest singular value in rank cutoffs
 (:func:`row_space`, :func:`nullspace`, and so the relation space of the
 Lee-form quotient ring, where a dropped relation only adds candidates), by
 the norm of an eigenvector when its constant coordinate is tested (below it,
-the quotient eigenvector lies at infinity), by 1 + |sym|^2 in the almost
-abelian classifier and by 1 or 1 + t at the 3D catalog's parameter
-boundaries.  The other tolerances measure other things:
+the quotient eigenvector lies at infinity), by 1 + |sym / lam|^2 in the
+almost abelian classifier, which tests sym / lam and skew / lam, and by 1
+or 1 + t at the 3D catalog's parameter boundaries.  The other tolerances
+measure other things:
 
 * ``almost_abelian.SIGNIFICANT_RTOL`` 1e-8 of a vector's scale, and 1e-16 of
   max(1, tr g) on squared norms in ``decompose``: choices (complement
   vectors, orthonormalization, signs) that only have to clear rounding;
-* ``almost_abelian.EIGEN_CLUSTER_RTOL`` 1e-7 of max(1, |eig|): a verdict on
-  the spectrum of ``sym``, where nearly equal eigenvalues form one cluster;
-* ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 of 1 + |Ric| (computed once,
-  as ``MetricLieAlgebra.ricci_scale``): accepts a given
-  covector as a Lee form, loose enough for any solver root;
+* ``almost_abelian.EIGEN_CLUSTER_RTOL`` 1e-7 of max |eig|: a verdict on the
+  spectrum of ``sym``, where nearly equal eigenvalues form one cluster;
+* ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 of lam^2 + |Ric|, the root
+  test's scale: accepts a given covector as a Lee form, loose enough for any
+  solver root;
 * ``weyl.DEFAULT_ROOT_TOL`` (the CLI's ``--tol``) and ``weyl.FLATNESS_RTOL``,
   1e-8 of 1 + |Ric| (|R| for flatness): root and flatness verdicts.  The
-  root test is nondimensional: ``weyl.solve_lee_forms`` divides the
-  structure constants by their frame norm lam (1 on an abelian algebra), so
-  the test reads |E| <= 1e-8 (lam^2 + |Ric|) in the units of the input, for
-  the quotient candidates and for the seeded search alike;
+  root test is nondimensional: every stage of ``weyl.solve_lee_forms`` runs
+  on the residual system of c / lam, so the test reads
+  |E| <= 1e-8 (lam^2 + |Ric|) in the units of the input, for the quotient
+  candidates and for the seeded search alike;
 * ``weyl.DEFAULT_DEDUP_TOL`` 1e-6 of the frame distance at unit frame norm
   of the structure constants, so lam 1e-6 in the units of the input: merges
   roots;
@@ -48,9 +54,9 @@ boundaries.  The other tolerances measure other things:
   rounding and step-control levels of the solver, not zero tests.  The root
   floor is 32 ulps of 1 + |Ric| + |c|^2 + |L| |t| + (n-2) |t|^2, where the
   |c|^2 term (frame norm of the structure constants) bounds the rounding of
-  the trace-free Ricci form; the polish evaluates it at unit |c|, the seeded
-  search at the input's |c|.  The stall rule ends a start whose rejected
-  step promised at most 32 ulps of |E|^2; the damping cap is 1e10.
+  the trace-free Ricci form; the polish and the seeded search both evaluate
+  it at unit |c|.  The stall rule ends a start whose rejected step promised
+  at most 32 ulps of |E|^2; the damping cap is 1e10.
 """
 from __future__ import annotations
 

@@ -45,7 +45,7 @@ from .errors import (
     StructureError,
 )
 from .riemann import CurvatureData, MetricLieAlgebra
-from .weyl import _as_covector, weyl_einstein_residual
+from .weyl import _as_covector, _residual_system, weyl_einstein_residual
 
 EIGEN_CLUSTER_RTOL = 1e-7
 WE_PRECONDITION_RTOL = 1e-6
@@ -293,18 +293,21 @@ def classify_weyl_einstein(dec: AADecomposition, m: MetricLieAlgebra) -> AAClass
     n = m.dim
     if n < 3:
         raise PreconditionError("classification needs dimension at least 3")
-    s = dec.sym
-    a = dec.skew
+    # tests on sym / lam and skew / lam; the coefficient and Lee forms from sym
+    lam = m.structure_scale
+    s = dec.sym / lam
+    a = dec.skew / lam
     nh = n - 1
-    tr_s = float(np.trace(s))
+    tr_sym = float(np.trace(dec.sym))
+    tr_s = tr_sym / lam
     tr_s2 = float(np.trace(s @ s))
     tol = REL_TOL * (1.0 + float(np.sum(s * s)))
     s0_norm = float(np.linalg.norm(s - (tr_s / nh) * np.eye(nh)))
     b_flat = m.lower_vector(dec.normal)
 
     if s0_norm <= tol:
-        k = tr_s / nh
-        if abs(k) <= tol:
+        k = tr_sym / nh
+        if abs(tr_s / nh) <= tol:
             roots = [np.zeros(n)]
         else:
             roots = [np.zeros(n), k * b_flat]
@@ -314,7 +317,7 @@ def classify_weyl_einstein(dec: AADecomposition, m: MetricLieAlgebra) -> AAClass
         and abs(tr_s**2 - (n - 2) * tr_s2) <= tol
         and float(np.linalg.norm(a @ s - s @ a)) <= tol
     ):
-        mu = tr_s / (n - 2)
+        mu = tr_sym / (n - 2)
         roots = [mu * b_flat]
         case, coeff = WEClass.TRACE_CASE, mu
     else:
@@ -458,12 +461,14 @@ def conformal_metric_flatness(
     theta = _as_covector(m, theta)
     if m.covector_norm(theta) <= m.tolerance:
         raise PreconditionError("Lee form must be nonzero")
+    # the root test's scale, lam^2 + |Ric|, and the spectrum's own size
+    system = _residual_system(m)
     resid = weyl_einstein_residual(m, theta)
-    if resid.norm > WE_PRECONDITION_RTOL * m.ricci_scale:
+    if resid.norm > WE_PRECONDITION_RTOL * system.scale**2 * system.ric_scale:
         raise PreconditionError("covector is not a Weyl-Einstein Lee form")
 
     eigs = np.linalg.eigvalsh(dec.sym)
-    ctol = EIGEN_CLUSTER_RTOL * max(1.0, float(np.max(np.abs(eigs))))
+    ctol = EIGEN_CLUSTER_RTOL * float(np.max(np.abs(eigs)))
     return RescaleVerdict(ricci_flat=True, flat=_is_flat_pattern(eigs, ctol))
 
 

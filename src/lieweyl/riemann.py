@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import frames
-from .algebra import LieAlgebra, coefficient_tolerance, validate
+from .algebra import REL_TOL, LieAlgebra, coefficient_tolerance, validate
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -100,6 +100,13 @@ class MetricLieAlgebra:
         return _read_only(frames.structure_in_basis(self.c, self.frame))
 
     @cached_property
+    def structure_scale(self) -> float:
+        """lam, the unit of every scale-free test: the frame norm of the
+        structure constants, or 1 on an abelian algebra."""
+        norm = float(np.linalg.norm(self.frame_structure))
+        return norm if norm > 0.0 else 1.0
+
+    @cached_property
     def connection(self) -> ConnectionTable:
         """The Levi-Civita table; see :func:`levi_civita`."""
         c, g = self.c, self.metric
@@ -116,7 +123,8 @@ class MetricLieAlgebra:
         ric = ricci_trace(riem)
         oracle = besse_ricci(self)
         gap = self.form_norm(ric - oracle)
-        bound = self.tolerance * (1.0 + self.form_norm(ric))
+        # the rounding of either route grows like |c|^2, the size of its products
+        bound = self.tolerance * (1.0 + self.form_norm(ric)) + REL_TOL * self.structure_scale**2
         if gap > bound:
             raise ConsistencyError(
                 f"curvature-trace Ricci and structure-constant (Besse) Ricci differ by "

@@ -18,12 +18,12 @@ they are the joint eigenvectors of n multiplication matrices of that size
 its candidates from them and polishes each with damped Newton steps on the
 squared defect, whose second-order term costs one product because the
 defect is quadratic, until it reaches the rounding floor of a root or no
-step can lower the defect by more than rounding.  All of it runs with the
-structure constants scaled to unit frame norm, so root sets are equivariant
-under rescaling.  Only when no candidate is a root does a seeded multistart
-search run, for the residual infimum and as a cross-check.  The quadratic
-map is built once per metric Lie algebra and shared by the solver and every
-residual evaluation.
+step can lower the defect by more than rounding.  Only when no candidate is
+a root does a seeded multistart search run, for the residual infimum and as
+a cross-check.  The quadratic map is built once per metric Lie algebra, with
+the structure constants scaled to unit frame norm; every solver stage and
+every residual evaluation runs on it and maps only its results back, so the
+solve is equivariant under rescaling.
 
 Everything here requires dimension at least 3: in lower dimensions the
 Weyl-Einstein condition degenerates and none of the formulas below are used.
@@ -220,13 +220,14 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
         + (n-2)(sym(ad_T) + theta (x) theta)
 
     E is trace-free with respect to g by construction.  It is the solver's
-    frame map :class:`_ResidualSystem`, mapped back to the standard basis.
+    frame map :class:`_ResidualSystem` at unit scale, lam^2 E_unit(t / lam),
+    mapped back to the standard basis.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein residual needs dimension at least 3")
-    t = (m.frame.T @ _as_covector(m, theta))[None]
     system = _residual_system(m)
-    packed = system.residual(t, system.jacobian(t))[0]
+    t = (m.frame.T @ _as_covector(m, theta))[None] / system.scale
+    packed = system.scale**2 * system.residual(t, system.jacobian(t))[0]
     matrix = frames.form_in_basis(system.unpack(packed), np.linalg.inv(m.frame))
     return WEResidual(matrix=matrix, norm=float(np.linalg.norm(packed)))
 
@@ -269,7 +270,10 @@ class SolveResult:
 class _ResidualSystem:
     """The Weyl-Einstein residual in an orthonormal frame, as a quadratic map.
 
-    In the frame the residual of the frame components ``t`` of a Lee form is
+    E(c, t) = lam^2 E(c / lam, t / lam), and the system is that of c / lam,
+    lam = ``m.structure_scale`` (kept as ``scale``): its ``t`` are frame
+    components over lam, and ``scal``, ``ric_scale`` = 1 + |Ric| / lam^2 and
+    every residual are Ricci-sized quantities over lam^2.  The residual is
 
         E(t) = A + L(t) + (n-2) TF(t t^T),
 
@@ -307,18 +311,18 @@ class _ResidualSystem:
     def __init__(self, m: MetricLieAlgebra):
         n = m.dim
         eye = np.eye(n)
-        cf = m.frame_structure
+        lam = m.structure_scale
+        cf = m.frame_structure / lam
         adf = np.einsum("ijk->ikj", cf)
         sym_adf = 0.5 * (adf + np.einsum("ijk->ikj", adf))
         tau = np.einsum("ijj->i", cf)
         base = riemann.ricci(m)
-        ric = frames.form_in_basis(base.ricci, m.frame)
+        ric = frames.form_in_basis(base.ricci, m.frame) / lam**2
         self.n = n
-        self.scal = base.scalar
-        self.ric_scale = m.ricci_scale
-        self.ric_norm = float(np.linalg.norm(ric))
-        self.c_norm_sq = float(np.sum(cf**2))
-        self.const_scale = self.ric_scale + self.c_norm_sq
+        self.scale = lam
+        self.scal = base.scalar / lam**2
+        self.ric_scale = 1.0 + float(np.linalg.norm(ric))
+        self.const_scale = self.ric_scale + float(np.sum(cf**2))
 
         self.index = np.triu_indices(n)
         self.weight = np.where(self.index[0] == self.index[1], 1.0, np.sqrt(2.0))
@@ -367,38 +371,14 @@ class _ResidualSystem:
         Each term bounds the size of one part of E (A, L(t), the quadratic
         part), and ``ROOT_FLOOR_EPS`` converts the sum into rounding error.
         A stands in as ``const_scale`` = ``ric_scale`` + |c|^2, with |c| the
-        frame norm of the structure constants: A vanishes on Einstein metrics
-        while its rounding error does not, and that error grows like |c|^2,
-        the size of the products the Ricci form is summed from.
+        frame norm of the structure constants (1 here, 0 on an abelian
+        algebra): A vanishes on Einstein metrics while its rounding error
+        does not, and that error grows like |c|^2, the size of the products
+        the Ricci form is summed from.
         """
         return ROOT_FLOOR_EPS * (
             self.const_scale + self.lin_norm * t_norm + (self.n - 2) * t_norm**2
         )
-
-    def scaled(self, lam: float) -> "_ResidualSystem":
-        """The system of the structure constants divided by ``lam``.
-
-        A is quadratic and L linear in the structure constants, so
-        E(c / lam, t / lam) = E(c, t) / lam^2: the constants are this
-        system's, rescaled, and its roots are this system's divided by
-        ``lam``.  No geometry is recomputed.
-        """
-        out = object.__new__(_ResidualSystem)
-        vars(out).update(vars(self))
-        inv, inv_sq = 1.0 / lam, 1.0 / lam**2
-        out.scal = self.scal * inv_sq
-        out.ric_norm = self.ric_norm * inv_sq
-        out.ric_scale = 1.0 + out.ric_norm
-        out.c_norm_sq = self.c_norm_sq * inv_sq
-        out.const_scale = out.ric_scale + out.c_norm_sq
-        out.const = _read_only(self.const * inv_sq)
-        out.lin = _read_only(self.lin * inv)
-        out.lin_norm = self.lin_norm * inv
-        out.lin_gram = _read_only(self.lin_gram * inv_sq)
-        gram = self.gram.copy()
-        gram[: self.n] *= inv
-        out.gram = _read_only(gram)
-        return out
 
     def multiplication_matrices(self) -> np.ndarray:
         """Multiplication by each t_k on B = {1, t_1, ..., t_n, s}, modulo E = 0.
@@ -649,7 +629,8 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
 def _seeded_search(system: _ResidualSystem, starts: int, seed: int):
     """:func:`_levenberg_marquardt` from ``starts`` seeded starts: unit
     directions from a seeded generator on spheres of radius 0, r/2, r and 2r
-    (cycling with the start index), r = sqrt(|scal| / (n-2)) + 1."""
+    (cycling with the start index), r = sqrt(|scal| / (n-2)) + 1, all in the
+    units of the system (unit frame norm of the structure constants)."""
     n = system.n
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((starts, n))
@@ -677,12 +658,6 @@ def _distinct_roots(t: np.ndarray, res: np.ndarray, threshold: float) -> list[in
     return kept
 
 
-def _unit_scale(system: _ResidualSystem) -> float:
-    """lam of the nondimensional solve: the frame norm of the structure
-    constants, or 1 on an abelian algebra."""
-    return float(np.sqrt(system.c_norm_sq)) if system.c_norm_sq > 0.0 else 1.0
-
-
 def solve_lee_forms(
     m: MetricLieAlgebra,
     starts: int = DEFAULT_STARTS,
@@ -693,21 +668,22 @@ def solve_lee_forms(
 
     The solve is nondimensional: with lam the frame norm of the structure
     constants (1 on an abelian algebra), E(lam c, lam t) = lam^2 E(c, t), so
-    it runs on the system of c / lam (:meth:`_ResidualSystem.scaled`) and
-    maps roots back by lam and residuals by lam^2.  The candidates are the
-    real roots of the quotient ring (:func:`_quotient_candidates`), at most
-    n + 2; each is polished by damped Newton steps until one of four rules
-    stops it (root floor, stall, damping cap, iteration cap; see
-    :func:`_levenberg_marquardt`).  A polished candidate is a root when its
-    residual is at most ``tol_root * (1 + |Ric|)`` at |c| = 1; roots closer
-    than :data:`DEFAULT_DEDUP_TOL` at |c| = 1 are merged keeping the first.
+    every stage runs on the system of c / lam (:class:`_ResidualSystem`) and
+    only the result is mapped back: roots by lam, residuals and ``infimum``
+    by lam^2.  The candidates are the real roots of the quotient ring
+    (:func:`_quotient_candidates`), at most n + 2; each is polished by damped
+    Newton steps until one of four rules stops it (root floor, stall, damping
+    cap, iteration cap; see :func:`_levenberg_marquardt`).  A polished
+    candidate is a root when its residual is at most ``tol_root * (1 +
+    |Ric|)`` at |c| = 1; roots closer than :data:`DEFAULT_DEDUP_TOL` at
+    |c| = 1 are merged keeping the first.
 
     Only when no candidate is accepted does the seeded multistart run
-    (:func:`_seeded_search` with ``starts`` and ``seed``, on the system of
-    ``m`` itself).  It supplies ``infimum`` on algebras without a root, and
-    it cross-checks the quotient route: a start that passes the same
-    nondimensional root test raises :class:`ConsistencyError`.  The result
-    counts the starts that ran, of both routes, per exit rule.
+    (:func:`_seeded_search` with ``starts`` and ``seed``).  It supplies
+    ``infimum`` on algebras without a root, and it cross-checks the quotient
+    route: a start that passes the same root test raises
+    :class:`ConsistencyError`.  The result counts the starts that ran, of
+    both routes, per exit rule.
     Deterministic for fixed inputs.  ``starts`` below 1 or above
     :data:`MAX_STARTS`, a negative ``seed`` and a ``tol_root`` that is not
     finite and positive raise :class:`InputError`.
@@ -721,18 +697,17 @@ def solve_lee_forms(
     if not (np.isfinite(tol_root) and tol_root > 0.0):
         raise InputError(f"the root tolerance must be finite and positive, got {tol_root}")
     system = _residual_system(m)
-    lam = _unit_scale(system)
-    unit = system.scaled(lam)
-    threshold = tol_root * unit.ric_scale
+    lam = system.scale
+    threshold = tol_root * system.ric_scale
 
-    quotient_dim, candidates = _quotient_candidates(unit)
+    quotient_dim, candidates = _quotient_candidates(system)
     exit_codes = np.zeros(0, dtype=np.intp)
     infimum = np.inf
     roots: list[np.ndarray] = []
     residuals: list[float] = []
     if len(candidates):
-        t_final, res_final, exit_codes = _levenberg_marquardt(unit, candidates)
-        infimum = lam**2 * float(np.min(res_final))
+        t_final, res_final, exit_codes = _levenberg_marquardt(system, candidates)
+        infimum = float(np.min(res_final))
         kept = _distinct_roots(t_final, res_final, threshold)
         kept.sort(key=lambda i: tuple(t_final[i]))
         roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in kept]
@@ -741,8 +716,8 @@ def solve_lee_forms(
     if not roots:
         _, res_seeded, seeded_codes = _seeded_search(system, starts, seed)
         exit_codes = np.concatenate((exit_codes, seeded_codes))
-        infimum = min(infimum, float(np.min(res_seeded)))
-        best = float(np.min(res_seeded)) / lam**2
+        best = float(np.min(res_seeded))
+        infimum = min(infimum, best)
         if not best > threshold:
             raise ConsistencyError(
                 f"the seeded search reached a root with residual {best:.3e} at |c| = 1 "
@@ -750,7 +725,7 @@ def solve_lee_forms(
                 f"of its {len(candidates)} candidates (quotient dimension {quotient_dim})"
             )
 
-    return SolveResult(roots=tuple(roots), residuals=tuple(residuals), infimum=infimum,
+    return SolveResult(roots=tuple(roots), residuals=tuple(residuals), infimum=lam**2 * infimum,
                        exits=_exit_counts(exit_codes), quotient_dim=quotient_dim)
 
 

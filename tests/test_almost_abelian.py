@@ -277,3 +277,42 @@ def test_ideal_invariance_alarm_names_routes_gap_and_tolerance(monkeypatch):
     message = str(info.value)
     assert "ideal basis" in message and "projection onto the ideal" in message
     assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
+
+
+def _acceptance_mix(count):
+    rng = np.random.default_rng(1000)
+    return [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
+                                          ("einstein", "trace", "generic")[i % 3])
+            for i in range(count)]
+
+
+def _rescaled(m, lam):
+    return MetricLieAlgebra(LieAlgebra(lam * np.asarray(m.c)), m.metric)
+
+
+def test_classification_is_equivariant_under_rescaling():
+    # the classifier tests sym / lam and skew / lam: the label is scale-free
+    # and the Lee forms scale with the structure constants
+    for i, m in enumerate(_acceptance_mix(60)):
+        base = classify_weyl_einstein(decompose(m), m)
+        for lam in (1e-6, 1e-3, 1e3, 1e6, 1e8):
+            moved = _rescaled(m, lam)
+            cls = classify_weyl_einstein(decompose(moved), moved)
+            assert cls.case is base.case, (i, lam, base.case, cls.case)
+            assert len(cls.lee_forms) == len(base.lee_forms), (i, lam)
+            for a, b in zip(base.lee_forms, cls.lee_forms):
+                assert np.linalg.norm(b - lam * a) <= 1e-9 * lam * (1.0 + np.linalg.norm(a)), (i, lam)
+
+
+def test_flatness_verdict_is_scale_free():
+    # the precondition is tested at the root test's scale lam^2 + |Ric| and
+    # the eigenvalue clusters at the spectrum's own size
+    m, theta = trace_case_instance(5, np.diag([1.0, 2.0, -1.0, -2.0]), np.sqrt(10.0))
+    base = conformal_metric_flatness(decompose(m), m, theta)
+    assert base.ricci_flat and not base.flat
+    for lam in (1e-8, 1.0, 1e8):
+        moved = _rescaled(m, lam)
+        dec = decompose(moved)
+        assert conformal_metric_flatness(dec, moved, lam * theta) == base, lam
+        with pytest.raises(PreconditionError):
+            conformal_metric_flatness(dec, moved, 2.0 * lam * theta)

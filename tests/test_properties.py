@@ -177,7 +177,7 @@ def test_solver_roots_have_small_residuals(seed, dim):
         assert dense_weyl_einstein_residual(m, root).norm <= ROOT_TOL * scale_of(m)
 
 
-SCALES = (1e-6, 1e-3, 1e3, 1e6)
+SCALES = (1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8)
 
 
 def rescaled(m, lam):
@@ -207,6 +207,50 @@ def test_heisenberg_plus_line_has_no_root_at_any_scale():
         result = weyl.solve_lee_forms(rescaled(m, lam))
         assert result.roots == () and result.quotient_dim == 0, lam
         assert result.infimum > 0.1 * lam**2, (lam, result.infimum)
+
+
+def acceptance_mix(count):
+    """The first ``count`` draws of the acceptance mix: einstein, trace and
+    generic almost abelian algebras in turn, n = 3..7."""
+    rng = np.random.default_rng(1000)
+    return [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
+                                          ("einstein", "trace", "generic")[i % 3])
+            for i in range(count)]
+
+
+LADDER_MODELS = [samples.heisenberg(extra=k) for k in range(3)] + [
+    samples.filiform4(), samples.free_two_step()]
+
+
+def test_exits_and_infimum_are_scale_free():
+    # every stage of the solve runs at unit |c|: the starts take the same
+    # exits at every scale and the infimum scales by lam^2.  A root's
+    # residual is rounding noise, so it is compared at the size of E,
+    # lam^2 + |Ric|.
+    for i, m in enumerate(acceptance_mix(60) + LADDER_MODELS):
+        base = weyl.solve_lee_forms(m)
+        system = weyl._residual_system(m)
+        size = system.scale**2 * system.ric_scale if base.roots else base.infimum
+        for lam in SCALES:
+            result = weyl.solve_lee_forms(rescaled(m, lam))
+            assert result.exits == base.exits, (i, lam, base.exits, result.exits)
+            gap = abs(result.infimum / lam**2 - base.infimum)
+            assert gap <= 1e-12 * size, (i, lam, result.infimum / lam**2, base.infimum)
+
+
+def test_root_sets_are_equivariant_under_basis_change():
+    # theta -> P^T theta under the basis change P; the quotient dimension is
+    # basis independent
+    rng = np.random.default_rng(7)
+    for i, m in enumerate(acceptance_mix(60)):
+        change = samples.random_basis_change(rng, m.dim)
+        moved = change_basis(m, change)
+        base, result = weyl.solve_lee_forms(m), weyl.solve_lee_forms(moved)
+        assert result.quotient_dim == base.quotient_dim, (i, base.quotient_dim, result.quotient_dim)
+        assert len(result.roots) == len(base.roots), (i, len(base.roots), len(result.roots))
+        for root in base.roots:
+            gap = min(moved.covector_norm(other - change.T @ root) for other in result.roots)
+            assert gap <= 1e-6 * (m.structure_scale + m.covector_norm(root)), (i, gap)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -19,6 +19,7 @@ from lieweyl import (
     levi_civita,
     ricci,
 )
+from lieweyl.algebra import REL_TOL
 from lieweyl.errors import ConsistencyError, DimensionError, InvalidAlgebraError, MetricError
 from lieweyl.riemann import (
     codifferential_sym2,
@@ -216,7 +217,33 @@ def test_ricci_cross_check_alarm_names_routes_gap_and_tolerance(monkeypatch):
     # a failed check caches nothing, so the honest oracle now passes
     data = ricci(m)
     gap = m.form_norm(data.ricci - (data.besse + 1e-3 * m.metric))
-    bound = m.tolerance * (1.0 + m.form_norm(data.ricci))
+    bound = m.tolerance * (1.0 + m.form_norm(data.ricci)) + REL_TOL * m.structure_scale**2
     message = str(info.value)
     assert "curvature-trace Ricci" in message and "structure-constant" in message
     assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
+
+
+def _ricci_flat_acceptance_draws():
+    """Draws 48 and 66 of the acceptance mix: Ricci-flat, n = 4 and n = 5."""
+    rng = np.random.default_rng(1000)
+    draws = [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
+                                           ("einstein", "trace", "generic")[i % 3])
+             for i in range(67)]
+    return [draws[48], draws[66]]
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e8])
+def test_ricci_cross_check_carries_the_rounding_of_c_squared(monkeypatch, lam):
+    # both routes sum products of two structure constants, so their rounding
+    # grows like |c|^2 even where Ric vanishes; a defect of 1e-6 |c|^2 is
+    # still far above it
+    for m in _ricci_flat_acceptance_draws():
+        moved = MetricLieAlgebra(LieAlgebra(lam * np.asarray(m.c)), m.metric)
+        assert moved.form_norm(ricci(moved).ricci) <= 1e-12 * moved.structure_scale**2
+        corrupted = MetricLieAlgebra(moved.algebra, moved.metric)
+        honest = riemann.besse_ricci
+        monkeypatch.setattr(riemann, "besse_ricci",
+                            lambda m: honest(m) + 1e-6 * m.structure_scale**2 * m.metric)
+        with pytest.raises(ConsistencyError):
+            ricci(corrupted)
+        monkeypatch.undo()

@@ -225,26 +225,34 @@ def test_residual_system_is_built_once_per_algebra_and_read_only():
     m = samples.random_metric_algebra(np.random.default_rng(28), 5)
     system = weyl._residual_system(m)
     assert weyl._residual_system(m) is system
-    assert system.ric_scale == m.ricci_scale == 1.0 + m.form_norm(ricci(m).ricci)
+    assert m.ricci_scale == 1.0 + m.form_norm(ricci(m).ricci)
+    # the system is that of c / lam, so Ricci-sized quantities are over lam^2
+    lam = system.scale
+    assert lam == m.structure_scale == np.linalg.norm(m.frame_structure)
+    assert system.ric_scale == pytest.approx(1.0 + (m.ricci_scale - 1.0) / lam**2, rel=1e-14)
     for name in ("const", "lin", "hess", "curv", "lin_gram", "gram"):
         with pytest.raises(ValueError):
             getattr(system, name)[...] = 0.0
 
 
-@pytest.mark.parametrize("lam", [1e-6, 1e-3, 7.0, 1e6])
-def test_scaled_system_equals_the_system_built_from_scaled_constants(lam):
-    # every attribute, so a constant added to _ResidualSystem later cannot
-    # keep the input scale in the |c| = 1 solve unnoticed
+@pytest.mark.parametrize("lam", [1e-8, 1e-6, 1e-3, 7.0, 1e6, 1e8])
+def test_systems_of_c_and_of_lam_c_have_equal_constants(lam):
+    # the system is built at unit |c|, so every attribute but the scale
+    # agrees up to rounding; a constant added to _ResidualSystem later that
+    # keeps the units of the input cannot go unnoticed
     rng = np.random.default_rng(41)
     models = [samples.random_metric_algebra(rng, 5), samples.random_almost_abelian(rng, 4, "generic")]
     for m in models:
-        scaled = weyl._residual_system(m).scaled(lam)
-        reference = weyl._ResidualSystem(MetricLieAlgebra(LieAlgebra(m.c / lam), m.metric))
-        assert vars(scaled).keys() == vars(reference).keys()
-        for name, expected in vars(reference).items():
+        system = weyl._residual_system(m)
+        moved = weyl._ResidualSystem(MetricLieAlgebra(LieAlgebra(lam * m.c), m.metric))
+        assert vars(moved).keys() == vars(system).keys()
+        assert moved.scale == pytest.approx(lam * system.scale, rel=1e-14)
+        for name, expected in vars(system).items():
+            if name == "scale":
+                continue
             expected = np.asarray(expected, dtype=float)
             atol = 1e-12 * max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
-            np.testing.assert_allclose(np.asarray(getattr(scaled, name), dtype=float), expected,
+            np.testing.assert_allclose(np.asarray(getattr(moved, name), dtype=float), expected,
                                        rtol=1e-10, atol=atol, err_msg=name)
 
 
@@ -253,10 +261,12 @@ def test_packed_residual_matches_dense_oracle():
         packed = system.residual(t, system.jacobian(t))
         dense = system.unpack(packed)
         scale = _evaluation_scale(system, t)
+        lam = system.scale
         for k, row in enumerate(t):
-            oracle = dense_weyl_einstein_residual(m, frames.covector_from_basis(row, m.frame))
-            assert abs(packed[k] @ packed[k] - oracle.norm**2) <= 1e-12 * scale[k] ** 2
-            in_frame = frames.form_in_basis(oracle.matrix, m.frame)
+            # the system is at unit |c|: its E(t) is E(lam t) / lam^2 of the input
+            oracle = dense_weyl_einstein_residual(m, frames.covector_from_basis(lam * row, m.frame))
+            assert abs(packed[k] @ packed[k] - (oracle.norm / lam**2) ** 2) <= 1e-12 * scale[k] ** 2
+            in_frame = frames.form_in_basis(oracle.matrix, m.frame) / lam**2
             assert np.max(np.abs(dense[k] - in_frame)) <= 1e-12 * scale[k]
 
 
@@ -275,7 +285,9 @@ def test_residual_matches_dense_oracle_at_random_forms_and_classifier_roots():
     for m, theta in random_forms + roots:
         res = weyl_einstein_residual(m, theta)
         oracle = dense_weyl_einstein_residual(m, theta)
-        scale = _evaluation_scale(weyl._ResidualSystem(m), m.frame.T @ theta)
+        # the three terms of E(theta) in the units of the input
+        system, t = weyl._residual_system(m), m.frame.T @ theta
+        scale = m.ricci_scale + system.scale * system.lin_norm * np.linalg.norm(t) + (m.dim - 2) * t @ t
         assert abs(res.norm - oracle.norm) <= 1e-12 * scale
         assert m.form_norm(res.matrix - oracle.matrix) <= 1e-12 * scale
         assert np.max(np.abs(res.matrix - oracle.matrix)) <= 1e-12 * scale
@@ -389,10 +401,14 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
         assert tuple(result.exits) == weyl.EXIT_REASONS
         assert sum(result.exits.values()) == sum(len(out[0]) for _, out in runs), (i, runs)
         assert result.exits["iteration-cap"] == 0, (i, result.exits)
-        polished = [out for run_system, out in runs if run_system is not system]
-        seeded = [out for run_system, out in runs if run_system is system]
+        # both runs use the algebra's one system: the polish, if any, runs
+        # first and the seeded search, which runs iff there is no root, last
+        assert all(run_system is system for run_system, _ in runs)
+        seeded = [out for _, out in runs[-1:]] if result.roots == () else []
+        polished = [out for _, out in runs[: len(runs) - len(seeded)]]
+        assert len(polished) <= 1 and len(runs) >= 1, (i, len(runs))
         assert sum(len(out[0]) for out in polished) <= m.dim + 2, (i, result.exits)
-        assert len(seeded) == (result.roots == ()), (i, len(seeded))
+        assert all(len(out[0]) == weyl.DEFAULT_STARTS for out in seeded), (i, result.exits)
         for run_system, (_, residuals, codes) in runs:
             stalled = residuals[codes == stall]
             assert np.all(stalled > weyl.DEFAULT_ROOT_TOL * run_system.ric_scale), (i, stalled)
@@ -496,7 +512,8 @@ def test_start_on_a_critical_point_stalls_after_one_rejected_step(monkeypatch):
     t, res, exits = weyl._levenberg_marquardt(system, t0)
     assert calls[0] == 2
     assert exits.tolist() == [weyl.EXIT_REASONS.index("stall")]
-    assert np.array_equal(t, t0) and res[0] == start_res[0] > 0.5
+    # |E(0)| is above 0.5 in the units of the input
+    assert np.array_equal(t, t0) and res[0] == start_res[0] > 0.5 / system.scale**2
 
 
 def test_singular_newton_row_is_rejected_without_failing_the_batch(monkeypatch):
@@ -768,13 +785,12 @@ def test_quotient_dimension_on_the_probes(monkeypatch, name, m, r):
 
 
 def _seeded_roots(m):
-    """Root set of the seeded 64-start search alone, under the solver's
-    nondimensional root test and dedup radius, in the frame."""
+    """Root set of the seeded 64-start search alone, under the solver's root
+    test and dedup radius, in the frame of the unit system, and lam."""
     system = weyl._residual_system(m)
-    lam = weyl._unit_scale(system)
     t, res, _ = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
-    threshold = weyl.DEFAULT_ROOT_TOL * system.scaled(lam).ric_scale
-    return [t[i] for i in weyl._distinct_roots(t / lam, res / lam**2, threshold)], lam
+    threshold = weyl.DEFAULT_ROOT_TOL * system.ric_scale
+    return [t[i] for i in weyl._distinct_roots(t, res, threshold)], system.scale
 
 
 def test_seeded_roots_are_a_subset_of_the_quotient_roots():
@@ -785,9 +801,9 @@ def test_seeded_roots_are_a_subset_of_the_quotient_roots():
     models += [samples.hyperbolic(5, 2.0), samples.abelian(5), _rotating_flat_metric(6.0)]
     for i, m in enumerate(models):
         seeded, lam = _seeded_roots(m)
-        quotient = [m.frame.T @ root for root in solve_lee_forms(m).roots]
+        quotient = [m.frame.T @ root / lam for root in solve_lee_forms(m).roots]
         for t in seeded:
-            gap = min(np.linalg.norm(t - q) for q in quotient) / lam
+            gap = min(np.linalg.norm(t - q) for q in quotient)
             assert gap <= 1e-6, (i, t, quotient)
 
 
