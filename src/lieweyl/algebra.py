@@ -9,54 +9,37 @@ finiteness; antisymmetry and the Jacobi identity are checked by
 :func:`validate`, so that invalid tables can still be inspected and reported.
 
 Tolerance policy.  ``REL_TOL`` = 1e-9 is the one relative tolerance for
-deciding that an input-derived quantity vanishes.  Scale-free tests divide
-c by lam = ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an
-abelian algebra) and Ricci-sized quantities by lam^2, since c -> lam c with
-g fixed is a homothety.  ``REL_TOL`` is scaled by
-1 + max |entry| in :func:`coefficient_tolerance` (every ``.tolerance``, the
-antisymmetry test of :func:`validate`, the Ricci cross-check, plus
-``REL_TOL`` lam^2 for the rounding of its products where Ric vanishes, the
-Weyl-Ricci and Lee-gradient cross-checks, and ten times that in the 3D
-adapted frame), by
-1 + max |c|^2 for the Jacobi sums of :func:`validate`, which are products of
-two structure constants, by the largest singular value in rank cutoffs
-(:func:`row_space`, :func:`nullspace`, and so the relation space of the
-Lee-form quotient ring, where a dropped relation only adds candidates), by
-the norm of an eigenvector when its constant coordinate is tested (below it,
-the quotient eigenvector lies at infinity), by 1 + |sym / lam|^2 in the
-almost abelian classifier, which tests sym / lam and skew / lam, and by 1
-or 1 + t at the 3D catalog's parameter boundaries.  The other tolerances
-measure other things:
+deciding that a derived quantity vanishes, read against one of two scales,
+so that no verdict depends on the basis or on the homothety c -> lam c:
 
-* ``almost_abelian.SIGNIFICANT_RTOL`` 1e-8 of a vector's scale, and 1e-16 of
-  max(1, tr g) on squared norms in ``decompose``: choices (complement
-  vectors, orthonormalization, signs) that only have to clear rounding;
-* ``almost_abelian.EIGEN_CLUSTER_RTOL`` 1e-7 of max |eig|: a verdict on the
-  spectrum of ``sym``, where nearly equal eigenvalues form one cluster;
-* ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 of lam^2 + |Ric|, the root
-  test's scale: accepts a given covector as a Lee form, loose enough for any
-  solver root;
-* ``weyl.DEFAULT_ROOT_TOL`` (the CLI's ``--tol``) and ``weyl.FLATNESS_RTOL``,
-  1e-8 of 1 + |Ric| (|R| for flatness): root and flatness verdicts.  The
-  root test is nondimensional: every stage of ``weyl.solve_lee_forms`` runs
-  on the residual system of c / lam, so the test reads
-  |E| <= 1e-8 (lam^2 + |Ric|) in the units of the input, for the quotient
-  candidates and for the seeded search alike;
-* ``weyl.DEFAULT_DEDUP_TOL`` 1e-6 of the frame distance at unit frame norm
-  of the structure constants, so lam 1e-6 in the units of the input: merges
-  roots;
-* ``weyl.NEAR_REAL_RTOL`` 1e-2 of 1 + |Re z|: a quotient candidate z whose
-  imaginary part is below it is polished from its real part.  It is
-  liberal on purpose: a real root of multiplicity k splits under rounding
-  into slightly complex candidates, by about eps^(1/k), and a candidate that
-  is not a root only costs a polish and then fails the root test;
-* ``weyl.ROOT_FLOOR_EPS`` and the constants of ``weyl._levenberg_marquardt``:
-  rounding and step-control levels of the solver, not zero tests.  The root
-  floor is 32 ulps of 1 + |Ric| + |c|^2 + |L| |t| + (n-2) |t|^2, where the
-  |c|^2 term (frame norm of the structure constants) bounds the rounding of
-  the trace-free Ricci form; the polish and the seeded search both evaluate
-  it at unit |c|.  The stall rule ends a start whose rejected step promised
-  at most 32 ulps of |E|^2; the damping cap is 1e10.
+* c-sized: the size of c in the basis the test runs in, |c| =
+  :attr:`LieAlgebra.scale` for tests on the table (the ranks of brackets of
+  subspaces, which are rounding noise on abelian ones: the derived and lower
+  central series, the centralizer and ideal tests of
+  ``almost_abelian.decompose``; ``abelian``, ``unimodular``), and lam =
+  ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an abelian
+  algebra) for frame quantities (the ad-gap of ``decompose``, the 3D
+  adapted frame, the nonzero test of a Lee form).  A test linear in a Lee
+  form theta, itself c-sized, reads it times lam + |theta| (Faraday form,
+  Lee-gradient cross-check), so a root that is zero up to the solver's
+  accuracy counts as zero;
+* curvature-sized: ``MetricLieAlgebra.curvature_scale`` = lam^2 + |X|, |X|
+  the frame norm of the compared form (Ricci and Weyl-Ricci cross-checks,
+  flatness verdicts, the Lee-form precondition).
+
+Rank cutoffs on c itself (derived subalgebra, center) and those of
+:func:`row_space` and :func:`nullspace` by default are relative to the
+largest singular value of their input.  Input validation keeps the scale of
+its input: ``REL_TOL`` (1 + max |entry|) (:func:`coefficient_tolerance`),
+1 + max |c|^2 for the Jacobi sums.  The named verdict constants multiply the
+same scales: ``weyl.FLATNESS_RTOL`` 1e-8 and
+``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
+``weyl.DEFAULT_ROOT_TOL`` 1e-8 (``--tol``) and ``weyl.DEFAULT_DEDUP_TOL``
+1e-6 the root test and root distances at unit lam, where the almost abelian
+classifier also runs; ``almost_abelian.EIGEN_CLUSTER_RTOL`` 1e-7 the largest
+eigenvalue of ``sym``; ``almost_abelian.SIGNIFICANT_RTOL`` 1e-8 a vector's
+own size.  ``weyl.NEAR_REAL_RTOL`` and ``weyl.ROOT_FLOOR_EPS`` are solver
+levels, documented there.
 """
 from __future__ import annotations
 
@@ -79,26 +62,28 @@ def coefficient_tolerance(*arrays: np.ndarray) -> float:
     return REL_TOL * (1.0 + peak)
 
 
-def row_space(vectors: np.ndarray, n: int) -> np.ndarray:
+def row_space(vectors: np.ndarray, n: int, cutoff: float | None = None) -> np.ndarray:
     """Orthonormal basis (as rows) of the span of the given row vectors.
 
-    The rank cutoff is ``REL_TOL`` relative to the largest singular value.
+    Singular values above ``cutoff`` count towards the rank; by default the
+    cutoff is ``REL_TOL`` relative to the largest singular value.
     """
     a = np.asarray(vectors, dtype=float).reshape(-1, n)
     if a.shape[0] == 0 or not np.any(a):
         return np.zeros((0, n))
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > REL_TOL * s[0]))
+    rank = int(np.sum(s > (REL_TOL * s[0] if cutoff is None else cutoff)))
     return vh[:rank]
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the right null space of ``a``."""
+def nullspace(a: np.ndarray, cutoff: float | None = None) -> np.ndarray:
+    """Orthonormal basis (as rows) of the right null space of ``a``, with the
+    rank cutoff of :func:`row_space`."""
     a = np.asarray(a, dtype=float)
     if a.shape[0] == 0 or not np.any(a):
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > REL_TOL * s[0]))
+    rank = int(np.sum(s > (REL_TOL * s[0] if cutoff is None else cutoff)))
     return vh[rank:]
 
 
@@ -126,8 +111,10 @@ class LieAlgebra:
         return self.c.shape[0]
 
     @property
-    def tolerance(self) -> float:
-        return coefficient_tolerance(self.c)
+    def scale(self) -> float:
+        """|c|, the Frobenius norm of the table in this basis: the c-sized
+        scale of the zero tests and rank decisions made on the table."""
+        return float(np.linalg.norm(self.c))
 
     @classmethod
     def from_brackets(cls, dim: int, brackets) -> "LieAlgebra":
@@ -176,38 +163,38 @@ class ValidityReport:
 def validate(algebra: LieAlgebra) -> ValidityReport:
     """Check antisymmetry and the Jacobi identity entrywise.
 
-    Returns a report listing every violated (i, j) or (i, j, k) with the
+    Returns a report listing every violated (i, j), i <= j, then every
+    violated (i, j, k), i < j < k, each in row-major order, with the
     Euclidean magnitude of the residual vector; ``ok`` means no violations.
+    Raises :class:`NumericInputError` when max |c|^2, the size of the Jacobi
+    sums, overflows float64.
     """
     c = algebra.c
     n = algebra.dim
-    tol = algebra.tolerance
     # the Jacobi sums are products of two structure constants, so their
     # tolerance grows like max |c|^2 where the antisymmetry one grows like max |c|
     peak = float(np.max(np.abs(c)))
-    jacobi_tol = REL_TOL * (1.0 + peak**2)
-    violations = []
+    if not np.isfinite(peak * peak):
+        raise NumericInputError(
+            f"structure constants up to {peak:.3e} overflow float64 in their products"
+        )
+    jacobi_tol = REL_TOL * (1.0 + peak * peak)
 
-    anti = c + np.einsum("ijk->jik", c)
-    for i in range(n):
-        for j in range(i, n):
-            m = float(np.linalg.norm(anti[i, j]))
-            if m > tol:
-                violations.append(Violation("antisymmetry", (i, j), m))
-
+    anti = np.linalg.norm(c + np.einsum("ijk->jik", c), axis=2)
+    pairs = np.nonzero(np.triu(anti > coefficient_tolerance(c)))
     # jac[i, j, k] = [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-    jac = (
+    jac = np.linalg.norm(
         np.einsum("ijm,mkl->ijkl", c, c)
         + np.einsum("jkm,mil->ijkl", c, c)
-        + np.einsum("kim,mjl->ijkl", c, c)
+        + np.einsum("kim,mjl->ijkl", c, c),
+        axis=3,
     )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                m = float(np.linalg.norm(jac[i, j, k]))
-                if m > jacobi_tol:
-                    violations.append(Violation("jacobi", (i, j, k), m))
-
+    i, j, k = np.ogrid[:n, :n, :n]
+    triples = np.nonzero((jac > jacobi_tol) & (i < j) & (j < k))
+    violations = [Violation("antisymmetry", (int(a), int(b)), float(anti[a, b]))
+                  for a, b in zip(*pairs)]
+    violations += [Violation("jacobi", (int(a), int(b), int(d)), float(jac[a, b, d]))
+                   for a, b, d in zip(*triples)]
     return ValidityReport(not violations, tuple(violations))
 
 
@@ -222,17 +209,19 @@ class StructureFlags:
 
 
 def _bracket_span(algebra: LieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Orthonormal row basis of the brackets of two sets of orthonormal rows,
+    at the c-sized rank cutoff ``REL_TOL`` |c| (see the tolerance policy)."""
     n = algebra.dim
     if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
         return np.zeros((0, n))
     prods = np.einsum("ap,bq,pqk->abk", rows_a, rows_b, algebra.c)
-    return row_space(prods, n)
+    return row_space(prods, n, REL_TOL * algebra.scale)
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
     """Orthonormal row basis of the span of all brackets [g, g]."""
-    eye = np.eye(algebra.dim)
-    return _bracket_span(algebra, eye, eye)
+    n = algebra.dim
+    return row_space(algebra.c.reshape(n * n, n), n)
 
 
 def _series_vanishes(term: np.ndarray, step) -> bool:
@@ -250,13 +239,13 @@ def _series_vanishes(term: np.ndarray, step) -> bool:
 def structure_flags(algebra: LieAlgebra) -> StructureFlags:
     """Solvability, nilpotency, abelianness, unimodularity and key dimensions.
 
-    Series are iterated with tolerance-aware ranks; a series that stops
-    shrinking while still nonzero terminates the loop (non-solvable or
-    non-nilpotent verdict).
+    Series are iterated with c-sized ranks, so no flag depends on the basis
+    or the scale of c; a series that stops shrinking while still nonzero
+    terminates the loop (non-solvable or non-nilpotent verdict).
     """
     c = algebra.c
     n = algebra.dim
-    tol = algebra.tolerance
+    tol = REL_TOL * algebra.scale
 
     abelian = bool(np.max(np.abs(c)) <= tol)
     derived = derived_subalgebra(algebra)
@@ -267,7 +256,7 @@ def structure_flags(algebra: LieAlgebra) -> StructureFlags:
     nilpotent = _series_vanishes(derived, lambda term: _bracket_span(algebra, full, term))
 
     traces = np.einsum("ijj->i", c)
-    unimodular = bool(np.max(np.abs(traces)) <= tol) if n else True
+    unimodular = bool(np.max(np.abs(traces)) <= tol)
 
     # center = common kernel of all maps x -> [x, e_j]
     stacked = np.einsum("ijk->jki", c).reshape(n * n, n)

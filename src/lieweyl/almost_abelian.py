@@ -45,7 +45,7 @@ from .errors import (
     StructureError,
 )
 from .riemann import CurvatureData, MetricLieAlgebra
-from .weyl import _as_covector, _residual_system, weyl_einstein_residual
+from .weyl import _as_covector, weyl_einstein_residual
 
 EIGEN_CLUSTER_RTOL = 1e-7
 WE_PRECONDITION_RTOL = 1e-6
@@ -79,7 +79,7 @@ def _is_abelian_subspace(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
     if rows.shape[0] < 2:
         return True
     prods = np.einsum("ap,bq,pqk->abk", rows, rows, m.c)
-    return float(np.max(np.abs(prods))) <= m.tolerance
+    return float(np.max(np.abs(prods))) <= REL_TOL * m.algebra.scale
 
 
 def _is_ideal(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
@@ -87,7 +87,7 @@ def _is_ideal(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
         return True
     prods = np.einsum("ip,aq,pqk->iak", np.eye(m.dim), rows, m.c).reshape(-1, m.dim)
     outside = prods - prods @ rows.T @ rows
-    return float(np.max(np.abs(outside))) <= m.tolerance * (1.0 + float(np.max(np.abs(prods))))
+    return float(np.max(np.abs(outside))) <= REL_TOL * m.algebra.scale
 
 
 def _standard_complement(rows: np.ndarray, n: int, count: int) -> np.ndarray:
@@ -136,7 +136,7 @@ def _central_quotient_ideal(m: MetricLieAlgebra, der: np.ndarray) -> np.ndarray:
                         row[q] -= forms[a, p, s]
                         row[p] += forms[a, q, s]
                         rows.append(row)
-        null = nullspace(np.array(rows)) if rows else np.eye(mq)
+        null = nullspace(np.array(rows), REL_TOL * m.algebra.scale) if rows else np.eye(mq)
         if null.shape[0] == 0:
             raise NotAlmostAbelianError(
                 "no hyperplane kills all quotient bracket forms; "
@@ -166,12 +166,13 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     used as-is.  Without a hint the ideal is derived from the structure: the
     derived subalgebra when it already has codimension one, else the
     centralizer of the derived subalgebra, else the central-quotient search.
-    Raises :class:`NotAlmostAbelianError` when no such ideal exists.
+    Raises :class:`NotAlmostAbelianError` when no such ideal exists.  Ideal
+    tests read ``REL_TOL`` |c|, the ad_normal invariance check ``REL_TOL`` lam.
     """
     n = m.dim
     if n < 2:
         raise NotAlmostAbelianError("need dimension at least 2")
-    tol = m.tolerance
+    tol = REL_TOL * m.algebra.scale
     abelian = float(np.max(np.abs(m.c))) <= tol
     der = derived_subalgebra(m.algebra)
     d = der.shape[0]
@@ -202,7 +203,7 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
         # centralizer of the derived subalgebra
         maps = [np.einsum("ijk,j->ki", m.c, w) for w in der]
         stacked = np.vstack(maps)
-        z_rows = nullspace(stacked)
+        z_rows = nullspace(stacked, REL_TOL * m.algebra.scale)
         if z_rows.shape[0] < n - 1:
             raise NotAlmostAbelianError(
                 "centralizer of the derived subalgebra is too small for a "
@@ -241,7 +242,7 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     ad_b = ad(m.algebra, b)
     restricted = h @ m.metric @ ad_b @ h.T
     gap = float(np.max(np.abs(ad_b @ h.T - h.T @ restricted)))
-    bound = tol * (1.0 + float(np.max(np.abs(ad_b))))
+    bound = REL_TOL * m.structure_scale
     if gap > bound:
         raise ConsistencyError(
             f"ad_normal on the ideal basis and its projection onto the ideal differ by "
@@ -459,12 +460,11 @@ def conformal_metric_flatness(
     Lee form: always Ricci-flat; flat exactly when ``sym`` is scalar or has
     eigenvalue pattern (alpha repeated, 0 simple) with alpha nonzero."""
     theta = _as_covector(m, theta)
-    if m.covector_norm(theta) <= m.tolerance:
+    if m.covector_norm(theta) <= REL_TOL * m.structure_scale:
         raise PreconditionError("Lee form must be nonzero")
     # the root test's scale, lam^2 + |Ric|, and the spectrum's own size
-    system = _residual_system(m)
     resid = weyl_einstein_residual(m, theta)
-    if resid.norm > WE_PRECONDITION_RTOL * system.scale**2 * system.ric_scale:
+    if resid.norm > WE_PRECONDITION_RTOL * m.curvature_scale(m.form_norm(m.curvature_data.ricci)):
         raise PreconditionError("covector is not a Weyl-Einstein Lee form")
 
     eigs = np.linalg.eigvalsh(dec.sym)

@@ -273,7 +273,7 @@ def adapted_frame(m: MetricLieAlgebra) -> AdaptedFrame3D:
 
 def _verify_bracket(m, x, y, expected):
     gap = float(np.max(np.abs(m.algebra.bracket(x, y) - expected)))
-    bound = 10.0 * m.tolerance * (1.0 + float(np.max(np.abs(m.c))))
+    bound = REL_TOL * m.structure_scale
     if gap > bound:
         raise ConsistencyError(
             f"adapted frame bracket from the structure constants and from the normal form "

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import almost_abelian, catalog3d, mla, riemann, weyl
-from .algebra import structure_flags
+from .algebra import REL_TOL, structure_flags
 from .errors import InputError, LieweylError, NotAlmostAbelianError
 from .mla import MlaDocument, ReportRecord
 
@@ -22,7 +22,7 @@ def _read_document(path: str) -> MlaDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return mla.parse_mla(text)
 
@@ -89,7 +89,7 @@ def _aa_records(m: riemann.MetricLieAlgebra, hint: np.ndarray | None) -> list[Re
         records.append(
             ReportRecord(f"aa.lee_forms[{idx}].residual", weyl.weyl_einstein_residual(m, root).norm)
         )
-        if m.covector_norm(root) > m.tolerance:
+        if m.covector_norm(root) > REL_TOL * m.structure_scale:
             verdict = almost_abelian.conformal_metric_flatness(dec, m, root)
             records.append(ReportRecord(f"aa.lee_forms[{idx}].ricci_flat", verdict.ricci_flat))
             records.append(ReportRecord(f"aa.lee_forms[{idx}].flat", verdict.flat))

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import LieAlgebra
-from .errors import InvalidAlgebraError, MetricError, MlaParseError
+from .errors import InvalidAlgebraError, MetricError, MlaParseError, NumericInputError
 from .riemann import MetricLieAlgebra
 
 FORMAT_VERSION = 1
@@ -184,6 +184,8 @@ def parse_mla(text: str) -> MlaDocument:
                 "metric-not-symmetric", 0, "metric block is not symmetric"
             ) from None
         raise MlaParseError("metric-not-spd", 0, "metric is not positive definite") from None
+    except NumericInputError as exc:
+        raise MlaParseError("overflow", 0, str(exc)) from None
     except InvalidAlgebraError as exc:
         first = exc.violations[0]
         raise MlaParseError(

@@ -101,8 +101,9 @@ class MetricLieAlgebra:
 
     @cached_property
     def structure_scale(self) -> float:
-        """lam, the unit of every scale-free test: the frame norm of the
-        structure constants, or 1 on an abelian algebra."""
+        """lam, the c-sized scale of frame quantities and the unit of every
+        scale-free test: the frame norm of the structure constants, or 1 on
+        an abelian algebra."""
         norm = float(np.linalg.norm(self.frame_structure))
         return norm if norm > 0.0 else 1.0
 
@@ -123,8 +124,7 @@ class MetricLieAlgebra:
         ric = ricci_trace(riem)
         oracle = besse_ricci(self)
         gap = self.form_norm(ric - oracle)
-        # the rounding of either route grows like |c|^2, the size of its products
-        bound = self.tolerance * (1.0 + self.form_norm(ric)) + REL_TOL * self.structure_scale**2
+        bound = REL_TOL * self.curvature_scale(self.form_norm(ric))
         if gap > bound:
             raise ConsistencyError(
                 f"curvature-trace Ricci and structure-constant (Besse) Ricci differ by "
@@ -135,14 +135,11 @@ class MetricLieAlgebra:
             riem=_read_only(riem), ricci=_read_only(ric), scalar=scalar, besse=_read_only(oracle)
         )
 
-    @cached_property
-    def ricci_scale(self) -> float:
-        """1 + |Ric| in the frame: the scale of every Ricci-sized tolerance."""
-        return 1.0 + self.form_norm(self.curvature_data.ricci)
-
-    @cached_property
-    def tolerance(self) -> float:
-        return coefficient_tolerance(self.c, self.metric)
+    def curvature_scale(self, size: float) -> float:
+        """lam^2 + ``size``, the curvature-sized scale, ``size`` the frame norm
+        of the compared form; lam^2 carries the rounding of products of two
+        structure constants where that form vanishes."""
+        return self.structure_scale**2 + size
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.asarray(x, float) @ self.metric @ np.asarray(y, float))
@@ -263,9 +260,9 @@ def ricci(m: MetricLieAlgebra) -> CurvatureData:
     """Curvature, Ricci form and scalar curvature with a built-in cross-check.
 
     Raises :class:`ConsistencyError` if the curvature-trace Ricci and the
-    structure-constant Ricci (kept as ``besse``) disagree beyond the
-    input-scaled tolerance.  Computed and checked once per algebra; the
-    arrays are read-only.
+    structure-constant Ricci (kept as ``besse``) disagree beyond ``REL_TOL``
+    times the curvature-sized scale lam^2 + |Ric|.  Computed and checked once
+    per algebra; the arrays are read-only.
     """
     return m.curvature_data
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames, riemann
-from .algebra import REL_TOL, coefficient_tolerance, derived_subalgebra, nullspace, row_space
+from .algebra import REL_TOL, derived_subalgebra, nullspace, row_space
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -117,7 +117,9 @@ class FaradayForm:
 
     For left-invariant forms F(x, y) = -theta([x, y]); the form is closed
     exactly when theta kills the derived subalgebra, so the two flags agree
-    (they are computed independently as a cross-check).
+    (they are computed independently as a cross-check): F in the frame
+    against ``REL_TOL`` lam (lam + |theta|), theta on the orthonormal rows of
+    the derived subalgebra against ``REL_TOL`` (|c| + |theta|).
     """
 
     matrix: np.ndarray
@@ -133,10 +135,10 @@ def _faraday_matrix(m: MetricLieAlgebra, theta: np.ndarray) -> np.ndarray:
 def faraday(m: MetricLieAlgebra, theta) -> FaradayForm:
     theta = _as_covector(m, theta)
     f = _faraday_matrix(m, theta)
-    tol = coefficient_tolerance(m.c, m.metric, theta)
-    closed = bool(np.max(np.abs(f)) <= tol) if f.size else True
+    lam = m.structure_scale
+    closed = m.form_norm(f) <= REL_TOL * lam * (lam + m.covector_norm(theta))
     der = derived_subalgebra(m.algebra)
-    exact = bool(np.max(np.abs(der @ theta)) <= tol) if der.shape[0] else True
+    exact = bool(np.linalg.norm(der @ theta) <= REL_TOL * (m.algebra.scale + np.linalg.norm(theta)))
     return FaradayForm(matrix=f, closed=closed, exact=exact)
 
 
@@ -160,9 +162,11 @@ def weyl_ricci_formula(m: MetricLieAlgebra, theta) -> tuple[np.ndarray, float]:
     base = riemann.ricci(m)
     grad = lee_gradient(m, theta)
 
-    # self-check: the symmetric part of D theta is -sym(ad_T) as a form
+    # self-check: the symmetric part of D theta is -sym(ad_T) as a form,
+    # c-sized and linear in theta (see faraday)
     gap = m.form_norm(0.5 * (grad + grad.T) + m.sym_ad_form(lee.dual))
-    tol = m.tolerance * (1.0 + float(np.linalg.norm(theta)))
+    lam = m.structure_scale
+    tol = REL_TOL * lam * (lam + np.sqrt(lee.norm_sq))
     if gap > tol:
         raise ConsistencyError(
             f"symmetric Lee form gradient from the Levi-Civita table and -sym(ad_T) from "
@@ -194,7 +198,7 @@ def weyl_ricci(w: WeylStructure) -> tuple[np.ndarray, float]:
     scalar = float(np.trace(m.metric_inv @ ric))
 
     ric_f, scalar_f = weyl_ricci_formula(m, w.lee)
-    tol = coefficient_tolerance(m.c, m.metric, w.lee.coeffs) * (1.0 + m.form_norm(ric))
+    tol = REL_TOL * m.curvature_scale(m.form_norm(ric))
     gap, scalar_gap = m.form_norm(ric - ric_f), abs(scalar - scalar_f)
     if gap > tol or scalar_gap > tol * m.dim:
         raise ConsistencyError(
@@ -762,7 +766,8 @@ def conformal_flatness(m: MetricLieAlgebra, theta) -> FlatnessReport:
     """Flatness of the conformal rescaling attached to a closed Lee form.
 
     Requires ``theta`` closed (else the rescaling does not exist globally on
-    the simply connected group and :class:`NotClosedError` is raised).
+    the simply connected group and :class:`NotClosedError` is raised).  The
+    verdicts are ``FLATNESS_RTOL`` times lam^2 + |Ric| and lam^2 + |R|.
     """
     if m.dim < 3:
         raise DimensionError("conformal flatness check needs dimension at least 3")
@@ -773,13 +778,13 @@ def conformal_flatness(m: MetricLieAlgebra, theta) -> FlatnessReport:
     w = weyl_connection(m, theta)
     ric_w, _ = weyl_ricci(w)
     base = riemann.ricci(m)
-    ricci_flat = m.form_norm(ric_w) <= FLATNESS_RTOL * m.ricci_scale
+    ricci_flat = m.form_norm(ric_w) <= FLATNESS_RTOL * m.curvature_scale(m.form_norm(base.ricci))
 
     b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * w.lee.norm_sq * m.metric
     target = KN_CALIBRATION_SIGN * kulkarni_nomizu(m.metric, b)
     r4 = riemann.curvature_lowered(m, base.riem)
     diff_frame = frames.curvature04_in_basis(r4 - target, m.frame)
     kn_residual = float(np.linalg.norm(diff_frame))
-    r4_scale = 1.0 + float(np.linalg.norm(frames.curvature04_in_basis(r4, m.frame)))
-    flat = kn_residual <= FLATNESS_RTOL * r4_scale
+    r4_norm = float(np.linalg.norm(frames.curvature04_in_basis(r4, m.frame)))
+    flat = kn_residual <= FLATNESS_RTOL * m.curvature_scale(r4_norm)
     return FlatnessReport(ricci_flat=ricci_flat, flat=flat, kn_residual=kn_residual)

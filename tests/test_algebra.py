@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lieweyl import LieAlgebra, ad, structure_flags, validate
-from lieweyl.algebra import derived_subalgebra
+from lieweyl.algebra import REL_TOL, derived_subalgebra
 from lieweyl.errors import NumericInputError, StructureError
 from lieweyl import samples
+from lieweyl.riemann import MetricLieAlgebra, change_basis
 
 TOL = 1e-12
 
@@ -126,6 +127,39 @@ def test_validate_flags_a_jacobi_defect_relative_to_the_squared_constants(scale)
     assert report.violations[0].magnitude == pytest.approx(1e-6 * scale**2, rel=1e-6)
 
 
+def test_validate_lists_violations_in_row_major_order():
+    # the loop the array norms replaced, kept as the reference
+    c = np.array(samples.filiform4().c)
+    c[0, 1, 2] += 0.5
+    c[2, 2, 3] = 1e-3
+    c[3, 1, 0] = 2.0
+    c[1, 3, 2] = -0.7
+    tol = REL_TOL * (1.0 + np.max(np.abs(c)))
+    jacobi_tol = REL_TOL * (1.0 + np.max(np.abs(c)) ** 2)
+    anti = c + np.einsum("ijk->jik", c)
+    jac = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
+           + np.einsum("kim,mjl->ijkl", c, c))
+    want = [("antisymmetry", (i, j), np.linalg.norm(anti[i, j]))
+            for i in range(4) for j in range(i, 4) if np.linalg.norm(anti[i, j]) > tol]
+    want += [("jacobi", (i, j, k), np.linalg.norm(jac[i, j, k]))
+             for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)
+             if np.linalg.norm(jac[i, j, k]) > jacobi_tol]
+    got = validate(LieAlgebra(c)).violations
+    assert [v.kind for v in got].count("antisymmetry") >= 3
+    assert [v.kind for v in got].count("jacobi") >= 3
+    assert [(v.kind, v.indices) for v in got] == [(kind, idx) for kind, idx, _ in want]
+    # the array norm sums in another order than the loop's: a few ulps
+    for v, (_, _, magnitude) in zip(got, want):
+        assert v.magnitude == pytest.approx(magnitude, rel=4 * np.finfo(float).eps)
+
+
+def test_validate_rejects_tables_whose_products_overflow():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 0], c[1, 0, 0] = 1e200, -1e200
+    with pytest.raises(NumericInputError):
+        validate(LieAlgebra(c))
+
+
 def test_validate_flags_antisymmetry_violation():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2] = 1.0
@@ -195,6 +229,23 @@ def test_derived_subalgebra_heisenberg():
     rows = derived_subalgebra(samples.heisenberg().algebra)
     assert rows.shape == (1, 3)
     np.testing.assert_allclose(np.abs(rows[0]), [0.0, 0.0, 1.0], atol=TOL)
+
+
+def test_flags_are_independent_of_basis_and_scale():
+    # a solvable algebra in another basis has a derived series whose
+    # brackets are rounding noise, not zero; the ranks are c-sized
+    rng = np.random.default_rng(5)
+    models = [samples.heisenberg(k) for k in range(3)]
+    models += [samples.filiform4(), samples.free_two_step()]
+    models += [samples.random_almost_abelian(rng, 3 + i % 5, ("einstein", "trace", "generic")[i % 3],
+                                             basis_change=False) for i in range(15)]
+    so3_metric = MetricLieAlgebra(so3(), np.eye(3))
+    for m in models + [so3_metric]:
+        want = structure_flags(m.algebra)
+        for lam in (1e-8, 1.0, 1e8):
+            moved = change_basis(m, samples.random_basis_change(rng, m.dim))
+            assert structure_flags(LieAlgebra(lam * moved.c)) == want, (m.dim, lam)
+    assert not structure_flags(so3()).solvable
 
 
 def test_free_two_step_flags():

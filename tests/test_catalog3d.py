@@ -23,6 +23,7 @@ from lieweyl.errors import (
     PreconditionError,
 )
 from lieweyl import samples
+from lieweyl.algebra import REL_TOL
 
 TOL = 1e-9
 
@@ -200,20 +201,23 @@ def test_abelian_point_admits_trivially():
 
 
 def test_adapted_frame_alarm_names_routes_gap_and_tolerance(monkeypatch):
-    m = build_family(point(BracketFamily.R_ID_R2, MetricFamily.G_NU, nu=1.5))
-    honest = LieAlgebra.bracket
+    # the bound is c-sized, so the alarm keeps its strength at any scale
+    base = build_family(point(BracketFamily.R_ID_R2, MetricFamily.G_NU, nu=1.5))
+    for lam in (1.0, 1e8):
+        m = MetricLieAlgebra(LieAlgebra(lam * base.c), base.metric)
+        honest = LieAlgebra.bracket
 
-    def shifted(self, x, y):
-        return honest(self, x, y) + 1e-3
+        def shifted(self, x, y):
+            return honest(self, x, y) + 1e-3 * lam
 
-    monkeypatch.setattr(LieAlgebra, "bracket", shifted)
-    with pytest.raises(ConsistencyError) as info:
-        adapted_frame(m)
-    monkeypatch.undo()
-    frame = adapted_frame(m)
-    b, u, v = frame.basis.T
-    gap = float(np.max(np.abs(shifted(m.algebra, b, u) - (frame.k * u - frame.l * v))))
-    bound = 10.0 * m.tolerance * (1.0 + float(np.max(np.abs(m.c))))
-    message = str(info.value)
-    assert "structure constants" in message and "normal form" in message
-    assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
+        monkeypatch.setattr(LieAlgebra, "bracket", shifted)
+        with pytest.raises(ConsistencyError) as info:
+            adapted_frame(m)
+        monkeypatch.undo()
+        frame = adapted_frame(m)
+        b, u, v = frame.basis.T
+        gap = float(np.max(np.abs(shifted(m.algebra, b, u) - (frame.k * u - frame.l * v))))
+        bound = REL_TOL * m.structure_scale
+        message = str(info.value)
+        assert "structure constants" in message and "normal form" in message
+        assert f"{gap:.3e}" in message and f"{bound:.3e}" in message

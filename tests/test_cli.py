@@ -1,11 +1,13 @@
 """End-to-end checks of the command line interface via subprocess."""
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lieweyl import algebra, cli, frames, mla, riemann, weyl
+from lieweyl import algebra, catalog3d, cli, frames, mla, riemann, samples, weyl
 
 SOL_TEXT = """mla 1
 dim 3
@@ -234,10 +236,55 @@ def test_missing_file_exit_two(tmp_path):
 
 
 def test_malformed_document_exit_two(tmp_path):
-    path = write_mla(tmp_path, "broken.mla", "mla 1\ndim 3\nbad\n")
-    proc = run_cli("validate", path)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error[mla.unknown-directive]:")
+    undecodable = tmp_path / "undecodable.mla"
+    undecodable.write_bytes(b"\xff\xfe\x00")
+    cases = [
+        (write_mla(tmp_path, "broken.mla", "mla 1\ndim 3\nbad\n"), "error[mla.unknown-directive]:"),
+        # max |c|^2 overflows float64, and so would the Jacobi sums
+        (write_mla(tmp_path, "huge.mla", SOL_TEXT.replace("-1 0 0", "1e200 0 0")), "error[mla.overflow]:"),
+        (str(undecodable), f"error[input]: cannot read {undecodable}"),
+    ]
+    for path, prefix in cases:
+        proc = run_cli("validate", path)
+        assert proc.returncode == 2, (path, proc.stderr)
+        assert proc.stderr.startswith(prefix), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def _report_verdicts(tmp_path, capsys, name, m):
+    """Exit code, record keys and verdict records of ``report``, with root
+    indices dropped: roots are listed in an order that depends on the basis."""
+    path = write_mla(tmp_path, name, mla.emit_mla(mla.MlaDocument.from_metric_lie_algebra(m)))
+    code = cli.main(["report", path, "--format", "records"])
+    records = [(re.sub(r"\[\d+\]", "[]", key), value)
+               for key, value in mla.parse_records(capsys.readouterr().out).items()]
+    keys = Counter(key for key, _ in records)
+    verdicts = Counter((key, value) for key, value in records
+                       if key.startswith("flags.") or key == "aa.case"
+                       or key.endswith(".root_count") or isinstance(value, bool))
+    return code, keys, verdicts
+
+
+def test_report_verdicts_are_independent_of_basis_and_scale(tmp_path, capsys):
+    # c -> lam c with g fixed is a homothety, and a basis change is an
+    # isometry: no flag, label, count or closedness verdict may move
+    rng = np.random.default_rng(11)
+    models = {
+        f"{kind}{n}": samples.random_almost_abelian(rng, n, kind, basis_change=False)
+        for kind in ("einstein", "trace", "generic") for n in (3, 7)
+    }
+    models["heisenberg_r2"] = samples.heisenberg(2)
+    models["filiform4"] = samples.filiform4()
+    models["ridr2"] = catalog3d.build_family(
+        catalog3d.Family3D(catalog3d.BracketFamily.R_ID_R2, catalog3d.MetricFamily.G_NU, nu=2.0)
+    )
+    for name, m in models.items():
+        want = _report_verdicts(tmp_path, capsys, f"{name}.mla", m)
+        for lam in (1e-8, 1.0, 1e8):
+            moved = riemann.change_basis(m, samples.random_basis_change(rng, m.dim))
+            moved = riemann.MetricLieAlgebra(algebra.LieAlgebra(lam * moved.c), moved.metric)
+            got = _report_verdicts(tmp_path, capsys, f"{name}-{lam:g}.mla", moved)
+            assert got == want, (name, lam)
 
 
 def test_catalog3d_emits_parseable_document():

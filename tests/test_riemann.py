@@ -208,19 +208,21 @@ def test_derived_geometry_is_computed_once_and_read_only():
 
 
 def test_ricci_cross_check_alarm_names_routes_gap_and_tolerance(monkeypatch):
-    m = sol()  # a fresh instance: nothing is cached yet
-    honest = riemann.besse_ricci
-    monkeypatch.setattr(riemann, "besse_ricci", lambda m: honest(m) + 1e-3 * m.metric)
-    with pytest.raises(ConsistencyError) as info:
-        ricci(m)
-    monkeypatch.undo()
-    # a failed check caches nothing, so the honest oracle now passes
-    data = ricci(m)
-    gap = m.form_norm(data.ricci - (data.besse + 1e-3 * m.metric))
-    bound = m.tolerance * (1.0 + m.form_norm(data.ricci)) + REL_TOL * m.structure_scale**2
-    message = str(info.value)
-    assert "curvature-trace Ricci" in message and "structure-constant" in message
-    assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
+    # the bound is curvature-sized, so the alarm keeps its strength at any scale
+    for lam in (1.0, 1e8):
+        m = MetricLieAlgebra(LieAlgebra(lam * sol().c), np.eye(3))  # nothing cached yet
+        honest = riemann.besse_ricci
+        monkeypatch.setattr(riemann, "besse_ricci", lambda m: honest(m) + 1e-3 * lam**2 * m.metric)
+        with pytest.raises(ConsistencyError) as info:
+            ricci(m)
+        monkeypatch.undo()
+        # a failed check caches nothing, so the honest oracle now passes
+        data = ricci(m)
+        gap = m.form_norm(data.ricci - (data.besse + 1e-3 * lam**2 * m.metric))
+        bound = REL_TOL * m.curvature_scale(m.form_norm(data.ricci))
+        message = str(info.value)
+        assert "curvature-trace Ricci" in message and "structure-constant" in message
+        assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
 
 
 def _ricci_flat_acceptance_draws():

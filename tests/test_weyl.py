@@ -20,7 +20,7 @@ from lieweyl import (
     weyl_einstein_residual,
     weyl_ricci,
 )
-from lieweyl.algebra import coefficient_tolerance
+from lieweyl.algebra import REL_TOL
 from lieweyl.errors import ConsistencyError, DimensionError, InputError, NotClosedError
 from lieweyl.riemann import curvature, curvature_lowered, levi_civita, torsion_residual
 from lieweyl.weyl import LeeForm, lee_gradient
@@ -36,6 +36,10 @@ def sol() -> MetricLieAlgebra:
         3, {(0, 2): [-1.0, 0.0, 0.0], (1, 2): [0.0, 1.0, 0.0]}
     )
     return MetricLieAlgebra(alg, np.eye(3))
+
+
+def _rescaled(m, lam):
+    return MetricLieAlgebra(LieAlgebra(lam * np.asarray(m.c)), m.metric)
 
 
 def test_weyl_connection_abelian_table():
@@ -225,11 +229,10 @@ def test_residual_system_is_built_once_per_algebra_and_read_only():
     m = samples.random_metric_algebra(np.random.default_rng(28), 5)
     system = weyl._residual_system(m)
     assert weyl._residual_system(m) is system
-    assert m.ricci_scale == 1.0 + m.form_norm(ricci(m).ricci)
     # the system is that of c / lam, so Ricci-sized quantities are over lam^2
     lam = system.scale
     assert lam == m.structure_scale == np.linalg.norm(m.frame_structure)
-    assert system.ric_scale == pytest.approx(1.0 + (m.ricci_scale - 1.0) / lam**2, rel=1e-14)
+    assert system.ric_scale == pytest.approx(1.0 + m.form_norm(ricci(m).ricci) / lam**2, rel=1e-14)
     for name in ("const", "lin", "hess", "curv", "lin_gram", "gram"):
         with pytest.raises(ValueError):
             getattr(system, name)[...] = 0.0
@@ -287,7 +290,8 @@ def test_residual_matches_dense_oracle_at_random_forms_and_classifier_roots():
         oracle = dense_weyl_einstein_residual(m, theta)
         # the three terms of E(theta) in the units of the input
         system, t = weyl._residual_system(m), m.frame.T @ theta
-        scale = m.ricci_scale + system.scale * system.lin_norm * np.linalg.norm(t) + (m.dim - 2) * t @ t
+        scale = (1.0 + m.form_norm(ricci(m).ricci)
+                 + system.scale * system.lin_norm * np.linalg.norm(t) + (m.dim - 2) * t @ t)
         assert abs(res.norm - oracle.norm) <= 1e-12 * scale
         assert m.form_norm(res.matrix - oracle.matrix) <= 1e-12 * scale
         assert np.max(np.abs(res.matrix - oracle.matrix)) <= 1e-12 * scale
@@ -658,6 +662,31 @@ def test_conformal_flatness_abelian_nonroot():
     assert report.kn_residual == pytest.approx(2.0, abs=TOL)
 
 
+def test_conformal_flatness_of_a_non_root_is_scale_free():
+    # both verdicts are curvature-sized; an absolute floor in either bound
+    # calls this non-root flat at 1e-8
+    for lam in (1e-8, 1.0, 1e8):
+        m = _rescaled(samples.hyperbolic(4, 1.0), lam)
+        report = conformal_flatness(m, lam * np.array([0.5, 0.0, 0.0, 0.0]))
+        assert not report.ricci_flat and not report.flat, lam
+
+
+def test_faraday_flags_of_roots_are_scale_free():
+    # exact and closed are tested at the c-sized scale times lam + |theta|,
+    # so they agree with each other and with their unit-scale verdicts
+    rng = np.random.default_rng(1000)
+    for i in range(30):
+        m = samples.random_almost_abelian(rng, 3 + (i // 3) % 5, ("einstein", "trace", "generic")[i % 3])
+        want = [(weyl.faraday(m, root).closed, weyl.faraday(m, root).exact)
+                for root in solve_lee_forms(m).roots]
+        assert all(closed == exact for closed, exact in want), i
+        for lam in (1e-8, 1e8):
+            moved = _rescaled(m, lam)
+            got = [(weyl.faraday(moved, root).closed, weyl.faraday(moved, root).exact)
+                   for root in solve_lee_forms(moved).roots]
+            assert got == want, (i, lam)
+
+
 def test_conformal_flatness_rejects_open_lee_form():
     with pytest.raises(NotClosedError):
         conformal_flatness(samples.heisenberg(), np.array([0.0, 0.0, 1.0]))
@@ -675,46 +704,51 @@ def test_ricci_flat_but_not_flat_witness():
 
 
 def test_weyl_ricci_cross_check_alarm_names_routes_gaps_and_tolerances(monkeypatch):
-    m = sol()  # a fresh instance: nothing is cached yet
-    w = weyl_connection(m, np.array([0.3, -0.2, 0.5]))
-    honest = weyl.weyl_ricci_formula
+    # the bound is curvature-sized, so the alarm keeps its strength at any scale
+    for lam in (1.0, 1e8):
+        m = _rescaled(sol(), lam)  # a fresh instance: nothing is cached yet
+        w = weyl_connection(m, lam * np.array([0.3, -0.2, 0.5]))
+        honest = weyl.weyl_ricci_formula
 
-    def skewed(m, theta):
-        ric, scalar = honest(m, theta)
-        return ric + 1e-3 * m.metric, scalar + 1e-3
+        def skewed(m, theta):
+            ric, scalar = honest(m, theta)
+            return ric + 1e-3 * lam**2 * m.metric, scalar + 1e-3 * lam**2
 
-    monkeypatch.setattr(weyl, "weyl_ricci_formula", skewed)
-    with pytest.raises(ConsistencyError) as info:
-        weyl_ricci(w)
-    monkeypatch.undo()
-    ric, scalar = weyl_ricci(w)
-    ric_f, scalar_f = skewed(m, w.lee)
-    tol = coefficient_tolerance(m.c, m.metric, w.lee.coeffs) * (1.0 + m.form_norm(ric))
-    message = str(info.value)
-    assert "curvature trace" in message and "base-metric formula" in message
-    assert f"{m.form_norm(ric - ric_f):.3e}" in message and f"{tol:.3e}" in message
-    assert f"{abs(scalar - scalar_f):.3e}" in message and f"{tol * m.dim:.3e}" in message
+        monkeypatch.setattr(weyl, "weyl_ricci_formula", skewed)
+        with pytest.raises(ConsistencyError) as info:
+            weyl_ricci(w)
+        monkeypatch.undo()
+        ric, scalar = weyl_ricci(w)
+        ric_f, scalar_f = skewed(m, w.lee)
+        tol = REL_TOL * m.curvature_scale(m.form_norm(ric))
+        message = str(info.value)
+        assert "curvature trace" in message and "base-metric formula" in message
+        assert f"{m.form_norm(ric - ric_f):.3e}" in message and f"{tol:.3e}" in message
+        assert f"{abs(scalar - scalar_f):.3e}" in message and f"{tol * m.dim:.3e}" in message
 
 
 def test_lee_gradient_alarm_names_routes_gap_and_tolerance(monkeypatch):
-    m = sol()
-    theta = np.array([0.3, -0.2, 0.5])
-    honest = weyl.lee_gradient
+    # the bound is c-sized times the size of theta: it keeps its strength at any scale
+    for lam in (1.0, 1e8):
+        m = _rescaled(sol(), lam)
+        theta = lam * np.array([0.3, -0.2, 0.5])
+        honest = weyl.lee_gradient
 
-    def skewed(m, theta):
-        return honest(m, theta) + 1e-3 * m.metric
+        def skewed(m, theta):
+            return honest(m, theta) + 1e-3 * lam**2 * m.metric
 
-    monkeypatch.setattr(weyl, "lee_gradient", skewed)
-    with pytest.raises(ConsistencyError) as info:
+        monkeypatch.setattr(weyl, "lee_gradient", skewed)
+        with pytest.raises(ConsistencyError) as info:
+            weyl.weyl_ricci_formula(m, theta)
+        monkeypatch.undo()
         weyl.weyl_ricci_formula(m, theta)
-    monkeypatch.undo()
-    weyl.weyl_ricci_formula(m, theta)
-    grad = skewed(m, theta)
-    gap = m.form_norm(0.5 * (grad + grad.T) + m.sym_ad_form(m.raise_covector(theta)))
-    tol = m.tolerance * (1.0 + float(np.linalg.norm(theta)))
-    message = str(info.value)
-    assert "Levi-Civita table" in message and "structure constants" in message
-    assert f"{gap:.3e}" in message and f"{tol:.3e}" in message
+        grad = skewed(m, theta)
+        gap = m.form_norm(0.5 * (grad + grad.T) + m.sym_ad_form(m.raise_covector(theta)))
+        lam_m = m.structure_scale
+        tol = REL_TOL * lam_m * (lam_m + m.covector_norm(theta))
+        message = str(info.value)
+        assert "Levi-Civita table" in message and "structure constants" in message
+        assert f"{gap:.3e}" in message and f"{tol:.3e}" in message
 
 
 def _rotating_flat_metric(rate):
