@@ -5,10 +5,12 @@ Draws random almost abelian metric Lie algebras of each classification kind,
 computes the exact Lee form set from the closed-form case analysis, and
 compares it with the solver's root set.  Reports the worst root-set
 distance seen; a structural mismatch (different root counts) is a hard
-failure.  Per kind it also prints how often each quotient dimension occurred
-and how many solves fell back to the seeded multistart search; an instance
-with Lee forms that needed the fallback is a failure too, because the
-quotient ring route should have found them.
+failure.  Per kind it also prints how often each quotient dimension occurred,
+how many solves fell back to the seeded multistart search and how many
+polished quotient candidates failed the root test.  An instance with Lee
+forms that needed the fallback is a failure too, because the quotient ring
+route should have found them, and so is a rejected candidate, because each
+candidate is a distinct real root of the quotient ring.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ def main(argv=None) -> int:
     worst = {kind: 0.0 for kind in KINDS}
     quotient_dims = {kind: Counter() for kind in KINDS}
     fallbacks = {kind: 0 for kind in KINDS}
+    rejected = {kind: 0 for kind in KINDS}
     mismatches = 0
     missed = 0
     begin = time.perf_counter()
@@ -64,6 +67,8 @@ def main(argv=None) -> int:
         distance = root_set_distance(cls.lee_forms, result.roots)
         per_kind[kind] += 1
         quotient_dims[kind][result.quotient_dim] += 1
+        polished = sum(result.exits.values()) - (args.starts if result.seeded else 0)
+        rejected[kind] += polished - len(result.roots)
         if result.seeded:
             fallbacks[kind] += 1
             if cls.lee_forms:
@@ -84,13 +89,14 @@ def main(argv=None) -> int:
         print(f"{kind:9s} {per_kind[kind]:5d} instances, worst matched distance {worst[kind]:.3e}")
     for kind in KINDS:
         dims = ", ".join(f"{r}: {k}" for r, k in sorted(quotient_dims[kind].items()))
-        print(f"{kind:9s} quotient dims {{{dims}}}, seeded fallbacks {fallbacks[kind]}")
+        print(f"{kind:9s} quotient dims {{{dims}}}, seeded fallbacks {fallbacks[kind]}, "
+              f"rejected candidates {rejected[kind]}")
     print(
         f"total {args.count} instances in {elapsed:.1f}s "
         f"({1000.0 * elapsed / max(args.count, 1):.1f} ms each), {mismatches} mismatches, "
-        f"{missed} fallbacks with Lee forms"
+        f"{missed} fallbacks with Lee forms, {sum(rejected.values())} rejected candidates"
     )
-    return 1 if mismatches or missed else 0
+    return 1 if mismatches or missed or any(rejected.values()) else 0
 
 
 if __name__ == "__main__":

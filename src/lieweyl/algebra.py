@@ -34,12 +34,13 @@ its input: ``REL_TOL`` (1 + max |entry|) (:func:`coefficient_tolerance`),
 1 + max |c|^2 for the Jacobi sums.  The named verdict constants multiply the
 same scales: ``weyl.FLATNESS_RTOL`` 1e-8 and
 ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
-``weyl.DEFAULT_ROOT_TOL`` 1e-8 (``--tol``) and ``weyl.DEFAULT_DEDUP_TOL``
-1e-6 the root test and root distances at unit lam, where the almost abelian
-classifier also runs; ``almost_abelian.EIGEN_CLUSTER_RTOL`` 1e-7 the largest
-eigenvalue of ``sym``; ``almost_abelian.SIGNIFICANT_RTOL`` 1e-8 a vector's
-own size.  ``weyl.NEAR_REAL_RTOL`` and ``weyl.ROOT_FLOOR_EPS`` are solver
-levels, documented there.
+``weyl.DEFAULT_ROOT_TOL`` 1e-8 (``--tol``) the root test at unit lam, where
+the almost abelian classifier also runs; ``almost_abelian.EIGEN_CLUSTER_RTOL``
+1e-7 the largest eigenvalue of ``sym``; ``almost_abelian.SIGNIFICANT_RTOL``
+1e-8 a vector's own size.  ``weyl.ROOT_FLOOR_EPS`` is a solver level,
+documented there: the root floor and stall rule of the polish, and the rank
+cutoff of the quotient ring's Hermite trace form, ``ROOT_FLOOR_EPS`` times
+its largest singular value.
 """
 from __future__ import annotations
 

@@ -282,7 +282,8 @@ class AAClassification:
 
     ``coefficient`` is the scalar value of ``sym`` in the Einstein family case
     and ``tr sym / (n-2)`` in the trace case (NaN otherwise); ``lee_forms``
-    are covectors in the standard dual basis, sorted lexicographically.
+    are covectors in the standard dual basis, by increasing g-norm (0 first),
+    an order that does not depend on the basis.
     """
 
     case: WEClass
@@ -325,7 +326,6 @@ def classify_weyl_einstein(dec: AADecomposition, m: MetricLieAlgebra) -> AAClass
         roots = []
         case, coeff = WEClass.NO_WE, float("nan")
 
-    roots.sort(key=lambda v: tuple(v))
     return AAClassification(case=case, coefficient=coeff, lee_forms=tuple(roots))
 
 

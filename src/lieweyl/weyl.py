@@ -12,11 +12,12 @@ metric; :func:`weyl_einstein_residual` measures the defect and
 :func:`solve_lee_forms` finds all Lee forms that make it vanish.  In an
 orthonormal frame the defect is a quadratic map E(t) of the Lee form's frame
 components, and E = 0 rewrites every polynomial in t into the span of
-{1, t_1, ..., t_n, |t|^2 / n}.  So E has at most n + 2 complex roots, and
-they are the joint eigenvectors of n multiplication matrices of that size
-(Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 2).  The solver reads
-its candidates from them and polishes each with damped Newton steps on the
-squared defect, whose second-order term costs one product because the
+{1, t_1, ..., t_n, |t|^2 / n}.  So E has at most n + 2 complex roots,
+counted with multiplicity, and the range of the Hermite trace form of this
+quotient ring holds one evaluation vector per distinct root (Cox, Little &
+O'Shea, *Using Algebraic Geometry*, ch. 2).  The solver reads one candidate
+per distinct real root from it and polishes each with damped Newton steps on
+the squared defect, whose second-order term costs one product because the
 defect is quadratic, until it reaches the rounding floor of a root or no
 step can lower the defect by more than rounding.  Only when no candidate is
 a root does a seeded multistart search run, for the residual infimum and as
@@ -49,15 +50,13 @@ from .riemann import ConnectionTable, MetricLieAlgebra, _read_only
 DEFAULT_STARTS = 64
 DEFAULT_SEED = 0
 DEFAULT_ROOT_TOL = 1e-8
-DEFAULT_DEDUP_TOL = 1e-6
 FLATNESS_RTOL = 1e-8
 MAX_STARTS = 10**5
-NEAR_REAL_RTOL = 1e-2
 KN_CALIBRATION_SIGN = 1.0  # R = sign * kulkarni_nomizu(g, B) iff the rescaled metric is flat
 # The solver's root floor in units of the evaluation scale of E.  A few ulps
 # per term would do for E itself, but its constant part inherits the rounding
 # of the Ricci form, about 20 ulps of 1 + |Ric| on Ricci-flat almost abelian
-# metrics at n = 7; the same constant bounds the stall rule's rounding level.
+# metrics at n = 7; it also bounds the stall rule and the Hermite form's rank.
 ROOT_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
@@ -243,17 +242,17 @@ EXIT_REASONS = ("root-floor", "stall", "damping-cap", "iteration-cap")
 class SolveResult:
     """Root set of the Weyl-Einstein equation found by :func:`solve_lee_forms`.
 
-    ``roots`` are covectors in the standard dual basis, sorted
-    lexicographically by their frame components; ``residuals`` are their
-    frame norms after polishing; ``infimum`` is the smallest residual reached
+    ``roots`` are covectors in the standard dual basis, by increasing g-norm
+    (on ties, by frame components); ``residuals`` are their frame norms after
+    polishing; ``infimum`` is the smallest residual reached
     over all starts that ran (a positive value certifies that no start
     converged to a root).  ``exits`` counts those starts, the polished
-    quotient candidates and, when it ran, the seeded search's starts, by the
-    rule that stopped them, keyed by :data:`EXIT_REASONS` (root floor, stall,
-    damping cap, iteration cap); a start that ends by a cap did not reach a
-    critical point.  ``quotient_dim`` is the dimension r of the quotient
-    ring, the number of complex roots counted with multiplicity (0: none at
-    all).
+    quotient candidates, one per distinct real root, and, when it ran, the
+    seeded search's starts, by the rule that stopped them, keyed by
+    :data:`EXIT_REASONS` (root floor, stall, damping cap, iteration cap); a
+    start that ends by a cap did not reach a critical point.
+    ``quotient_dim`` is the dimension r of the quotient ring, the number of
+    complex roots counted with multiplicity (0: none at all).
     """
 
     roots: tuple
@@ -441,24 +440,28 @@ def _combination_weights(n: int) -> np.ndarray:
 
 
 def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
-    """Dimension r of C[t]/(E) and the real candidate roots, one per row.
+    """Dimension r of C[t]/(E) and its distinct real roots, one per row.
 
     Two rewrites of the same product t_k t_l b must agree modulo the ideal,
     so the columns of the commutators [M_k, M_l] of
     :meth:`_ResidualSystem.multiplication_matrices` are relations: elements
-    of the ideal inside span(B).  Their span is closed under every M_k;
-    its annihilator, of dimension r, holds the evaluation vectors
-    (1, z, |z|^2 / n) of the complex roots z, which are the joint
-    eigenvectors of the M_k^T there.  The candidates are read from the
-    eigenvectors of one fixed combination sum_k w_k M_k^T on the
-    annihilator (:func:`_combination_weights`).  Rank decisions use the
+    of the ideal inside span(B).  Their span is closed under every M_k; on
+    its annihilator N, of dimension r, multiplication by b in B acts as X_b:
+    I, N M_k^T N^T and sum_k X_{t_k}^2 / n.  Rank decisions use the
     ``REL_TOL`` cutoff of ``algebra.row_space``; dropping a relation only
-    enlarges the quotient, so it adds candidates and loses no root.
-    Eigenvectors whose constant coordinate is below ``REL_TOL`` of their
-    norm lie at infinity and are skipped.  A candidate is near-real when
-    |Im z| <= ``NEAR_REAL_RTOL`` (1 + |Re z|), and its real part is kept:
-    a multiple root splits under rounding into slightly complex ones, by
-    about eps^(1/multiplicity).  r = 0 means that E has no complex root.
+    enlarges the quotient, so it loses no root.  r = 0: no complex root.
+
+    The Hermite trace form H_ij = Tr(X_i X_j) = sum_z mu_z b_i(z) b_j(z),
+    over the roots z with multiplicities mu_z (Cox, Little & O'Shea, ch. 2
+    sec. 5; Pedersen, Roy & Szpirglas 1993), has the number of distinct
+    roots as its rank and of distinct real ones as its signature, and their
+    evaluation vectors (1, z, |z|^2 / n) span its range.  Read at the
+    rounding cutoff ``ROOT_FLOOR_EPS`` |H|_2, a multiple root is one vector,
+    the mean of its cluster; roots closer than about sqrt(``ROOT_FLOOR_EPS``)
+    = 1e-7 count as one.  On the range sum_k w_k M_k^T
+    (:func:`_combination_weights`) has one simple eigenvalue per distinct
+    root, real exactly for a real root; a count that differs from the
+    signature raises :class:`ConsistencyError`.
     """
     n = system.n
     size = n + 2
@@ -479,16 +482,22 @@ def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
     r = len(annihilator)
     if r == 0:
         return 0, np.zeros((0, n))
+    restricted = annihilator @ mult.transpose(0, 2, 1) @ annihilator.T
+    ops = np.array([np.eye(r), *restricted, (restricted @ restricted).sum(axis=0) / n])
+    hermite = np.einsum("iab,jba->ij", ops, ops)
+    distinct = row_space(hermite, size, ROOT_FLOOR_EPS * np.linalg.norm(hermite, 2))
     combination = np.einsum("k,kab->ba", _combination_weights(n), mult)
-    _, vecs = np.linalg.eig(annihilator @ combination @ annihilator.T)
-    evaluations = annihilator.T @ vecs
-    const = evaluations[0]
-    finite = np.abs(const) > REL_TOL * np.linalg.norm(evaluations, axis=0)
-    z = (evaluations[1 : n + 1, finite] / const[finite]).T
-    near_real = np.linalg.norm(z.imag, axis=1) <= NEAR_REAL_RTOL * (
-        1.0 + np.linalg.norm(z.real, axis=1)
-    )
-    return r, np.ascontiguousarray(z.real[near_real])
+    values, vecs = np.linalg.eig(distinct @ combination @ distinct.T)
+    real = values.imag == 0.0
+    signature = int(np.sum(np.sign(np.linalg.eigvalsh(distinct @ hermite @ distinct.T))))
+    if signature != np.count_nonzero(real):
+        raise ConsistencyError(
+            f"the quotient ring (dimension {r}) has {np.count_nonzero(real)} real eigenvalues "
+            f"on the range of its Hermite trace form, whose signature counts {signature} "
+            f"distinct real roots"
+        )
+    evaluations = distinct.T @ vecs[:, real].real
+    return r, np.ascontiguousarray((evaluations[1 : n + 1] / evaluations[0]).T)
 
 
 def _solve_rows(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,8 +531,8 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
       to second order: there the gradient decays like the cube of the
       offset and each Newton step only cuts the offset by a third, so the
       start would otherwise creep to the iteration cap while its residual is
-      already noise.  The offset at exit is about
-      sqrt(floor / (n-2)), far inside the deduplication radius.
+      already noise.  The offset at exit is about sqrt(floor / (n-2)); the
+      quotient candidates of such a root already sit at rounding level.
     * stall: a step was rejected although the model of |E|^2 it was solved
       from promised a decrease of at most ``ROOT_FLOOR_EPS`` |E|^2, a
       rounding-level change.  The start sits on a critical point of |E| (a
@@ -652,16 +661,6 @@ def _exit_counts(exit_codes: np.ndarray) -> dict:
     return {reason: int(k) for reason, k in zip(EXIT_REASONS, counts)}
 
 
-def _distinct_roots(t: np.ndarray, res: np.ndarray, threshold: float) -> list[int]:
-    """Rows whose residual is at most ``threshold``, dropping each one within
-    :data:`DEFAULT_DEDUP_TOL` of an earlier kept row."""
-    kept: list[int] = []
-    for i in np.flatnonzero(~(res > threshold)):
-        if not any(np.linalg.norm(t[i] - t[k]) <= DEFAULT_DEDUP_TOL for k in kept):
-            kept.append(int(i))
-    return kept
-
-
 def solve_lee_forms(
     m: MetricLieAlgebra,
     starts: int = DEFAULT_STARTS,
@@ -674,13 +673,12 @@ def solve_lee_forms(
     constants (1 on an abelian algebra), E(lam c, lam t) = lam^2 E(c, t), so
     every stage runs on the system of c / lam (:class:`_ResidualSystem`) and
     only the result is mapped back: roots by lam, residuals and ``infimum``
-    by lam^2.  The candidates are the real roots of the quotient ring
-    (:func:`_quotient_candidates`), at most n + 2; each is polished by damped
-    Newton steps until one of four rules stops it (root floor, stall, damping
-    cap, iteration cap; see :func:`_levenberg_marquardt`).  A polished
-    candidate is a root when its residual is at most ``tol_root * (1 +
-    |Ric|)`` at |c| = 1; roots closer than :data:`DEFAULT_DEDUP_TOL` at
-    |c| = 1 are merged keeping the first.
+    by lam^2.  The candidates are the distinct real roots of the quotient
+    ring (:func:`_quotient_candidates`), at most n + 2; each is polished by
+    damped Newton steps until one of four rules stops it (root floor, stall,
+    damping cap, iteration cap; see :func:`_levenberg_marquardt`).  A
+    polished candidate is a root when its residual is at most ``tol_root *
+    (1 + |Ric|)`` at |c| = 1.
 
     Only when no candidate is accepted does the seeded multistart run
     (:func:`_seeded_search` with ``starts`` and ``seed``).  It supplies
@@ -712,8 +710,8 @@ def solve_lee_forms(
     if len(candidates):
         t_final, res_final, exit_codes = _levenberg_marquardt(system, candidates)
         infimum = float(np.min(res_final))
-        kept = _distinct_roots(t_final, res_final, threshold)
-        kept.sort(key=lambda i: tuple(t_final[i]))
+        kept = sorted(np.flatnonzero(res_final <= threshold),
+                      key=lambda i: (np.linalg.norm(t_final[i]), tuple(t_final[i])))
         roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in kept]
         residuals = [lam**2 * float(res_final[i]) for i in kept]
 

@@ -52,11 +52,13 @@ def test_script_exits_clean(script, args):
         dims = [line.strip() for line in proc.stdout.splitlines() if "quotient dim" in line]
         assert dims == ["quotient dim 2", "quotient dim 0", "quotient dim 0"], proc.stdout
     if script == "classification_equivalence.py":
-        # 6 instances: two per kind; only the root-free generic kind falls back
+        # 6 instances: two per kind; only the root-free generic kind falls
+        # back, and every polished quotient candidate is a root
         lines = {line.split()[0]: line for line in proc.stdout.splitlines()
                  if "quotient dims" in line}
         assert sorted(lines) == ["einstein", "generic", "trace"], proc.stdout
-        assert lines["einstein"].endswith("seeded fallbacks 0")
-        assert lines["trace"].endswith("seeded fallbacks 0")
-        assert lines["generic"].endswith("quotient dims {0: 2}, seeded fallbacks 2")
-        assert "0 fallbacks with Lee forms" in proc.stdout
+        assert lines["einstein"].endswith("seeded fallbacks 0, rejected candidates 0")
+        assert lines["trace"].endswith("seeded fallbacks 0, rejected candidates 0")
+        assert lines["generic"].endswith(
+            "quotient dims {0: 2}, seeded fallbacks 2, rejected candidates 0")
+        assert "0 fallbacks with Lee forms, 0 rejected candidates" in proc.stdout

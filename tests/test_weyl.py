@@ -22,7 +22,13 @@ from lieweyl import (
 )
 from lieweyl.algebra import REL_TOL
 from lieweyl.errors import ConsistencyError, DimensionError, InputError, NotClosedError
-from lieweyl.riemann import curvature, curvature_lowered, levi_civita, torsion_residual
+from lieweyl.riemann import (
+    change_basis,
+    curvature,
+    curvature_lowered,
+    levi_civita,
+    torsion_residual,
+)
 from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
 from oracle import dense_weyl_einstein_residual, macaulay_nullity
@@ -594,20 +600,20 @@ def test_solve_rows_gives_a_singular_row_the_zero_step():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_abelian_double_root_ends_at_the_root_floor(n):
     # theta = 0 is a second-order zero: starts must stop on the root floor
-    # instead of creeping to the iteration cap, and merge into one root
+    # instead of creeping to the iteration cap
     m = samples.abelian(n)
     system = weyl._residual_system(m)
     _, _, codes = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
     exits = weyl._exit_counts(codes)
     assert exits["iteration-cap"] == 0
     assert sum(exits.values()) == weyl.DEFAULT_STARTS
-    # the quotient is all of B, n + 2 copies of the root 0, and each
-    # candidate is polished onto the root floor
+    # the quotient is all of B, the root 0 with multiplicity n + 2; the
+    # Hermite form has rank 1, so one candidate is polished onto the floor
     result = solve_lee_forms(m)
     assert result.quotient_dim == n + 2 and not result.seeded
-    assert result.exits == {**dict.fromkeys(weyl.EXIT_REASONS, 0), "root-floor": n + 2}
+    assert result.exits == {**dict.fromkeys(weyl.EXIT_REASONS, 0), "root-floor": 1}
     assert len(result.roots) == 1
-    assert np.linalg.norm(result.roots[0]) <= weyl.DEFAULT_DEDUP_TOL
+    assert np.linalg.norm(result.roots[0]) <= 1e-12
 
 
 def test_kulkarni_nomizu_of_metric():
@@ -751,12 +757,17 @@ def test_lee_gradient_alarm_names_routes_gap_and_tolerance(monkeypatch):
         assert f"{gap:.3e}" in message and f"{tol:.3e}" in message
 
 
-def _rotating_flat_metric(rate):
-    """ad of the normal rotates two planes of a 4-dimensional abelian ideal at
-    rates ``rate`` and 2 ``rate``: a flat metric whose only Lee form is 0."""
+def _rotation(rate):
+    """Skew matrix rotating two planes of R^4 at rates ``rate`` and 2 ``rate``."""
     skew = np.zeros((4, 4))
     skew[0, 1], skew[2, 3] = -rate, -2.0 * rate
-    return build_semidirect(skew - skew.T, np.zeros((4, 4)))
+    return skew - skew.T
+
+
+def _rotating_flat_metric(rate):
+    """ad of the normal rotates two planes of a 4-dimensional abelian ideal
+    (:func:`_rotation`): a flat metric whose only Lee form is 0."""
+    return build_semidirect(_rotation(rate), np.zeros((4, 4)))
 
 
 def test_solver_ends_fast_rotation_starts_before_the_iteration_cap():
@@ -766,9 +777,9 @@ def test_solver_ends_fast_rotation_starts_before_the_iteration_cap():
     assert result.exits["iteration-cap"] == 0
 
 
-# The solve runs at |c| = 1, so its root test and dedup radius follow the
-# structure constants: a small metric keeps both roots, and the double root
-# of a fast rotation stays one root.
+# The solve runs at |c| = 1, so its root test and the Hermite rank follow
+# the structure constants: a small metric keeps both roots, and the double
+# root of a fast rotation stays one root.
 def test_solver_finds_both_roots_of_a_small_hyperbolic_metric():
     m = samples.hyperbolic(4, 1e-7)
     expected = classify_weyl_einstein(decompose(m), m).lee_forms
@@ -781,6 +792,40 @@ def test_solver_merges_the_double_root_of_a_very_fast_rotation():
     expected = classify_weyl_einstein(decompose(m), m).lee_forms
     assert len(expected) == 1
     assert len(solve_lee_forms(m).roots) == len(expected)
+
+
+@pytest.mark.parametrize("ratio", [2.2e-4, 2.2e-6, 2.2e-7])
+def test_solver_keeps_near_coincident_roots_apart(ratio):
+    # the Lee forms 0 and k b of the rotation plus k I are k apart; the
+    # Hermite form tells them apart down to about sqrt(ROOT_FLOOR_EPS) lam,
+    # below a merge radius of 1e-6 lam
+    lam = _rotating_flat_metric(1.0).structure_scale
+    m = build_semidirect(_rotation(1.0), ratio * lam * np.eye(4))
+    expected = classify_weyl_einstein(decompose(m), m).lee_forms
+    assert len(expected) == 2
+    assert len(solve_lee_forms(m).roots) == len(expected)
+
+
+def test_einstein_zero_root_is_exact_in_a_random_basis():
+    # the double root 0 is read from the Hermite form's range as the mean of
+    # its cluster, so it lands at rounding level instead of the offset
+    # sqrt(floor / (n-2)) at which the polish stops
+    rng = np.random.default_rng(11)
+    m = samples.random_almost_abelian(rng, 3, "einstein", basis_change=False)
+    for lam in (1e-8, 1.0, 1e8):
+        moved = _rescaled(change_basis(m, samples.random_basis_change(rng, 3)), lam)
+        roots = solve_lee_forms(moved).roots
+        assert moved.covector_norm(roots[0]) <= 1e-12 * moved.structure_scale, lam
+
+
+def test_einstein_zero_roots_are_exact_on_the_acceptance_mix():
+    rng = np.random.default_rng(1000)
+    for i in range(300):
+        kind = ("einstein", "trace", "generic")[i % 3]
+        m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
+        if kind == "einstein":
+            roots = solve_lee_forms(m).roots
+            assert m.covector_norm(roots[0]) <= 1e-12 * m.structure_scale, i
 
 
 def test_quotient_dimension_matches_the_macaulay_nullity_on_random_algebras():
@@ -820,11 +865,17 @@ def test_quotient_dimension_on_the_probes(monkeypatch, name, m, r):
 
 def _seeded_roots(m):
     """Root set of the seeded 64-start search alone, under the solver's root
-    test and dedup radius, in the frame of the unit system, and lam."""
+    test, in the frame of the unit system, and lam.  The search returns one
+    copy per start that reached a root, so copies within 1e-6 of an earlier
+    kept root are merged."""
     system = weyl._residual_system(m)
     t, res, _ = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
     threshold = weyl.DEFAULT_ROOT_TOL * system.ric_scale
-    return [t[i] for i in weyl._distinct_roots(t, res, threshold)], system.scale
+    kept = []
+    for point in t[res <= threshold]:
+        if all(np.linalg.norm(point - root) > 1e-6 for root in kept):
+            kept.append(point)
+    return kept, system.scale
 
 
 def test_seeded_roots_are_a_subset_of_the_quotient_roots():
