@@ -11,6 +11,11 @@ polished quotient candidates failed the root test.  An instance with Lee
 forms that needed the fallback is a failure too, because the quotient ring
 route should have found them, and so is a rejected candidate, because each
 candidate is a distinct real root of the quotient ring.
+
+Every solve that fell back is checked against a seeded search of
+``CHECK_STARTS`` starts: the worst relative gap between the two infima is
+printed per kind, and a gap above ``INFIMUM_RTOL`` is a failure, because the
+solver's start count (``--starts``) is meant to reach the residual's minimum.
 """
 from __future__ import annotations
 
@@ -23,6 +28,8 @@ import numpy as np
 from lieweyl import almost_abelian, samples, weyl
 
 KINDS = ("einstein", "trace", "generic")
+CHECK_STARTS = 256
+INFIMUM_RTOL = 1e-12
 
 
 def root_set_distance(a, b):
@@ -54,8 +61,10 @@ def main(argv=None) -> int:
     quotient_dims = {kind: Counter() for kind in KINDS}
     fallbacks = {kind: 0 for kind in KINDS}
     rejected = {kind: 0 for kind in KINDS}
+    infimum_gap = {kind: 0.0 for kind in KINDS}
     mismatches = 0
     missed = 0
+    checking = 0.0  # time of the 256-start checks, kept out of the per-instance figure
     begin = time.perf_counter()
     for i in range(args.count):
         kind = KINDS[i % 3]
@@ -71,6 +80,13 @@ def main(argv=None) -> int:
         rejected[kind] += polished - len(result.roots)
         if result.seeded:
             fallbacks[kind] += 1
+            system = weyl._residual_system(m)
+            start = time.perf_counter()
+            _, residuals, _ = weyl._seeded_search(system, CHECK_STARTS, weyl.DEFAULT_SEED)
+            checking += time.perf_counter() - start
+            best = float(np.min(residuals))
+            gap = abs(result.infimum / system.scale**2 - best) / best
+            infimum_gap[kind] = max(infimum_gap[kind], gap)
             if cls.lee_forms:
                 missed += 1
                 print(f"FALLBACK #{i}: kind={kind} dim={dim} has {len(cls.lee_forms)} Lee forms "
@@ -83,7 +99,7 @@ def main(argv=None) -> int:
             )
         else:
             worst[kind] = max(worst[kind], distance)
-    elapsed = time.perf_counter() - begin
+    elapsed = time.perf_counter() - begin - checking
 
     for kind in KINDS:
         print(f"{kind:9s} {per_kind[kind]:5d} instances, worst matched distance {worst[kind]:.3e}")
@@ -91,12 +107,16 @@ def main(argv=None) -> int:
         dims = ", ".join(f"{r}: {k}" for r, k in sorted(quotient_dims[kind].items()))
         print(f"{kind:9s} quotient dims {{{dims}}}, seeded fallbacks {fallbacks[kind]}, "
               f"rejected candidates {rejected[kind]}")
+    for kind in KINDS:
+        print(f"{kind:9s} infimum against {CHECK_STARTS} starts: worst relative gap "
+              f"{infimum_gap[kind]:.3e} over {fallbacks[kind]} fallbacks")
     print(
         f"total {args.count} instances in {elapsed:.1f}s "
         f"({1000.0 * elapsed / max(args.count, 1):.1f} ms each), {mismatches} mismatches, "
         f"{missed} fallbacks with Lee forms, {sum(rejected.values())} rejected candidates"
     )
-    return 1 if mismatches or missed or any(rejected.values()) else 0
+    wide = max(infimum_gap.values()) > INFIMUM_RTOL
+    return 1 if mismatches or missed or any(rejected.values()) or wide else 0
 
 
 if __name__ == "__main__":

@@ -243,8 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--starts", type=int, default=weyl.DEFAULT_STARTS,
-        help=f"starts of the seeded multistart search (1 to {weyl.MAX_STARTS}); it runs only "
-             "when the quotient ring route accepts no root, and then sets the infimum",
+        help=f"starts of the seeded multistart search (1 to {weyl.MAX_STARTS}, default "
+             f"{weyl.DEFAULT_STARTS}); it runs only when the quotient ring route accepts no "
+             "root, and then sets the infimum, where the default matched 256 starts on every "
+             "root-free model measured.  The quotient is the evidence of no root: quotient "
+             "dimension 0 certifies that no complex root exists",
     )
     p.add_argument(
         "--seed", type=int, default=weyl.DEFAULT_SEED,

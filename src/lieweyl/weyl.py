@@ -31,6 +31,7 @@ Weyl-Einstein condition degenerates and none of the formulas below are used.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .riemann import ConnectionTable, MetricLieAlgebra, _read_only
 
-DEFAULT_STARTS = 64
+DEFAULT_STARTS = 8
 DEFAULT_SEED = 0
 DEFAULT_ROOT_TOL = 1e-8
 FLATNESS_RTOL = 1e-8
@@ -661,6 +662,12 @@ def _exit_counts(exit_codes: np.ndarray) -> dict:
     return {reason: int(k) for reason, k in zip(EXIT_REASONS, counts)}
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a number of ``kind``, numpy scalars included and
+    bools excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def solve_lee_forms(
     m: MetricLieAlgebra,
     starts: int = DEFAULT_STARTS,
@@ -685,19 +692,25 @@ def solve_lee_forms(
     ``infimum`` on algebras without a root, and it cross-checks the quotient
     route: a start that passes the same root test raises
     :class:`ConsistencyError`.  The result counts the starts that ran, of
-    both routes, per exit rule.
-    Deterministic for fixed inputs.  ``starts`` below 1 or above
-    :data:`MAX_STARTS`, a negative ``seed`` and a ``tol_root`` that is not
-    finite and positive raise :class:`InputError`.
+    both routes, per exit rule.  The default of :data:`DEFAULT_STARTS` = 8
+    starts reaches the 256-start minimum within 6e-16 relative, from every
+    seed 0-5, on the 1473 root-free almost abelian, nilpotent and random
+    algebras measured and on Heisenberg plus R^k at every scale (README);
+    4 starts missed some random draws by up to 46%.  The quotient is the
+    evidence that there is no root: dimension 0 means no complex root.
+    Deterministic for fixed inputs.  ``starts`` that is not an integer from
+    1 to :data:`MAX_STARTS`, a ``seed`` that is not a non-negative integer
+    and a ``tol_root`` that is not a finite positive number raise
+    :class:`InputError`; numpy scalars are accepted, bools are not.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
-    if not 1 <= starts <= MAX_STARTS:
-        raise InputError(f"need between 1 and {MAX_STARTS} starts, got {starts}")
-    if seed < 0:
-        raise InputError(f"the seed must be non-negative, got {seed}")
-    if not (np.isfinite(tol_root) and tol_root > 0.0):
-        raise InputError(f"the root tolerance must be finite and positive, got {tol_root}")
+    if not (_is_a(starts, numbers.Integral) and 1 <= starts <= MAX_STARTS):
+        raise InputError(f"need an integer between 1 and {MAX_STARTS} starts, got {starts!r}")
+    if not (_is_a(seed, numbers.Integral) and seed >= 0):
+        raise InputError(f"the seed must be a non-negative integer, got {seed!r}")
+    if not (_is_a(tol_root, numbers.Real) and np.isfinite(tol_root) and tol_root > 0.0):
+        raise InputError(f"the root tolerance must be a finite positive number, got {tol_root!r}")
     system = _residual_system(m)
     lam = system.scale
     threshold = tol_root * system.ric_scale

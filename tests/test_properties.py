@@ -238,6 +238,26 @@ def test_exits_and_infimum_are_scale_free():
             assert gap <= 1e-12 * size, (i, lam, result.infimum / lam**2, base.infimum)
 
 
+def test_default_infimum_equals_the_256_start_minimum_on_root_free_models():
+    # the default solve runs weyl.DEFAULT_STARTS seeded starts on a root-free
+    # algebra; its infimum must be the one a 256-start search finds from any
+    # seed, and that search must reach no root the quotient route missed
+    rng = np.random.default_rng(5)
+    heisenberg = [rescaled(change_basis(m, samples.random_basis_change(rng, m.dim)), lam)
+                  for m in (samples.heisenberg(extra=k) for k in range(4))
+                  for lam in (1e-6, 1.0, 1e6)]
+    for i, m in enumerate(acceptance_mix(300)[2::3] + LADDER_MODELS + heisenberg):
+        result = weyl.solve_lee_forms(m)
+        system = weyl._residual_system(m)
+        assert result.roots == (), i
+        infimum = result.infimum / system.scale**2
+        for seed in range(4):
+            _, residuals, _ = weyl._seeded_search(system, 256, seed)
+            best = float(np.min(residuals))
+            assert best > weyl.DEFAULT_ROOT_TOL * system.ric_scale, (i, seed, best)
+            assert abs(infimum - best) <= 1e-12 * best, (i, seed, infimum, best)
+
+
 def test_root_sets_are_equivariant_under_basis_change():
     # theta -> P^T theta under the basis change P; the quotient dimension is
     # basis independent

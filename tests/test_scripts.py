@@ -6,7 +6,8 @@ The nilpotent ladder also says why each start stopped: one line of exit
 counts per model and rung, and it exits 1 when any start ends by a cap.
 Both solver scripts report the quotient dimension of each solve: the ladder
 once per model, the classifier comparison as a histogram per kind beside the
-number of seeded fallbacks, which only root-free kinds may need.
+number of seeded fallbacks, which only root-free kinds may need, and the
+worst gap between a fallback's infimum and that of a 256-start search.
 """
 import os
 import subprocess
@@ -62,3 +63,10 @@ def test_script_exits_clean(script, args):
         assert lines["generic"].endswith(
             "quotient dims {0: 2}, seeded fallbacks 2, rejected candidates 0")
         assert "0 fallbacks with Lee forms, 0 rejected candidates" in proc.stdout
+        # each fallback's infimum matches a 256-start search from the same seed
+        gaps = {line.split()[0]: line for line in proc.stdout.splitlines()
+                if "infimum against 256 starts" in line}
+        assert sorted(gaps) == ["einstein", "generic", "trace"], proc.stdout
+        assert gaps["generic"].endswith("over 2 fallbacks"), proc.stdout
+        for line in gaps.values():
+            assert float(line.split("worst relative gap ")[1].split()[0]) <= 1e-12, line

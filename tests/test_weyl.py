@@ -210,11 +210,21 @@ def test_solver_is_deterministic():
     "name, value",
     [("starts", 0), ("seed", -1), ("tol_root", float("nan")), ("tol_root", float("inf")),
      ("tol_root", 0.0), ("tol_root", -1e-8), ("starts", weyl.MAX_STARTS + 1),
-     ("starts", 10**11)],
+     ("starts", 10**11), ("starts", 8.5), ("starts", 8.0), ("starts", True), ("starts", "8"),
+     ("seed", 1.5), ("seed", True), ("seed", None), ("tol_root", "1e-8"), ("tol_root", None),
+     ("tol_root", True)],
 )
 def test_solver_rejects_bad_parameters_as_input_errors(name, value):
     with pytest.raises(InputError):
         solve_lee_forms(sol(), **{name: value})
+
+
+def test_solver_accepts_numpy_scalar_parameters():
+    m = samples.heisenberg()
+    got = solve_lee_forms(m, starts=np.int64(8), seed=np.uint8(3), tol_root=np.float32(1e-8))
+    want = solve_lee_forms(m, starts=8, seed=3, tol_root=float(np.float32(1e-8)))
+    assert got.roots == want.roots == ()
+    assert got.infimum == want.infimum and got.exits == want.exits
 
 
 def _residual_batches(seed, dims=range(3, 9)):
@@ -382,7 +392,7 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
     # iteration cap, and no start on a root is ended by the stall rule: on
     # the solve itself, which polishes at most n + 2 candidates and runs the
     # seeded search only when it accepts none of them, and on the seeded
-    # search alone
+    # search alone at 64 starts
     cap = inspect.signature(weyl._levenberg_marquardt).parameters["max_iter"].default
     calls = [0]
     jacobian = weyl._ResidualSystem.jacobian
@@ -424,10 +434,10 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
             assert np.all(stalled > weyl.DEFAULT_ROOT_TOL * run_system.ric_scale), (i, stalled)
 
         calls[0] = 0
-        _, residuals, codes = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
+        _, residuals, codes = weyl._seeded_search(system, 64, weyl.DEFAULT_SEED)
         exits = weyl._exit_counts(codes)
         assert tuple(exits) == weyl.EXIT_REASONS
-        assert sum(exits.values()) == weyl.DEFAULT_STARTS
+        assert sum(exits.values()) == 64
         assert (exits["iteration-cap"] > 0) == (calls[0] >= cap), (i, exits)
         assert calls[0] < cap, (i, exits)
         stalled = residuals[codes == stall]
@@ -603,10 +613,10 @@ def test_abelian_double_root_ends_at_the_root_floor(n):
     # instead of creeping to the iteration cap
     m = samples.abelian(n)
     system = weyl._residual_system(m)
-    _, _, codes = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
+    _, _, codes = weyl._seeded_search(system, 64, weyl.DEFAULT_SEED)
     exits = weyl._exit_counts(codes)
     assert exits["iteration-cap"] == 0
-    assert sum(exits.values()) == weyl.DEFAULT_STARTS
+    assert sum(exits.values()) == 64
     # the quotient is all of B, the root 0 with multiplicity n + 2; the
     # Hermite form has rank 1, so one candidate is polished onto the floor
     result = solve_lee_forms(m)
@@ -869,7 +879,7 @@ def _seeded_roots(m):
     copy per start that reached a root, so copies within 1e-6 of an earlier
     kept root are merged."""
     system = weyl._residual_system(m)
-    t, res, _ = weyl._seeded_search(system, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED)
+    t, res, _ = weyl._seeded_search(system, 64, weyl.DEFAULT_SEED)
     threshold = weyl.DEFAULT_ROOT_TOL * system.ric_scale
     kept = []
     for point in t[res <= threshold]:
