@@ -45,6 +45,7 @@ its largest singular value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,8 +147,7 @@ def ad(algebra: LieAlgebra, x: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->kj", x, algebra.c)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed algebra axiom: which law, at which basis indices, how badly."""
 
     kind: str
@@ -155,8 +155,7 @@ class Violation:
     magnitude: float
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     ok: bool
     violations: tuple
 
@@ -199,8 +198,7 @@ def validate(algebra: LieAlgebra) -> ValidityReport:
     return ValidityReport(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class StructureFlags:
+class StructureFlags(NamedTuple):
     solvable: bool
     nilpotent: bool
     abelian: bool

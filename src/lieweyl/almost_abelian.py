@@ -20,7 +20,7 @@ algebras, Heisenberg-plus-abelian) the earliest standard-basis choice wins and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ WE_PRECONDITION_RTOL = 1e-6
 SIGNIFICANT_RTOL = 1e-8  # see the tolerance policy in lieweyl.algebra
 
 
-@dataclass(frozen=True)
-class AADecomposition:
+class AADecomposition(NamedTuple):
     """Adapted data of a codimension-one abelian ideal.
 
     ``ideal_basis`` rows are a g-orthonormal basis of the ideal, ``normal`` is
@@ -276,8 +275,7 @@ class WEClass(enum.Enum):
     NO_WE = "NoWE"
 
 
-@dataclass(frozen=True)
-class AAClassification:
+class AAClassification(NamedTuple):
     """Case label, its defining coefficient and the exact Lee form set.
 
     ``coefficient`` is the scalar value of ``sym`` in the Einstein family case
@@ -445,8 +443,7 @@ def curvature_closed_form(dec: AADecomposition, m: MetricLieAlgebra) -> Curvatur
     return CurvatureData(riem=riem, ricci=ricci, scalar=scalar)
 
 
-@dataclass(frozen=True)
-class RescaleVerdict:
+class RescaleVerdict(NamedTuple):
     """Flatness of the conformal rescaling attached to a nonzero Lee form."""
 
     ricci_flat: bool

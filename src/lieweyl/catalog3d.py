@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class MetricFamily(enum.Enum):
     M_NU = "mnu"
 
 
-@dataclass(frozen=True)
-class Family3D:
+class Family3D(NamedTuple):
     """One catalog point: bracket family, metric family and parameters."""
 
     family: BracketFamily
@@ -175,8 +174,7 @@ def table_admits(point: Family3D) -> bool:
     return abs(point.mu - point.t) <= REL_TOL * (1.0 + point.t)
 
 
-@dataclass(frozen=True)
-class Verdict3D:
+class Verdict3D(NamedTuple):
     """Agreement object: table verdict, solver verdict, and the Lee forms."""
 
     admits: bool
@@ -212,8 +210,7 @@ class FrameKind(enum.Enum):
     RANK_ONE = "rank-one"  # single stretched line: diag(alpha, 0)
 
 
-@dataclass(frozen=True)
-class AdaptedFrame3D:
+class AdaptedFrame3D(NamedTuple):
     """Adapted orthonormal frame (columns: normal, u, v) with its invariants.
 
     SIMILARITY: [b,u] = k u - l v, [b,v] = l u + k v with l >= 0.

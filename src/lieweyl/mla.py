@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,8 +237,7 @@ def format_value(value) -> str:
     raise ValueError(f"cannot format value of shape {arr.shape}")
 
 
-@dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(NamedTuple):
     key: str
     value: object
 

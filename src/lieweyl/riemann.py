@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,15 +175,13 @@ def change_basis(m: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
     )
 
 
-@dataclass(frozen=True)
-class ConnectionTable:
+class ConnectionTable(NamedTuple):
     """gamma[i, j, k] = coefficient of e_k in (derivative of e_j along e_i)."""
 
     gamma: np.ndarray
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(NamedTuple):
     riem: np.ndarray  # (1,3) tensor, riem[i, j, k, l]: e_l component of R(e_i, e_j)e_k
     ricci: np.ndarray
     scalar: float

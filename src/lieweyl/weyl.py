@@ -32,7 +32,9 @@ Weyl-Einstein condition degenerates and none of the formulas below are used.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +63,7 @@ KN_CALIBRATION_SIGN = 1.0  # R = sign * kulkarni_nomizu(g, B) iff the rescaled m
 ROOT_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class LeeForm:
+class LeeForm(NamedTuple):
     """A covector with its g-dual vector and squared g-norm attached."""
 
     coeffs: np.ndarray
@@ -89,8 +90,7 @@ def _as_covector(m: MetricLieAlgebra, theta) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
-class WeylStructure:
+class WeylStructure(NamedTuple):
     base: MetricLieAlgebra
     lee: LeeForm
     table: ConnectionTable
@@ -111,8 +111,7 @@ def weyl_connection(m: MetricLieAlgebra, theta) -> WeylStructure:
     return WeylStructure(base=m, lee=lee, table=ConnectionTable(gamma))
 
 
-@dataclass(frozen=True)
-class FaradayForm:
+class FaradayForm(NamedTuple):
     """Exterior derivative of the Lee form, with closedness/exactness flags.
 
     For left-invariant forms F(x, y) = -theta([x, y]); the form is closed
@@ -209,8 +208,7 @@ def weyl_ricci(w: WeylStructure) -> tuple[np.ndarray, float]:
     return ric, scalar
 
 
-@dataclass(frozen=True)
-class WEResidual:
+class WEResidual(NamedTuple):
     """Defect of the Weyl-Einstein equation; ``norm`` is frame-Frobenius."""
 
     matrix: np.ndarray
@@ -239,19 +237,22 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
 EXIT_REASONS = ("root-floor", "stall", "damping-cap", "iteration-cap")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Root set of the Weyl-Einstein equation found by :func:`solve_lee_forms`.
 
     ``roots`` are covectors in the standard dual basis, by increasing g-norm
-    (on ties, by frame components); ``residuals`` are their frame norms after
-    polishing; ``infimum`` is the smallest residual reached
-    over all starts that ran (a positive value certifies that no start
-    converged to a root).  ``exits`` counts those starts, the polished
-    quotient candidates, one per distinct real root, and, when it ran, the
-    seeded search's starts, by the rule that stopped them, keyed by
-    :data:`EXIT_REASONS` (root floor, stall, damping cap, iteration cap); a
-    start that ends by a cap did not reach a critical point.
+    (on ties, by frame components); two real roots closer than about
+    sqrt(:data:`ROOT_FLOOR_EPS`) lam = 1e-7 lam, lam the frame norm of the
+    structure constants, come back as one root at their mean (see
+    :func:`_quotient_candidates`).  ``residuals`` are their frame norms after
+    polishing; ``infimum`` is the smallest residual reached over all starts
+    that ran (a positive value certifies that no start converged to a root).
+    ``exits`` counts those starts, the polished quotient candidates, one per
+    distinct real root, and, when it ran, the seeded search's starts, by the
+    rule that stopped them, keyed by :data:`EXIT_REASONS` (root floor, stall,
+    damping cap, iteration cap); a start that ends by a cap did not reach a
+    critical point.  Its default is an empty read-only mapping, so the one
+    default object cannot carry counts from one result into another.
     ``quotient_dim`` is the dimension r of the quotient ring, the number of
     complex roots counted with multiplicity (0: none at all).
     """
@@ -259,7 +260,7 @@ class SolveResult:
     roots: tuple
     residuals: tuple
     infimum: float
-    exits: dict = field(default_factory=dict)
+    exits: Mapping[str, int] = MappingProxyType({})
     quotient_dim: int = 0
 
     @property
@@ -685,7 +686,9 @@ def solve_lee_forms(
     damped Newton steps until one of four rules stops it (root floor, stall,
     damping cap, iteration cap; see :func:`_levenberg_marquardt`).  A
     polished candidate is a root when its residual is at most ``tol_root *
-    (1 + |Ric|)`` at |c| = 1.
+    (1 + |Ric|)`` at |c| = 1.  The quotient resolves real roots down to a
+    gap of about sqrt(:data:`ROOT_FLOOR_EPS`) lam = 1e-7 lam: two closer
+    roots are one candidate, and one root at their mean comes back.
 
     Only when no candidate is accepted does the seeded multistart run
     (:func:`_seeded_search` with ``starts`` and ``seed``).  It supplies
@@ -759,8 +762,7 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     """Verdicts about the conformally rescaled metric killing the Lee form.
 
     ``ricci_flat``: the rescaled metric is Ricci-flat; ``flat``: its full

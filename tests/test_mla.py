@@ -6,7 +6,7 @@ import pytest
 from lieweyl import MlaDocument, emit_mla, emit_report, parse_mla, parse_records
 from lieweyl.errors import MlaParseError
 from lieweyl.mla import ReportRecord, format_number, format_value
-from lieweyl import samples
+from lieweyl import riemann, samples
 
 SOL_TEXT = """mla 1
 dim 3
@@ -42,6 +42,23 @@ def test_parse_tolerates_comments_and_blank_lines():
     doc = parse_mla(text)
     assert doc.dim == 3
     assert doc.brackets == ()
+
+
+def test_a_parsed_document_builds_its_metric_lie_algebra_once(monkeypatch):
+    # the benchmark's trace wraps MetricLieAlgebra.__init__ the same way, so
+    # it must stay a class whose construction runs through __init__
+    init = riemann.MetricLieAlgebra.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(riemann.MetricLieAlgebra, "__init__", counted)
+    doc = parse_mla(SOL_TEXT)
+    m = doc.to_metric_lie_algebra()
+    assert doc.to_metric_lie_algebra() is m
+    assert len(calls) == 1
 
 
 def test_round_trip_is_identity():

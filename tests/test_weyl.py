@@ -816,6 +816,20 @@ def test_solver_keeps_near_coincident_roots_apart(ratio):
     assert len(solve_lee_forms(m).roots) == len(expected)
 
 
+@pytest.mark.parametrize("ratio", [1e-7, 3e-8])
+def test_solver_merges_roots_closer_than_its_resolution_at_their_mean(ratio):
+    # below about sqrt(ROOT_FLOOR_EPS) lam the two Lee forms are one vector
+    # of the Hermite form's range, read as the mean of the pair
+    lam = _rotating_flat_metric(1.0).structure_scale
+    m = build_semidirect(_rotation(1.0), ratio * lam * np.eye(4))
+    expected = classify_weyl_einstein(decompose(m), m).lee_forms
+    assert len(expected) == 2
+    gap = np.max(np.abs(expected[1] - expected[0]))
+    (root,) = solve_lee_forms(m).roots
+    for lee in expected:
+        assert np.max(np.abs(root - lee)) == pytest.approx(gap / 2, rel=1e-6)
+
+
 def test_einstein_zero_root_is_exact_in_a_random_basis():
     # the double root 0 is read from the Hermite form's range as the mean of
     # its cluster, so it lands at rounding level instead of the offset
