@@ -2,7 +2,7 @@
 """Sweep the 3-dimensional catalog and tabulate admission verdicts.
 
 Every valid bracket/metric pairing is evaluated on a parameter grid; for each
-point the closed-form table and the multistart solver are run side by side
+point the closed-form table and the numeric solver are run side by side
 (a disagreement would raise ConsistencyError and abort the sweep).
 """
 from __future__ import annotations
@@ -53,7 +53,8 @@ def main(argv=None) -> int:
     parser.add_argument("--nu", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     parser.add_argument("--t", type=float, nargs="+", default=[1.5, 2.0, 5.0])
     parser.add_argument("--mu-steps", type=int, default=8)
-    parser.add_argument("--starts", type=int, default=weyl.DEFAULT_STARTS)
+    parser.add_argument("--starts", type=int, default=None,
+                        help="seeded-search starts on root-free points (default: no search)")
     parser.add_argument("--seed", type=int, default=weyl.DEFAULT_SEED)
     parser.add_argument("--quiet", action="store_true", help="summary only")
     args = parser.parse_args(argv)

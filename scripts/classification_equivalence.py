@@ -76,9 +76,11 @@ def main(argv=None) -> int:
         distance = root_set_distance(cls.lee_forms, result.roots)
         per_kind[kind] += 1
         quotient_dims[kind][result.quotient_dim] += 1
-        polished = sum(result.exits.values()) - (args.starts if result.seeded else 0)
+        # the seeded search runs, with the given starts, exactly when there is no root
+        seeded = not result.roots
+        polished = sum(result.exits.values()) - (args.starts if seeded else 0)
         rejected[kind] += polished - len(result.roots)
-        if result.seeded:
+        if seeded:
             fallbacks[kind] += 1
             system = weyl._residual_system(m)
             start = time.perf_counter()

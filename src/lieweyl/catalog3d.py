@@ -183,11 +183,13 @@ class Verdict3D(NamedTuple):
     by_solver: bool
 
 
-def admits_weyl_einstein(point: Family3D, starts: int = weyl.DEFAULT_STARTS,
+def admits_weyl_einstein(point: Family3D, starts: int | None = None,
                          seed: int = weyl.DEFAULT_SEED) -> Verdict3D:
     """Evaluate a catalog point with both the table and the numeric solver.
 
-    A disagreement raises :class:`ConsistencyError`; it would mean either a
+    The verdict reads only the solver's roots, so the seeded search of
+    :func:`weyl.solve_lee_forms` runs only when ``starts`` is given.  A
+    disagreement raises :class:`ConsistencyError`; it would mean either a
     solver completeness failure or a wrong table entry.
     """
     m = build_family(point)

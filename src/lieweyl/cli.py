@@ -55,12 +55,12 @@ def _curvature_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
     return records
 
 
-def _weyl_records(m: riemann.MetricLieAlgebra, starts: int, seed: int, tol: float) -> list[ReportRecord]:
+def _weyl_records(m: riemann.MetricLieAlgebra, starts: int | None, seed: int,
+                  tol: float) -> list[ReportRecord]:
     result = weyl.solve_lee_forms(m, starts=starts, seed=seed, tol_root=tol)
-    records = [
-        ReportRecord("weyl.root_count", len(result.roots)),
-        ReportRecord("weyl.infimum", result.infimum),
-    ]
+    records = [ReportRecord("weyl.root_count", len(result.roots))]
+    if np.isfinite(result.infimum):  # some start ran
+        records.append(ReportRecord("weyl.infimum", result.infimum))
     for idx, (root, residual) in enumerate(zip(result.roots, result.residuals)):
         far = weyl.faraday(m, root)
         records.append(ReportRecord(f"weyl.roots[{idx}]", root))
@@ -136,7 +136,7 @@ def _cmd_aa_classify(args) -> str:
 def _cmd_report(args) -> str:
     m = _read_document(args.file).to_metric_lie_algebra()
     records = _validate_records(m) + _curvature_records(m)
-    records += _weyl_records(m, weyl.DEFAULT_STARTS, weyl.DEFAULT_SEED, weyl.DEFAULT_ROOT_TOL)
+    records += _weyl_records(m, None, weyl.DEFAULT_SEED, weyl.DEFAULT_ROOT_TOL)
     try:
         aa = _aa_records(m, None)
     except NotAlmostAbelianError:
@@ -242,12 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weyl-solve", help="find all Weyl-Einstein Lee forms")
     add_common(p)
     p.add_argument(
-        "--starts", type=int, default=weyl.DEFAULT_STARTS,
-        help=f"starts of the seeded multistart search (1 to {weyl.MAX_STARTS}, default "
-             f"{weyl.DEFAULT_STARTS}); it runs only when the quotient ring route accepts no "
-             "root, and then sets the infimum, where the default matched 256 starts on every "
-             "root-free model measured.  The quotient is the evidence of no root: quotient "
-             "dimension 0 certifies that no complex root exists",
+        "--starts", type=int, default=None,
+        help=f"run a seeded search of this many starts (1 to {weyl.MAX_STARTS}) when the "
+             "quotient ring route accepts no root, and report its weyl.infimum; default: no "
+             f"search.  {weyl.DEFAULT_STARTS} starts matched 256 on every root-free model "
+             "measured.  The quotient is the evidence of no root (dimension 0: no complex root)",
     )
     p.add_argument(
         "--seed", type=int, default=weyl.DEFAULT_SEED,

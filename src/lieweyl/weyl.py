@@ -19,12 +19,12 @@ O'Shea, *Using Algebraic Geometry*, ch. 2).  The solver reads one candidate
 per distinct real root from it and polishes each with damped Newton steps on
 the squared defect, whose second-order term costs one product because the
 defect is quadratic, until it reaches the rounding floor of a root or no
-step can lower the defect by more than rounding.  Only when no candidate is
-a root does a seeded multistart search run, for the residual infimum and as
-a cross-check.  The quadratic map is built once per metric Lie algebra, with
-the structure constants scaled to unit frame norm; every solver stage and
-every residual evaluation runs on it and maps only its results back, so the
-solve is equivariant under rescaling.
+step can lower the defect by more than rounding.  A seeded multistart search
+runs only on request and when no candidate is a root, for the residual
+infimum and as a cross-check.  The quadratic map is built once per metric
+Lie algebra, with the structure constants scaled to unit frame norm; every
+solver stage and every residual evaluation runs on it and maps only its
+results back, so the solve is equivariant under rescaling.
 
 Everything here requires dimension at least 3: in lower dimensions the
 Weyl-Einstein condition degenerates and none of the formulas below are used.
@@ -246,15 +246,16 @@ class SolveResult(NamedTuple):
     structure constants, come back as one root at their mean (see
     :func:`_quotient_candidates`).  ``residuals`` are their frame norms after
     polishing; ``infimum`` is the smallest residual reached over all starts
-    that ran (a positive value certifies that no start converged to a root).
-    ``exits`` counts those starts, the polished quotient candidates, one per
-    distinct real root, and, when it ran, the seeded search's starts, by the
-    rule that stopped them, keyed by :data:`EXIT_REASONS` (root floor, stall,
-    damping cap, iteration cap); a start that ends by a cap did not reach a
-    critical point.  Its default is an empty read-only mapping, so the one
-    default object cannot carry counts from one result into another.
-    ``quotient_dim`` is the dimension r of the quotient ring, the number of
-    complex roots counted with multiplicity (0: none at all).
+    that ran (a positive value certifies that no start converged to a root),
+    ``math.inf`` when none ran.  ``exits`` counts those starts, the polished
+    quotient candidates, one per distinct real root, and, when it ran, the
+    seeded search's starts, by the rule that stopped them, keyed by
+    :data:`EXIT_REASONS` (root floor, stall, damping cap, iteration cap); a
+    start that ends by a cap did not reach a critical point.  Its default is
+    an empty read-only mapping, so the one default object cannot carry counts
+    from one result into another.  ``quotient_dim`` is the dimension r of the
+    quotient ring, the number of complex roots counted with multiplicity (0:
+    none at all).
     """
 
     roots: tuple
@@ -262,14 +263,6 @@ class SolveResult(NamedTuple):
     infimum: float
     exits: Mapping[str, int] = MappingProxyType({})
     quotient_dim: int = 0
-
-    @property
-    def seeded(self) -> bool:
-        """Whether the seeded search ran, derived from ``roots``: it runs
-        exactly when no quotient candidate is accepted, and a root it finds
-        then raises :class:`ConsistencyError`, so it ran iff ``roots`` is
-        empty."""
-        return not self.roots
 
 
 class _ResidualSystem:
@@ -671,7 +664,7 @@ def _is_a(value, kind) -> bool:
 
 def solve_lee_forms(
     m: MetricLieAlgebra,
-    starts: int = DEFAULT_STARTS,
+    starts: int | None = None,
     seed: int = DEFAULT_SEED,
     tol_root: float = DEFAULT_ROOT_TOL,
 ) -> SolveResult:
@@ -688,27 +681,27 @@ def solve_lee_forms(
     polished candidate is a root when its residual is at most ``tol_root *
     (1 + |Ric|)`` at |c| = 1.  The quotient resolves real roots down to a
     gap of about sqrt(:data:`ROOT_FLOOR_EPS`) lam = 1e-7 lam: two closer
-    roots are one candidate, and one root at their mean comes back.
+    roots are one candidate, and one root at their mean comes back.  The
+    quotient is the evidence that there is no root: dimension 0 means no
+    complex root, and otherwise the Hermite signature counts the real ones.
 
-    Only when no candidate is accepted does the seeded multistart run
-    (:func:`_seeded_search` with ``starts`` and ``seed``).  It supplies
-    ``infimum`` on algebras without a root, and it cross-checks the quotient
-    route: a start that passes the same root test raises
-    :class:`ConsistencyError`.  The result counts the starts that ran, of
-    both routes, per exit rule.  The default of :data:`DEFAULT_STARTS` = 8
-    starts reaches the 256-start minimum within 6e-16 relative, from every
-    seed 0-5, on the 1473 root-free almost abelian, nilpotent and random
-    algebras measured and on Heisenberg plus R^k at every scale (README);
-    4 starts missed some random draws by up to 46%.  The quotient is the
-    evidence that there is no root: dimension 0 means no complex root.
-    Deterministic for fixed inputs.  ``starts`` that is not an integer from
-    1 to :data:`MAX_STARTS`, a ``seed`` that is not a non-negative integer
-    and a ``tol_root`` that is not a finite positive number raise
-    :class:`InputError`; numpy scalars are accepted, bools are not.
+    The seeded multistart (:func:`_seeded_search` with ``starts`` and
+    ``seed``) runs only when ``starts`` is given and no candidate is
+    accepted.  It supplies ``infimum`` on algebras without a root (else
+    ``math.inf`` when no candidate was polished either) and cross-checks the
+    quotient route: a start that passes the same root test raises
+    :class:`ConsistencyError`.  The result counts the starts of both routes
+    per exit rule.  :data:`DEFAULT_STARTS` = 8 starts reached the 256-start
+    minimum on every root-free model measured (README).  Deterministic for
+    fixed inputs.  ``starts`` that is neither None nor an integer from 1 to
+    :data:`MAX_STARTS`, a ``seed`` that is not a non-negative integer and a
+    ``tol_root`` that is not a finite positive number raise
+    :class:`InputError`, even where no search runs; numpy scalars are
+    accepted, bools are not.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
-    if not (_is_a(starts, numbers.Integral) and 1 <= starts <= MAX_STARTS):
+    if not (starts is None or (_is_a(starts, numbers.Integral) and 1 <= starts <= MAX_STARTS)):
         raise InputError(f"need an integer between 1 and {MAX_STARTS} starts, got {starts!r}")
     if not (_is_a(seed, numbers.Integral) and seed >= 0):
         raise InputError(f"the seed must be a non-negative integer, got {seed!r}")
@@ -731,7 +724,7 @@ def solve_lee_forms(
         roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in kept]
         residuals = [lam**2 * float(res_final[i]) for i in kept]
 
-    if not roots:
+    if starts is not None and not roots:
         _, res_seeded, seeded_codes = _seeded_search(system, starts, seed)
         exit_codes = np.concatenate((exit_codes, seeded_codes))
         best = float(np.min(res_seeded))

@@ -22,7 +22,7 @@ from lieweyl.errors import (
     NoNormalFormError,
     PreconditionError,
 )
-from lieweyl import samples
+from lieweyl import catalog3d, samples
 from lieweyl.algebra import REL_TOL
 
 TOL = 1e-9
@@ -121,6 +121,19 @@ def test_verdict_einstein_boundary_has_two_roots():
     v = admits_weyl_einstein(point(BracketFamily.GT, MetricFamily.H_MU_NU, t=2.0, mu=2.0, nu=0.7))
     assert v.admits
     assert len(v.lee_forms) == 2
+
+
+@pytest.mark.parametrize("admits", [False, True])
+def test_table_solver_disagreement_raises_without_a_seeded_search(monkeypatch, admits):
+    # the verdict reads only the solver's roots, so the cross-check holds on
+    # the default path, which runs no seeded search; a table flipped at one
+    # point must trip it in both directions
+    p = (point(BracketFamily.GT, MetricFamily.H_MU_NU, t=2.0, mu=2.0, nu=0.7) if admits
+         else point(BracketFamily.SOL, MetricFamily.STD))
+    assert admits_weyl_einstein(p).admits is admits
+    monkeypatch.setattr(catalog3d, "table_admits", lambda _: not admits)
+    with pytest.raises(ConsistencyError, match="table and solver disagree"):
+        admits_weyl_einstein(p)
 
 
 def test_adapted_frame_similarity_ridr2():

@@ -166,6 +166,7 @@ def test_aa_classify_rejects_bad_hint_shape(tmp_path):
         ("weyl-solve", "--tol", "inf"),
         ("weyl-solve", "--seed", "-1"),
         ("weyl-solve", "--starts", "0"),
+        ("weyl-solve", "--starts", "-3"),
         ("weyl-solve", "--starts", str(weyl.MAX_STARTS + 1)),
         ("weyl-solve", "--starts", "100000000000"),
         ("aa-classify", "--ideal", "1 0 0; 0 1"),
@@ -195,16 +196,28 @@ def test_report_covers_all_sections(tmp_path):
     assert records["algebra.ok"] is True
     assert records["ricci.scalar"] == pytest.approx(-2.0)
     assert records["weyl.root_count"] == 0
-    assert records["weyl.infimum"] == pytest.approx(np.sqrt(2.5), rel=1e-9)
+    # no start ran: the quotient ring has no real candidate and the report
+    # asks for no seeded search
+    assert "weyl.infimum" not in records
     assert records["aa.almost_abelian"] is True
     assert records["aa.case"] == "NoWE"
     assert np.isnan(records["aa.coefficient"])
 
 
-def test_report_with_roots_does_not_import_numpy_random(tmp_path):
-    # the quotient route finds the roots, so the seeded search and its
-    # generator (a lazy import of numpy.random) never run
-    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
+def test_weyl_solve_with_starts_reports_the_infimum(tmp_path):
+    path = write_mla(tmp_path, "sol.mla", SOL_TEXT)
+    proc = run_cli("weyl-solve", path, "--starts", str(weyl.DEFAULT_STARTS), "--format", "records")
+    assert proc.returncode == 0
+    records = mla.parse_records(proc.stdout)
+    assert records["weyl.root_count"] == 0
+    assert records["weyl.infimum"] == pytest.approx(np.sqrt(2.5), rel=1e-9)
+    plain = mla.parse_records(run_cli("weyl-solve", path, "--format", "records").stdout)
+    assert plain == {"weyl.root_count": 0}
+
+
+def _cold_report(path):
+    """Records of a report in a fresh interpreter, and whether it imported
+    numpy.random (the seeded search's generator is a lazy import)."""
     probe = (
         "import sys\n"
         "from lieweyl import cli\n"
@@ -212,8 +225,28 @@ def test_report_with_roots_does_not_import_numpy_random(tmp_path):
         "sys.stderr.write(f'{code} {\"numpy.random\" in sys.modules}')\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe, path], capture_output=True, text=True)
-    assert proc.stderr == "0 False"
-    assert mla.parse_records(proc.stdout)["weyl.root_count"] == 2
+    assert proc.stderr.startswith("0 "), proc.stderr
+    return mla.parse_records(proc.stdout), proc.stderr == "0 True"
+
+
+def test_report_with_roots_does_not_import_numpy_random(tmp_path):
+    # the quotient route finds the roots, so the seeded search and its
+    # generator never run
+    records, imported = _cold_report(write_mla(tmp_path, "hyp3.mla", HYP3_TEXT))
+    assert not imported
+    assert records["weyl.root_count"] == 2
+
+
+@pytest.mark.parametrize("name", ["sol", "heisenberg"])
+def test_report_without_roots_does_not_import_numpy_random(tmp_path, name):
+    # a report asks for no seeded search, so a root-free document runs no
+    # start at all and has no infimum to report
+    text = SOL_TEXT if name == "sol" else mla.emit_mla(
+        mla.MlaDocument.from_metric_lie_algebra(samples.heisenberg()))
+    records, imported = _cold_report(write_mla(tmp_path, f"{name}.mla", text))
+    assert not imported
+    assert "weyl.infimum" not in records
+    assert records["weyl.root_count"] == 0
 
 
 def test_report_flags_non_almost_abelian(tmp_path):
@@ -223,8 +256,10 @@ def test_report_flags_non_almost_abelian(tmp_path):
     records = mla.parse_records(proc.stdout)
     assert records["aa.almost_abelian"] is False
     assert records["weyl.root_count"] == 0
-    assert records["weyl.infimum"] > 0.5
+    assert "weyl.infimum" not in records
     assert "aa.case" not in records
+    proc = run_cli("weyl-solve", path, "--starts", str(weyl.DEFAULT_STARTS), "--format", "records")
+    assert mla.parse_records(proc.stdout)["weyl.infimum"] > 0.5
 
 
 def test_missing_file_exit_two(tmp_path):

@@ -204,7 +204,7 @@ def test_root_sets_are_equivariant_under_rescaling(seed, dim, kind):
 def test_heisenberg_plus_line_has_no_root_at_any_scale():
     m = samples.heisenberg(extra=1)
     for lam in (1.0,) + SCALES:
-        result = weyl.solve_lee_forms(rescaled(m, lam))
+        result = weyl.solve_lee_forms(rescaled(m, lam), starts=weyl.DEFAULT_STARTS)
         assert result.roots == () and result.quotient_dim == 0, lam
         assert result.infimum > 0.1 * lam**2, (lam, result.infimum)
 
@@ -226,28 +226,29 @@ def test_exits_and_infimum_are_scale_free():
     # every stage of the solve runs at unit |c|: the starts take the same
     # exits at every scale and the infimum scales by lam^2.  A root's
     # residual is rounding noise, so it is compared at the size of E,
-    # lam^2 + |Ric|.
+    # lam^2 + |Ric|.  The seeded search is asked for, so that root-free
+    # algebras have starts and an infimum to compare.
     for i, m in enumerate(acceptance_mix(60) + LADDER_MODELS):
-        base = weyl.solve_lee_forms(m)
+        base = weyl.solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
         system = weyl._residual_system(m)
         size = system.scale**2 * system.ric_scale if base.roots else base.infimum
         for lam in SCALES:
-            result = weyl.solve_lee_forms(rescaled(m, lam))
+            result = weyl.solve_lee_forms(rescaled(m, lam), starts=weyl.DEFAULT_STARTS)
             assert result.exits == base.exits, (i, lam, base.exits, result.exits)
             gap = abs(result.infimum / lam**2 - base.infimum)
             assert gap <= 1e-12 * size, (i, lam, result.infimum / lam**2, base.infimum)
 
 
 def test_default_infimum_equals_the_256_start_minimum_on_root_free_models():
-    # the default solve runs weyl.DEFAULT_STARTS seeded starts on a root-free
-    # algebra; its infimum must be the one a 256-start search finds from any
+    # a solve asked for weyl.DEFAULT_STARTS seeded starts on a root-free
+    # algebra: its infimum must be the one a 256-start search finds from any
     # seed, and that search must reach no root the quotient route missed
     rng = np.random.default_rng(5)
     heisenberg = [rescaled(change_basis(m, samples.random_basis_change(rng, m.dim)), lam)
                   for m in (samples.heisenberg(extra=k) for k in range(4))
                   for lam in (1e-6, 1.0, 1e6)]
     for i, m in enumerate(acceptance_mix(300)[2::3] + LADDER_MODELS + heisenberg):
-        result = weyl.solve_lee_forms(m)
+        result = weyl.solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
         system = weyl._residual_system(m)
         assert result.roots == (), i
         infimum = result.infimum / system.scale**2

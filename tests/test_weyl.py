@@ -1,6 +1,7 @@
 """Weyl connections, Faraday forms, the residual solver and flatness tests."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_solver_collapses_degenerate_root():
 
 
 def test_solver_no_roots_on_heisenberg():
-    result = solve_lee_forms(samples.heisenberg())
+    result = solve_lee_forms(samples.heisenberg(), starts=weyl.DEFAULT_STARTS)
     assert result.roots == ()
     assert result.infimum > 0.5
 
@@ -209,12 +210,14 @@ def test_solver_is_deterministic():
 @pytest.mark.parametrize(
     "name, value",
     [("starts", 0), ("seed", -1), ("tol_root", float("nan")), ("tol_root", float("inf")),
-     ("tol_root", 0.0), ("tol_root", -1e-8), ("starts", weyl.MAX_STARTS + 1),
+     ("tol_root", 0.0), ("tol_root", -1e-8), ("starts", -1), ("starts", weyl.MAX_STARTS + 1),
      ("starts", 10**11), ("starts", 8.5), ("starts", 8.0), ("starts", True), ("starts", "8"),
      ("seed", 1.5), ("seed", True), ("seed", None), ("tol_root", "1e-8"), ("tol_root", None),
      ("tol_root", True)],
 )
 def test_solver_rejects_bad_parameters_as_input_errors(name, value):
+    # sol has no real quotient candidate, so no start runs unless starts are
+    # given; the parameters are checked all the same
     with pytest.raises(InputError):
         solve_lee_forms(sol(), **{name: value})
 
@@ -225,6 +228,64 @@ def test_solver_accepts_numpy_scalar_parameters():
     want = solve_lee_forms(m, starts=8, seed=3, tol_root=float(np.float32(1e-8)))
     assert got.roots == want.roots == ()
     assert got.infimum == want.infimum and got.exits == want.exits
+
+
+def _same_roots(a, b):
+    return len(a.roots) == len(b.roots) and all(map(np.array_equal, a.roots, b.roots))
+
+
+def test_seeded_search_runs_only_when_starts_are_given(monkeypatch):
+    # on the acceptance mix a default solve runs no seeded search and holds
+    # the quotient route's output: its roots, residuals, quotient dimension
+    # and polish exits, and as infimum the polish minimum, inf where no start
+    # ran.  Asked for weyl.DEFAULT_STARTS starts, a solve searches once on
+    # each root-free draw and adds exactly those starts.
+    calls = [0]
+    search = weyl._seeded_search
+
+    def counting(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(weyl, "_seeded_search", counting)
+    rng = np.random.default_rng(1000)
+    for i in range(300):
+        kind = ("einstein", "trace", "generic")[i % 3]
+        m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
+        calls[0] = 0
+        default = solve_lee_forms(m)
+        assert calls[0] == 0, i
+        requested = solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
+        assert calls[0] == (requested.roots == ()), i
+        ran = sum(default.exits.values())
+        assert ran <= m.dim + 2 and (ran == 0) == (default.infimum == math.inf), (i, default)
+        assert _same_roots(default, requested) and default.residuals == requested.residuals, i
+        assert default.quotient_dim == requested.quotient_dim, i
+        if requested.roots:
+            assert (requested.exits, requested.infimum) == (default.exits, default.infimum), i
+        else:
+            seeded = {k: requested.exits[k] - default.exits[k] for k in weyl.EXIT_REASONS}
+            assert min(seeded.values()) >= 0 and sum(seeded.values()) == weyl.DEFAULT_STARTS, i
+            assert requested.infimum <= default.infimum, i
+
+
+LADDER_MODELS = [samples.heisenberg(extra=k) for k in range(3)] + [
+    samples.filiform4(), samples.free_two_step()]
+
+
+@pytest.mark.parametrize("starts", [50, 200])
+def test_solve_with_starts_reports_the_seeded_search_on_the_ladder_models(starts):
+    # the nilpotent models have no real quotient candidate, so a solve asked
+    # for starts reports exactly the seeded search: its minimum, scaled back
+    # by lam^2, and its exits
+    for i, m in enumerate(LADDER_MODELS):
+        system = weyl._residual_system(m)
+        for seed in range(3):
+            result = solve_lee_forms(m, starts=starts, seed=seed)
+            _, residuals, codes = weyl._seeded_search(system, starts, seed)
+            assert result.roots == (), (i, seed)
+            assert result.infimum == system.scale**2 * float(np.min(residuals)), (i, seed)
+            assert result.exits == weyl._exit_counts(codes), (i, seed)
 
 
 def _residual_batches(seed, dims=range(3, 9)):
@@ -417,7 +478,7 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
         m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
         system = weyl._residual_system(m)
         runs.clear()
-        result = solve_lee_forms(m)
+        result = solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
         assert tuple(result.exits) == weyl.EXIT_REASONS
         assert sum(result.exits.values()) == sum(len(out[0]) for _, out in runs), (i, runs)
         assert result.exits["iteration-cap"] == 0, (i, result.exits)
@@ -456,9 +517,7 @@ def test_nilpotent_ladder_solves_within_20_jacobian_calls(monkeypatch):
         return jacobian(self, t)
 
     monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
-    models = [samples.heisenberg(extra=k) for k in range(3)]
-    models += [samples.filiform4(), samples.free_two_step()]
-    for m in models:
+    for m in LADDER_MODELS:
         for starts in (50, 200, 800):
             calls[0] = 0
             result = solve_lee_forms(m, starts=starts)
@@ -620,7 +679,7 @@ def test_abelian_double_root_ends_at_the_root_floor(n):
     # the quotient is all of B, the root 0 with multiplicity n + 2; the
     # Hermite form has rank 1, so one candidate is polished onto the floor
     result = solve_lee_forms(m)
-    assert result.quotient_dim == n + 2 and not result.seeded
+    assert result.quotient_dim == n + 2
     assert result.exits == {**dict.fromkeys(weyl.EXIT_REASONS, 0), "root-floor": 1}
     assert len(result.roots) == 1
     assert np.linalg.norm(result.roots[0]) <= 1e-12
@@ -884,7 +943,10 @@ def test_quotient_dimension_on_the_probes(monkeypatch, name, m, r):
     monkeypatch.setattr(weyl, "_seeded_search", recording)
     result = solve_lee_forms(m)
     assert result.quotient_dim == r == macaulay_nullity(m)
-    assert result.seeded == bool(ran) == (result.roots == ())
+    assert ran == []  # the default solve asks for no seeded search
+    requested = solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
+    assert _same_roots(requested, result) and requested.quotient_dim == r
+    assert bool(ran) == (result.roots == ())
 
 
 def _seeded_roots(m):
@@ -920,7 +982,7 @@ def test_seeded_root_after_an_empty_quotient_route_is_a_consistency_error(monkey
     m = samples.hyperbolic(4, 1.0)
     monkeypatch.setattr(weyl, "_quotient_candidates", lambda system: (0, np.zeros((0, 4))))
     with pytest.raises(ConsistencyError) as info:
-        solve_lee_forms(m)
+        solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
     message = str(info.value)
     assert "seeded search" in message and "quotient ring route" in message
     assert "residual" in message and "root tolerance" in message
@@ -936,8 +998,9 @@ def test_quotient_route_is_deterministic_and_polishes_at_most_n_plus_2_candidate
 
     monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
     m = samples.random_almost_abelian(np.random.default_rng(3), 6, "einstein")
-    first, second = solve_lee_forms(m, seed=1), solve_lee_forms(m, seed=2)
-    assert not first.seeded and sizes[0] == sizes[1] == sum(first.exits.values()) <= 8
+    first = solve_lee_forms(m, starts=weyl.DEFAULT_STARTS, seed=1)
+    second = solve_lee_forms(m, starts=weyl.DEFAULT_STARTS, seed=2)
+    assert len(sizes) == 2 and sizes[0] == sizes[1] == sum(first.exits.values()) <= 8
     assert len(first.roots) == len(second.roots) > 0
     for a, b in zip(first.roots, second.roots):
         assert np.array_equal(a, b)
