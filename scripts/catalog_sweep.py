@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from lieweyl import catalog3d, weyl
+from lieweyl import catalog3d
 from lieweyl.catalog3d import BracketFamily, Family3D, MetricFamily
 from lieweyl.errors import InputError
 
@@ -53,9 +53,6 @@ def main(argv=None) -> int:
     parser.add_argument("--nu", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     parser.add_argument("--t", type=float, nargs="+", default=[1.5, 2.0, 5.0])
     parser.add_argument("--mu-steps", type=int, default=8)
-    parser.add_argument("--starts", type=int, default=None,
-                        help="seeded-search starts on root-free points (default: no search)")
-    parser.add_argument("--seed", type=int, default=weyl.DEFAULT_SEED)
     parser.add_argument("--quiet", action="store_true", help="summary only")
     args = parser.parse_args(argv)
 
@@ -65,7 +62,7 @@ def main(argv=None) -> int:
     for point in grid_points(args.nu, args.mu_steps, args.t):
         label = point_label(point)
         try:
-            verdict = catalog3d.admits_weyl_einstein(point, starts=args.starts, seed=args.seed)
+            verdict = catalog3d.admits_weyl_einstein(point)
         except InputError as exc:
             degenerate += 1
             if not args.quiet:
@@ -93,7 +90,7 @@ def main(argv=None) -> int:
     print()
     print(
         f"total: {admitted} admit, {rejected} do not, {degenerate} degenerate points "
-        f"({elapsed:.1f}s, starts={args.starts}, seed={args.seed})"
+        f"({elapsed:.1f}s)"
     )
     return 0
 

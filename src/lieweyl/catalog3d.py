@@ -183,18 +183,15 @@ class Verdict3D(NamedTuple):
     by_solver: bool
 
 
-def admits_weyl_einstein(point: Family3D, starts: int | None = None,
-                         seed: int = weyl.DEFAULT_SEED) -> Verdict3D:
+def admits_weyl_einstein(point: Family3D) -> Verdict3D:
     """Evaluate a catalog point with both the table and the numeric solver.
 
-    The verdict reads only the solver's roots, so the seeded search of
-    :func:`weyl.solve_lee_forms` runs only when ``starts`` is given.  A
-    disagreement raises :class:`ConsistencyError`; it would mean either a
+    A disagreement raises :class:`ConsistencyError`; it would mean either a
     solver completeness failure or a wrong table entry.
     """
     m = build_family(point)
     by_table = table_admits(point)
-    result = weyl.solve_lee_forms(m, starts=starts, seed=seed)
+    result = weyl.solve_lee_forms(m)
     by_solver = len(result.roots) > 0
     if by_table != by_solver:
         raise ConsistencyError(

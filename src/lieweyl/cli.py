@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--starts", type=int, default=None,
         help=f"run a seeded search of this many starts (1 to {weyl.MAX_STARTS}) when the "
-             "quotient ring route accepts no root, and report its weyl.infimum; default: no "
+             "quotient ring route finds no real root, and report its weyl.infimum; default: no "
              f"search.  {weyl.DEFAULT_STARTS} starts matched 256 on every root-free model "
              "measured.  The quotient is the evidence of no root (dimension 0: no complex root)",
     )

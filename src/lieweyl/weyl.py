@@ -19,12 +19,13 @@ O'Shea, *Using Algebraic Geometry*, ch. 2).  The solver reads one candidate
 per distinct real root from it and polishes each with damped Newton steps on
 the squared defect, whose second-order term costs one product because the
 defect is quadratic, until it reaches the rounding floor of a root or no
-step can lower the defect by more than rounding.  A seeded multistart search
-runs only on request and when no candidate is a root, for the residual
-infimum and as a cross-check.  The quadratic map is built once per metric
-Lie algebra, with the structure constants scaled to unit frame norm; every
-solver stage and every residual evaluation runs on it and maps only its
-results back, so the solve is equivariant under rescaling.
+step can lower the defect by more than rounding; a candidate that is not
+then a root contradicts the quotient.  A seeded multistart search runs only
+on request and when there is no candidate, for the residual infimum and as
+a cross-check.  The quadratic map is built once per metric Lie algebra, with
+the structure constants scaled to unit frame norm; every solver stage and
+every residual evaluation runs on it and maps only its results back, so the
+solve is equivariant under rescaling.
 
 Everything here requires dimension at least 3: in lower dimensions the
 Weyl-Einstein condition degenerates and none of the formulas below are used.
@@ -246,10 +247,11 @@ class SolveResult(NamedTuple):
     structure constants, come back as one root at their mean (see
     :func:`_quotient_candidates`).  ``residuals`` are their frame norms after
     polishing; ``infimum`` is the smallest residual reached over all starts
-    that ran (a positive value certifies that no start converged to a root),
-    ``math.inf`` when none ran.  ``exits`` counts those starts, the polished
-    quotient candidates, one per distinct real root, and, when it ran, the
-    seeded search's starts, by the rule that stopped them, keyed by
+    that ran: the smallest root residual, the seeded search's minimum (a
+    positive value, as no start converged to a root), or ``math.inf`` when
+    no start ran.  ``exits`` counts those starts, either the polished
+    quotient candidates, one per distinct real root, or the seeded search's
+    starts, by the rule that stopped them, keyed by
     :data:`EXIT_REASONS` (root floor, stall, damping cap, iteration cap); a
     start that ends by a cap did not reach a critical point.  Its default is
     an empty read-only mapping, so the one default object cannot carry counts
@@ -679,25 +681,27 @@ def solve_lee_forms(
     damped Newton steps until one of four rules stops it (root floor, stall,
     damping cap, iteration cap; see :func:`_levenberg_marquardt`).  A
     polished candidate is a root when its residual is at most ``tol_root *
-    (1 + |Ric|)`` at |c| = 1.  The quotient resolves real roots down to a
-    gap of about sqrt(:data:`ROOT_FLOOR_EPS`) lam = 1e-7 lam: two closer
-    roots are one candidate, and one root at their mean comes back.  The
-    quotient is the evidence that there is no root: dimension 0 means no
-    complex root, and otherwise the Hermite signature counts the real ones.
+    (1 + |Ric|)`` at |c| = 1, and every candidate must be one: a candidate
+    that fails the test raises :class:`ConsistencyError`, as the Hermite
+    signature counts exactly the distinct real roots.  The quotient resolves
+    real roots down to a gap of about sqrt(:data:`ROOT_FLOOR_EPS`) lam =
+    1e-7 lam: two closer roots are one candidate, and one root at their mean
+    comes back.  The quotient is the evidence that there is no root:
+    dimension 0 means no complex root, and otherwise the Hermite signature
+    counts the real ones.
 
     The seeded multistart (:func:`_seeded_search` with ``starts`` and
-    ``seed``) runs only when ``starts`` is given and no candidate is
-    accepted.  It supplies ``infimum`` on algebras without a root (else
-    ``math.inf`` when no candidate was polished either) and cross-checks the
-    quotient route: a start that passes the same root test raises
-    :class:`ConsistencyError`.  The result counts the starts of both routes
-    per exit rule.  :data:`DEFAULT_STARTS` = 8 starts reached the 256-start
-    minimum on every root-free model measured (README).  Deterministic for
-    fixed inputs.  ``starts`` that is neither None nor an integer from 1 to
-    :data:`MAX_STARTS`, a ``seed`` that is not a non-negative integer and a
-    ``tol_root`` that is not a finite positive number raise
-    :class:`InputError`, even where no search runs; numpy scalars are
-    accepted, bools are not.
+    ``seed``) runs only when ``starts`` is given and there is no candidate.
+    It supplies ``infimum`` on algebras without a root (else ``math.inf``)
+    and cross-checks the quotient route: a start that passes the same root
+    test raises :class:`ConsistencyError`.  The result counts the starts
+    that ran per exit rule.  :data:`DEFAULT_STARTS` = 8 starts reached the
+    256-start minimum on every root-free model measured (README).
+    Deterministic for fixed inputs.  ``starts`` that is neither None nor an
+    integer from 1 to :data:`MAX_STARTS`, a ``seed`` that is not a
+    non-negative integer and a ``tol_root`` that is not a finite positive
+    number raise :class:`InputError`, even where no search runs; numpy
+    scalars are accepted, bools are not.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
@@ -718,22 +722,26 @@ def solve_lee_forms(
     residuals: list[float] = []
     if len(candidates):
         t_final, res_final, exit_codes = _levenberg_marquardt(system, candidates)
-        infimum = float(np.min(res_final))
-        kept = sorted(np.flatnonzero(res_final <= threshold),
-                      key=lambda i: (np.linalg.norm(t_final[i]), tuple(t_final[i])))
-        roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in kept]
-        residuals = [lam**2 * float(res_final[i]) for i in kept]
-
-    if starts is not None and not roots:
-        _, res_seeded, seeded_codes = _seeded_search(system, starts, seed)
-        exit_codes = np.concatenate((exit_codes, seeded_codes))
-        best = float(np.min(res_seeded))
-        infimum = min(infimum, best)
-        if not best > threshold:
+        worst = float(np.max(res_final))
+        if not worst <= threshold:
             raise ConsistencyError(
-                f"the seeded search reached a root with residual {best:.3e} at |c| = 1 "
-                f"(root tolerance {threshold:.3e}) where the quotient ring route accepted none "
-                f"of its {len(candidates)} candidates (quotient dimension {quotient_dim})"
+                f"a quotient ring candidate polished to residual {worst:.3e} at |c| = 1 "
+                f"(root tolerance {threshold:.3e}), but each of the {len(candidates)} candidates "
+                f"is a distinct real root (quotient dimension {quotient_dim})"
+            )
+        infimum = float(np.min(res_final))
+        order = sorted(range(len(candidates)),
+                       key=lambda i: (np.linalg.norm(t_final[i]), tuple(t_final[i])))
+        roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in order]
+        residuals = [lam**2 * float(res_final[i]) for i in order]
+    elif starts is not None:
+        _, res_seeded, exit_codes = _seeded_search(system, starts, seed)
+        infimum = float(np.min(res_seeded))
+        if not infimum > threshold:
+            raise ConsistencyError(
+                f"the seeded search reached a root with residual {infimum:.3e} at |c| = 1 "
+                f"(root tolerance {threshold:.3e}) where the quotient ring route found no real "
+                f"root (quotient dimension {quotient_dim})"
             )
 
     return SolveResult(roots=tuple(roots), residuals=tuple(residuals), infimum=lam**2 * infimum,

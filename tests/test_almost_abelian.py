@@ -26,6 +26,7 @@ from lieweyl.errors import (
 from lieweyl.riemann import change_basis, curvature, levi_civita, ricci
 from lieweyl import almost_abelian, samples
 from lieweyl.algebra import REL_TOL
+from models import acceptance_mix
 
 TOL = 1e-12
 CLS_TOL = 1e-9
@@ -282,13 +283,6 @@ def test_ideal_invariance_alarm_names_routes_gap_and_tolerance(monkeypatch):
         assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
 
 
-def _acceptance_mix(count):
-    rng = np.random.default_rng(1000)
-    return [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
-                                          ("einstein", "trace", "generic")[i % 3])
-            for i in range(count)]
-
-
 def _rescaled(m, lam):
     return MetricLieAlgebra(LieAlgebra(lam * np.asarray(m.c)), m.metric)
 
@@ -296,7 +290,7 @@ def _rescaled(m, lam):
 def test_classification_is_equivariant_under_rescaling():
     # the classifier tests sym / lam and skew / lam: the label is scale-free
     # and the Lee forms scale with the structure constants
-    for i, m in enumerate(_acceptance_mix(60)):
+    for i, m in enumerate(acceptance_mix(60)):
         base = classify_weyl_einstein(decompose(m), m)
         for lam in (1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8):
             moved = _rescaled(m, lam)

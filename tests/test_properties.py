@@ -18,6 +18,7 @@ from lieweyl.riemann import (
     ricci,
     torsion_residual,
 )
+from models import LADDER_MODELS, acceptance_mix
 from oracle import dense_weyl_einstein_residual
 
 IDENTITY_TOL = 1e-9
@@ -207,19 +208,6 @@ def test_heisenberg_plus_line_has_no_root_at_any_scale():
         result = weyl.solve_lee_forms(rescaled(m, lam), starts=weyl.DEFAULT_STARTS)
         assert result.roots == () and result.quotient_dim == 0, lam
         assert result.infimum > 0.1 * lam**2, (lam, result.infimum)
-
-
-def acceptance_mix(count):
-    """The first ``count`` draws of the acceptance mix: einstein, trace and
-    generic almost abelian algebras in turn, n = 3..7."""
-    rng = np.random.default_rng(1000)
-    return [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
-                                          ("einstein", "trace", "generic")[i % 3])
-            for i in range(count)]
-
-
-LADDER_MODELS = [samples.heisenberg(extra=k) for k in range(3)] + [
-    samples.filiform4(), samples.free_two_step()]
 
 
 def test_exits_and_infimum_are_scale_free():

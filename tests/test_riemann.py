@@ -29,6 +29,7 @@ from lieweyl.riemann import (
     torsion_residual,
 )
 from lieweyl import riemann, samples
+from models import acceptance_mix
 
 TOL = 1e-12
 SEEDED_TOL = 1e-10
@@ -227,10 +228,7 @@ def test_ricci_cross_check_alarm_names_routes_gap_and_tolerance(monkeypatch):
 
 def _ricci_flat_acceptance_draws():
     """Draws 48 and 66 of the acceptance mix: Ricci-flat, n = 4 and n = 5."""
-    rng = np.random.default_rng(1000)
-    draws = [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
-                                           ("einstein", "trace", "generic")[i % 3])
-             for i in range(67)]
+    draws = acceptance_mix(67)
     return [draws[48], draws[66]]
 
 

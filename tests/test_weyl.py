@@ -32,6 +32,7 @@ from lieweyl.riemann import (
 )
 from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
+from models import LADDER_MODELS, acceptance_mix
 from oracle import dense_weyl_einstein_residual, macaulay_nullity
 
 TOL = 1e-12
@@ -248,17 +249,15 @@ def test_seeded_search_runs_only_when_starts_are_given(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(weyl, "_seeded_search", counting)
-    rng = np.random.default_rng(1000)
-    for i in range(300):
-        kind = ("einstein", "trace", "generic")[i % 3]
-        m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
+    for i, m in enumerate(acceptance_mix(300)):
         calls[0] = 0
         default = solve_lee_forms(m)
         assert calls[0] == 0, i
         requested = solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
         assert calls[0] == (requested.roots == ()), i
         ran = sum(default.exits.values())
-        assert ran <= m.dim + 2 and (ran == 0) == (default.infimum == math.inf), (i, default)
+        assert ran == len(default.roots) <= m.dim + 2, (i, default)  # every candidate is a root
+        assert (ran == 0) == (default.infimum == math.inf), (i, default)
         assert _same_roots(default, requested) and default.residuals == requested.residuals, i
         assert default.quotient_dim == requested.quotient_dim, i
         if requested.roots:
@@ -267,10 +266,6 @@ def test_seeded_search_runs_only_when_starts_are_given(monkeypatch):
             seeded = {k: requested.exits[k] - default.exits[k] for k in weyl.EXIT_REASONS}
             assert min(seeded.values()) >= 0 and sum(seeded.values()) == weyl.DEFAULT_STARTS, i
             assert requested.infimum <= default.infimum, i
-
-
-LADDER_MODELS = [samples.heisenberg(extra=k) for k in range(3)] + [
-    samples.filiform4(), samples.free_two_step()]
 
 
 @pytest.mark.parametrize("starts", [50, 200])
@@ -451,9 +446,9 @@ def test_levenberg_marquardt_evaluates_the_jacobian_once_per_iteration(monkeypat
 def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
     # every start is counted under one exit rule, no run reaches the
     # iteration cap, and no start on a root is ended by the stall rule: on
-    # the solve itself, which polishes at most n + 2 candidates and runs the
-    # seeded search only when it accepts none of them, and on the seeded
-    # search alone at 64 starts
+    # the solve itself, which polishes at most n + 2 candidates or, when it
+    # has none, runs the seeded search, and on the seeded search alone at 64
+    # starts
     cap = inspect.signature(weyl._levenberg_marquardt).parameters["max_iter"].default
     calls = [0]
     jacobian = weyl._ResidualSystem.jacobian
@@ -472,22 +467,18 @@ def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
     monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
     monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
     stall = weyl.EXIT_REASONS.index("stall")
-    rng = np.random.default_rng(1000)
-    for i in range(150):
-        kind = ("einstein", "trace", "generic")[i % 3]
-        m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
+    for i, m in enumerate(acceptance_mix(150)):
         system = weyl._residual_system(m)
         runs.clear()
         result = solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
         assert tuple(result.exits) == weyl.EXIT_REASONS
         assert sum(result.exits.values()) == sum(len(out[0]) for _, out in runs), (i, runs)
         assert result.exits["iteration-cap"] == 0, (i, result.exits)
-        # both runs use the algebra's one system: the polish, if any, runs
-        # first and the seeded search, which runs iff there is no root, last
-        assert all(run_system is system for run_system, _ in runs)
-        seeded = [out for _, out in runs[-1:]] if result.roots == () else []
-        polished = [out for _, out in runs[: len(runs) - len(seeded)]]
-        assert len(polished) <= 1 and len(runs) >= 1, (i, len(runs))
+        # one run on the algebra's one system: the polish of the candidates,
+        # all of them roots, or the seeded search where there is no root
+        assert len(runs) == 1 and runs[0][0] is system, (i, len(runs))
+        seeded = [out for _, out in runs] if result.roots == () else []
+        polished = [out for _, out in runs] if result.roots else []
         assert sum(len(out[0]) for out in polished) <= m.dim + 2, (i, result.exits)
         assert all(len(out[0]) == weyl.DEFAULT_STARTS for out in seeded), (i, result.exits)
         for run_system, (_, residuals, codes) in runs:
@@ -749,9 +740,7 @@ def test_conformal_flatness_of_a_non_root_is_scale_free():
 def test_faraday_flags_of_roots_are_scale_free():
     # exact and closed are tested at the c-sized scale times lam + |theta|,
     # so they agree with each other and with their unit-scale verdicts
-    rng = np.random.default_rng(1000)
-    for i in range(30):
-        m = samples.random_almost_abelian(rng, 3 + (i // 3) % 5, ("einstein", "trace", "generic")[i % 3])
+    for i, m in enumerate(acceptance_mix(30)):
         want = [(weyl.faraday(m, root).closed, weyl.faraday(m, root).exact)
                 for root in solve_lee_forms(m).roots]
         assert all(closed == exact for closed, exact in want), i
@@ -902,13 +891,9 @@ def test_einstein_zero_root_is_exact_in_a_random_basis():
 
 
 def test_einstein_zero_roots_are_exact_on_the_acceptance_mix():
-    rng = np.random.default_rng(1000)
-    for i in range(300):
-        kind = ("einstein", "trace", "generic")[i % 3]
-        m = samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5], kind)
-        if kind == "einstein":
-            roots = solve_lee_forms(m).roots
-            assert m.covector_norm(roots[0]) <= 1e-12 * m.structure_scale, i
+    for i, m in enumerate(acceptance_mix(300)[::3]):
+        roots = solve_lee_forms(m).roots
+        assert m.covector_norm(roots[0]) <= 1e-12 * m.structure_scale, i
 
 
 def test_quotient_dimension_matches_the_macaulay_nullity_on_random_algebras():
@@ -965,11 +950,8 @@ def _seeded_roots(m):
 
 
 def test_seeded_roots_are_a_subset_of_the_quotient_roots():
-    rng = np.random.default_rng(1000)
-    models = [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
-                                            ("einstein", "trace", "generic")[i % 3])
-              for i in range(90)]
-    models += [samples.hyperbolic(5, 2.0), samples.abelian(5), _rotating_flat_metric(6.0)]
+    models = acceptance_mix(90) + [samples.hyperbolic(5, 2.0), samples.abelian(5),
+                                   _rotating_flat_metric(6.0)]
     for i, m in enumerate(models):
         seeded, lam = _seeded_roots(m)
         quotient = [m.frame.T @ root / lam for root in solve_lee_forms(m).roots]
@@ -985,6 +967,19 @@ def test_seeded_root_after_an_empty_quotient_route_is_a_consistency_error(monkey
         solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
     message = str(info.value)
     assert "seeded search" in message and "quotient ring route" in message
+    assert "residual" in message and "root tolerance" in message
+
+
+def test_quotient_candidate_that_is_no_root_is_a_consistency_error(monkeypatch):
+    # every candidate stands for a distinct real root, so one that polishes
+    # to no root is an inconsistency, not a root-free answer; Heisenberg has
+    # no real root, so a candidate at t = 0 cannot polish onto one
+    m = samples.heisenberg()
+    monkeypatch.setattr(weyl, "_quotient_candidates", lambda system: (2, np.zeros((1, 3))))
+    with pytest.raises(ConsistencyError) as info:
+        solve_lee_forms(m)
+    message = str(info.value)
+    assert "quotient ring candidate" in message and "distinct real root" in message
     assert "residual" in message and "root tolerance" in message
 
 
