@@ -354,9 +354,14 @@ class _ResidualSystem:
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Symmetric matrices from packed vectors (last axis); inverse of ``_pack``."""
-        upper = np.zeros(packed.shape[:-1] + (self.n, self.n))
-        upper[..., self.index[0], self.index[1]] = packed / self.weight
-        return upper + np.swapaxes(upper, -1, -2) - upper * np.eye(self.n)
+        out = np.empty(packed.shape[:-1] + (self.n, self.n))
+        # + 0.0 makes every zero +0.0, so the result is bit for bit the sum
+        # upper + upper^T - diag(upper) of tests/oracle.py: the sign of a
+        # zero can steer the reflections of the quotient's LAPACK calls
+        entries = packed / self.weight + 0.0
+        out[..., self.index[0], self.index[1]] = entries
+        out[..., self.index[1], self.index[0]] = entries
+        return out
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
         return self.lin + (t @ self.hess).reshape(len(t), -1, self.n)
@@ -452,10 +457,11 @@ def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
     over the roots z with multiplicities mu_z (Cox, Little & O'Shea, ch. 2
     sec. 5; Pedersen, Roy & Szpirglas 1993), has the number of distinct
     roots as its rank and of distinct real ones as its signature, and their
-    evaluation vectors (1, z, |z|^2 / n) span its range.  Read at the
-    rounding cutoff ``ROOT_FLOOR_EPS`` |H|_2, a multiple root is one vector,
-    the mean of its cluster; roots closer than about sqrt(``ROOT_FLOOR_EPS``)
-    = 1e-7 count as one.  On the range sum_k w_k M_k^T
+    evaluation vectors (1, z, |z|^2 / n) span its range.  One SVD of H
+    gives both the range and its rounding cutoff ``ROOT_FLOOR_EPS`` |H|_2,
+    |H|_2 being the largest singular value.  Read at that cutoff, a multiple
+    root is one vector, the mean of its cluster; roots closer than about
+    sqrt(``ROOT_FLOOR_EPS``) = 1e-7 count as one.  On the range sum_k w_k M_k^T
     (:func:`_combination_weights`) has one simple eigenvalue per distinct
     root, real exactly for a real root; a count that differs from the
     signature raises :class:`ConsistencyError`.
@@ -482,7 +488,8 @@ def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
     restricted = annihilator @ mult.transpose(0, 2, 1) @ annihilator.T
     ops = np.array([np.eye(r), *restricted, (restricted @ restricted).sum(axis=0) / n])
     hermite = np.einsum("iab,jba->ij", ops, ops)
-    distinct = row_space(hermite, size, ROOT_FLOOR_EPS * np.linalg.norm(hermite, 2))
+    _, sv, vh = np.linalg.svd(hermite, full_matrices=False)
+    distinct = vh[: np.count_nonzero(sv > ROOT_FLOOR_EPS * sv[0])]
     combination = np.einsum("k,kab->ba", _combination_weights(n), mult)
     values, vecs = np.linalg.eig(distinct @ combination @ distinct.T)
     real = values.imag == 0.0
@@ -551,11 +558,16 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     1e-13 (1 + tr N / n), with the trace taken of the Newton matrix
     N = J^T J + S(r); it is the trace of J^T J, because tr S(r) = 0.
 
-    Iteration k evaluates the Jacobian once, at the point the previous step
-    proposed (the starts themselves at k = 0), on the active starts only,
-    and the residual comes from the same product.  The rest of the Newton
-    system comes from the constants of :class:`_ResidualSystem` instead of
-    per-start products with the Jacobian: S(r) = ``r @ curv``, N from one
+    On arrival the Jacobian, E and |E|^2 are evaluated once at the starts.
+    If every start is already below its root floor, as the quotient
+    candidates of the default solve are, the starts come back unchanged
+    with exit root floor and no Newton state is built: iteration 0 would
+    return exactly that.  Otherwise iteration 0 runs on this evaluation,
+    and each later iteration on one evaluation of the Jacobian at the point
+    the previous step proposed, on the active starts only; the residual
+    comes from the same product.  The rest of the Newton system comes from
+    the constants of :class:`_ResidualSystem` instead of per-start
+    products with the Jacobian: S(r) = ``r @ curv``, N from one
     product of [t, vec(t t^T)] with ``gram``, the gradient
     J^T r = lin^T r + S(r) t and the cost r . r.  Accepted points keep N,
     the gradient and the cost for the next step and rejected ones only
@@ -564,12 +576,17 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     leave the batch.
     """
     b, n = t0.shape
+    trial = t0
+    res_trial = system.residual(trial, system.jacobian(trial))
+    cost_trial = np.einsum("bq,bq->b", res_trial, res_trial)
+    if np.all(cost_trial <= system.root_floor(np.sqrt(np.einsum("bi,bi->b", t0, t0))) ** 2):
+        return t0.copy(), np.sqrt(cost_trial), np.zeros(b, dtype=np.intp)
+
     t_out = np.empty_like(t0)
     res_out = np.empty(b)
     exit_out = np.empty(b, dtype=np.intp)
     rows = np.arange(b)
     t = t0.copy()
-    trial = t0
     # [t, vec(t t^T)] is trial[:, first] with its last n^2 columns times trial[:, second]
     first = np.concatenate((np.arange(n), np.repeat(np.arange(n), n)))
     second = np.tile(np.arange(n), n)
@@ -584,8 +601,6 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     eye = np.eye(n)
 
     for it in range(max_iter):
-        jac = system.jacobian(trial)
-        res_trial = system.residual(trial, jac)
         s_r = res_trial @ system.curv
         powers = trial[:, first]
         powers[:, n:] *= trial[:, second]
@@ -594,7 +609,6 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
         newton_trial += s_r
         grad_trial = res_trial @ system.lin
         grad_trial += np.einsum("bij,bj->bi", s_r.reshape(-1, n, n), trial)
-        cost_trial = np.einsum("bq,bq->b", res_trial, res_trial)
         better = (cost_trial < cost) & ~refused
         np.copyto(t, trial, where=better[:, None])
         np.copyto(newton, newton_trial, where=better[:, None])
@@ -632,6 +646,8 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
         slope = np.einsum("bi,bi->b", grad, delta)
         refused |= slope > 0.0
         promised = np.where(refused, np.inf, ridge * np.einsum("bi,bi->b", delta, delta) - slope)
+        res_trial = system.residual(trial, system.jacobian(trial))
+        cost_trial = np.einsum("bq,bq->b", res_trial, res_trial)
 
     return t_out, res_out, exit_out
 

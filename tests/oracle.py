@@ -4,7 +4,8 @@ The package evaluates E through one map, the packed frame system that the
 solver iterates on.  This module forms E directly from the Ricci form, the
 codifferential and the symmetrised ad of the Lee vector in the standard basis,
 so tests can check the solver and the frame map against an independent route
-instead of against themselves.
+instead of against themselves.  It also unpacks the solver's packed symmetric
+matrices by a three-operation sum, the bit-level reference for its unpacking.
 """
 import numpy as np
 
@@ -26,6 +27,15 @@ def dense_weyl_einstein_residual(m, theta) -> WEResidual:
         + (n - 2) * (m.sym_ad_form(dual) + np.outer(theta, theta))
     )
     return WEResidual(matrix=e, norm=m.form_norm(e))
+
+
+def unpack_by_sum(system, packed):
+    """Symmetric matrices from packed vectors (last axis) of a
+    ``weyl._ResidualSystem``: the weighted upper triangle plus its transpose
+    minus its diagonal."""
+    upper = np.zeros(packed.shape[:-1] + (system.n, system.n))
+    upper[..., system.index[0], system.index[1]] = packed / system.weight
+    return upper + np.swapaxes(upper, -1, -2) - upper * np.eye(system.n)
 
 
 def _monomials(n: int, degree: int) -> list[tuple]:

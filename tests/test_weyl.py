@@ -33,7 +33,7 @@ from lieweyl.riemann import (
 from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
 from models import LADDER_MODELS, acceptance_mix
-from oracle import dense_weyl_einstein_residual, macaulay_nullity
+from oracle import dense_weyl_einstein_residual, macaulay_nullity, unpack_by_sum
 
 TOL = 1e-12
 SOLVER_TOL = 1e-8
@@ -345,6 +345,24 @@ def test_packed_residual_matches_dense_oracle():
             assert np.max(np.abs(dense[k] - in_frame)) <= 1e-12 * scale[k]
 
 
+def test_unpack_and_multiplication_matrices_match_the_sum_formula_bit_for_bit(monkeypatch):
+    # on packed vectors, with signed zeros among them, and on the (n, q)
+    # batch lin.T that multiplication_matrices unpacks, at n = 3..12 (seed
+    # 30 would need a generic almost abelian draw at n >= 10)
+    systems = [system for _, system, _ in _residual_batches(31, dims=range(3, 13))]
+    rng = np.random.default_rng(32)
+    for system in systems:
+        packed = rng.standard_normal(system.const.size)
+        packed[::3] = -0.0
+        packed[1::3] = 0.0
+        for vector in (packed, system.const, system.lin.T):
+            assert system.unpack(vector).tobytes() == unpack_by_sum(system, vector).tobytes()
+    mult = [system.multiplication_matrices() for system in systems]
+    monkeypatch.setattr(weyl._ResidualSystem, "unpack", unpack_by_sum)
+    for system, out in zip(systems, mult):
+        assert out.tobytes() == system.multiplication_matrices().tobytes(), system.n
+
+
 def test_residual_matches_dense_oracle_at_random_forms_and_classifier_roots():
     # weyl_einstein_residual evaluates the frame map; the dense standard-basis
     # formula is the independent route
@@ -441,6 +459,78 @@ def test_levenberg_marquardt_evaluates_the_jacobian_once_per_iteration(monkeypat
     _, _, exits = weyl._levenberg_marquardt(system, t0, max_iter=k)
     assert calls[0] == k
     assert exits.tolist() == [weyl.EXIT_REASONS.index("iteration-cap")] * len(t0)
+
+
+def _counting_jacobian(monkeypatch):
+    """Patch ``_ResidualSystem.jacobian`` to count its calls; returns the counter."""
+    calls = [0]
+    jacobian = weyl._ResidualSystem.jacobian
+
+    def counting(self, t):
+        calls[0] += 1
+        return jacobian(self, t)
+
+    monkeypatch.setattr(weyl._ResidualSystem, "jacobian", counting)
+    return calls
+
+
+def test_levenberg_marquardt_returns_on_floor_starts_on_arrival(monkeypatch):
+    # quotient candidates already on the root floor come back bit for bit
+    # after one residual evaluation, without the Newton state: a system
+    # without the Newton constants still serves them
+    m = acceptance_mix(1)[0]  # an einstein draw, with real roots
+    system = weyl._ResidualSystem(m)
+    _, candidates = weyl._quotient_candidates(system)
+    assert len(candidates)
+    system.curv = system.gram = system.lin_gram = None
+    calls = _counting_jacobian(monkeypatch)
+    t, residuals, exits = weyl._levenberg_marquardt(system, candidates)
+    assert calls[0] == 1
+    assert t.tobytes() == candidates.tobytes()
+    assert exits.tolist() == [weyl.EXIT_REASONS.index("root-floor")] * len(candidates)
+    res = system.residual(candidates, system.jacobian(candidates))
+    assert residuals.tobytes() == np.sqrt(np.einsum("bq,bq->b", res, res)).tobytes()
+
+
+def test_levenberg_marquardt_iterates_once_per_jacobian_with_a_start_off_the_floor(monkeypatch):
+    # one start on the floor and one moved off it: the arrival evaluation is
+    # iteration 0, so the calls count the iterations, and the on-floor row
+    # comes back unchanged
+    m = acceptance_mix(1)[0]
+    system = weyl._ResidualSystem(m)
+    _, candidates = weyl._quotient_candidates(system)
+    t0 = np.array([candidates[0], candidates[0] + 0.5])
+    floor = weyl.EXIT_REASONS.index("root-floor")
+    calls = _counting_jacobian(monkeypatch)
+    t, _, exits = weyl._levenberg_marquardt(system, t0)
+    iterations = calls[0]
+    assert iterations > 1
+    assert t[0].tobytes() == t0[0].tobytes()
+    assert exits[0] == floor and exits[1] != weyl.EXIT_REASONS.index("iteration-cap")
+    # one iteration fewer leaves the moved start at the iteration cap
+    calls[0] = 0
+    _, _, exits = weyl._levenberg_marquardt(system, t0, max_iter=iterations - 1)
+    assert calls[0] == iterations - 1
+    assert exits.tolist() == [floor, weyl.EXIT_REASONS.index("iteration-cap")]
+
+
+def test_every_polish_on_the_acceptance_mix_is_one_jacobian_call(monkeypatch):
+    # the quotient's candidates of all 100 einstein and trace draws among
+    # the first 150 already sit on the root floor
+    calls = _counting_jacobian(monkeypatch)
+    solve = weyl._levenberg_marquardt
+    per_run = []
+
+    def recording(system, t0, *args):
+        before = calls[0]
+        out = solve(system, t0, *args)
+        per_run.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
+    for m in acceptance_mix(150):
+        solve_lee_forms(m)
+    assert per_run == [1] * 100
 
 
 def test_exit_counts_cover_every_start_on_the_acceptance_mix(monkeypatch):
