@@ -13,9 +13,9 @@ deciding that a derived quantity vanishes, read against one of two scales,
 so that no verdict depends on the basis or on the homothety c -> lam c:
 
 * c-sized: the size of c in the basis the test runs in, |c| =
-  :attr:`LieAlgebra.scale` for tests on the table (the ranks of brackets of
-  subspaces, which are rounding noise on abelian ones: the derived and lower
-  central series, the centralizer and ideal tests of
+  :attr:`LieAlgebra.scale`, cached on the table, for tests on it (the
+  ranks of brackets of subspaces, which are rounding noise on abelian ones:
+  the derived and lower central series, the centralizer and ideal tests of
   ``almost_abelian.decompose``; ``abelian``, ``unimodular``), and lam =
   ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an abelian
   algebra) for frame quantities (the ad-gap of ``decompose``, the 3D
@@ -45,6 +45,7 @@ its largest singular value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -71,22 +72,20 @@ def row_space(vectors: np.ndarray, n: int, cutoff: float | None = None) -> np.nd
     cutoff is ``REL_TOL`` relative to the largest singular value.
     """
     a = np.asarray(vectors, dtype=float).reshape(-1, n)
-    if a.shape[0] == 0 or not np.any(a):
+    if a.shape[0] == 0 or not a.any():
         return np.zeros((0, n))
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > (REL_TOL * s[0] if cutoff is None else cutoff)))
-    return vh[:rank]
+    return vh[: np.count_nonzero(s > (REL_TOL * s[0] if cutoff is None else cutoff))]
 
 
 def nullspace(a: np.ndarray, cutoff: float | None = None) -> np.ndarray:
     """Orthonormal basis (as rows) of the right null space of ``a``, with the
     rank cutoff of :func:`row_space`."""
     a = np.asarray(a, dtype=float)
-    if a.shape[0] == 0 or not np.any(a):
+    if a.shape[0] == 0 or not a.any():
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > (REL_TOL * s[0] if cutoff is None else cutoff)))
-    return vh[rank:]
+    return vh[np.count_nonzero(s > (REL_TOL * s[0] if cutoff is None else cutoff)):]
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ class LieAlgebra:
     def dim(self) -> int:
         return self.c.shape[0]
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """|c|, the Frobenius norm of the table in this basis: the c-sized
         scale of the zero tests and rank decisions made on the table."""
@@ -207,14 +206,16 @@ class StructureFlags(NamedTuple):
     center_dim: int
 
 
+def _brackets(algebra: LieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """The (a, b, n) array of brackets [rows_a[a], rows_b[b]], by two matmuls."""
+    n = algebra.dim
+    return rows_b @ (rows_a @ algebra.c.reshape(n, n * n)).reshape(-1, n, n)
+
+
 def _bracket_span(algebra: LieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """Orthonormal row basis of the brackets of two sets of orthonormal rows,
     at the c-sized rank cutoff ``REL_TOL`` |c| (see the tolerance policy)."""
-    n = algebra.dim
-    if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
-        return np.zeros((0, n))
-    prods = np.einsum("ap,bq,pqk->abk", rows_a, rows_b, algebra.c)
-    return row_space(prods, n, REL_TOL * algebra.scale)
+    return row_space(_brackets(algebra, rows_a, rows_b), algebra.dim, REL_TOL * algebra.scale)
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:

@@ -28,6 +28,7 @@ from . import frames
 from .algebra import (
     REL_TOL,
     LieAlgebra,
+    _brackets,
     ad,
     coefficient_tolerance,
     derived_subalgebra,
@@ -77,14 +78,13 @@ class AADecomposition(NamedTuple):
 def _is_abelian_subspace(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
     if rows.shape[0] < 2:
         return True
-    prods = np.einsum("ap,bq,pqk->abk", rows, rows, m.c)
-    return float(np.max(np.abs(prods))) <= REL_TOL * m.algebra.scale
+    return float(np.max(np.abs(_brackets(m.algebra, rows, rows)))) <= REL_TOL * m.algebra.scale
 
 
 def _is_ideal(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
     if rows.shape[0] == 0:
         return True
-    prods = np.einsum("ip,aq,pqk->iak", np.eye(m.dim), rows, m.c).reshape(-1, m.dim)
+    prods = _brackets(m.algebra, np.eye(m.dim), rows).reshape(-1, m.dim)
     outside = prods - prods @ rows.T @ rows
     return float(np.max(np.abs(outside))) <= REL_TOL * m.algebra.scale
 
@@ -223,14 +223,16 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     b = b / np.sqrt(m.inner(b, b))
     b = _first_significant_positive(b)
 
-    # g-orthonormal ideal basis from projected standard basis vectors
+    # g-orthonormal ideal basis from projected standard basis vectors, with
+    # the inner products associated as in MetricLieAlgebra.inner
+    g, floor = m.metric, 1e-16 * max(1.0, float(np.trace(m.metric)))
     hvecs: list[np.ndarray] = []
-    for i in range(n):
-        v = np.eye(n)[i] - m.inner(np.eye(n)[i], b) * b
+    for x in np.eye(n):
+        v = x - float(x @ g @ b) * b
         for h in hvecs:
-            v = v - m.inner(v, h) * h
-        nv = m.inner(v, v)
-        if nv > 1e-16 * max(1.0, float(np.trace(m.metric))):
+            v = v - float(v @ g @ h) * h
+        nv = float(v @ g @ v)
+        if nv > floor:
             hvecs.append(v / np.sqrt(nv))
             if len(hvecs) == n - 1:
                 break

@@ -95,6 +95,8 @@ def random_almost_abelian(
     relative to 1 + |sym|^2).  The instance is expressed in a random
     well-conditioned basis unless ``basis_change`` is off.
     """
+    if dim < 3:
+        raise InputError(f"need dimension at least 3, got {dim}")
     nh = dim - 1
     if kind == "einstein":
         k = 0.0 if rng.random() < 0.2 else float(rng.uniform(-1.5, 1.5))
@@ -136,6 +138,8 @@ def random_trace_case(
     seed.  Half of the eligible draws carry a nonzero commuting skew part
     (rotation in a repeated-eigenvalue plane, so it needs ideal dimension 3+).
     """
+    if dim < 3:
+        raise InputError(f"need dimension at least 3, got {dim}")
     nh = dim - 1
     n = dim
     if flat_pattern is False and dim == 3:
@@ -221,7 +225,8 @@ def _random_catalog_point(rng: np.random.Generator) -> catalog3d.Family3D:
 def random_metric_algebra(rng: np.random.Generator, dim: int) -> MetricLieAlgebra:
     """Mixed draw for the invariant suites: catalog families, nilpotent
     models and almost abelian instances, in a random well-conditioned basis."""
-    assert dim >= 3
+    if dim < 3:
+        raise InputError(f"need dimension at least 3, got {dim}")
     roll = int(rng.integers(0, 6))
     if roll == 0:
         m = abelian(dim)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Mapping
+from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -397,8 +398,8 @@ class _ResidualSystem:
         in the order of B.
         """
         n = self.n
-        p0 = self.unpack(self.const) / (2 - n)
-        p1 = self.unpack(self.lin.T) / (2 - n)  # p1[m] = dP / dt_m
+        p = self.unpack(np.vstack((self.const, self.lin.T))) / (2 - n)
+        p0, p1 = p[0], p[1:]  # p1[m] = dP / dt_m
         ks = np.arange(n)
         out = np.zeros((n, n + 2, n + 2))
         out[ks, 1 + ks, 0] = 1.0
@@ -424,13 +425,14 @@ def _residual_system(m: MetricLieAlgebra) -> _ResidualSystem:
     return system
 
 
+@lru_cache(maxsize=None)
 def _combination_weights(n: int) -> np.ndarray:
     """sqrt(2), sqrt(3), sqrt(5), ...: the square roots of the first n primes.
 
     They are linearly independent over the rationals, so the combination
     sum_k w_k t_k takes different values at any two roots that differ by a
     rational vector, as the roots of symmetric algebras often do; no random
-    draw is needed.
+    draw is needed.  Computed once per n; the array is read-only.
     """
     primes: list[int] = []
     k = 2
@@ -438,7 +440,7 @@ def _combination_weights(n: int) -> np.ndarray:
         if all(k % p for p in primes):
             primes.append(k)
         k += 1
-    return np.sqrt(np.array(primes, dtype=float))
+    return _read_only(np.sqrt(np.array(primes, dtype=float)))
 
 
 def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
@@ -481,10 +483,10 @@ def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
         if len(grown) == len(relations):
             break
         relations = grown
+    if len(relations) == size:  # the relations span B: no nullspace SVD needed
+        return 0, np.zeros((0, n))
     annihilator = nullspace(relations)
     r = len(annihilator)
-    if r == 0:
-        return 0, np.zeros((0, n))
     restricted = annihilator @ mult.transpose(0, 2, 1) @ annihilator.T
     ops = np.array([np.eye(r), *restricted, (restricted @ restricted).sum(axis=0) / n])
     hermite = np.einsum("iab,jba->ij", ops, ops)

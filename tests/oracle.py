@@ -6,10 +6,18 @@ codifferential and the symmetrised ad of the Lee vector in the standard basis,
 so tests can check the solver and the frame map against an independent route
 instead of against themselves.  It also unpacks the solver's packed symmetric
 matrices by a three-operation sum, the bit-level reference for its unpacking.
+
+The ``*_by_*`` functions below keep the plain forms of steps the package
+computes in a faster way with the same bits or the same verdicts: the
+Gram-Schmidt of ``almost_abelian.decompose`` through ``m.inner``, the
+subspace tests by three-operand einsums, the prime sieve of the quotient's
+combination weights, the multiplication matrices from two unpacks and the
+quotient dimension from the nullspace of the closed relations.
 """
 import numpy as np
 
 from lieweyl import riemann
+from lieweyl.algebra import REL_TOL, ad, nullspace, row_space
 from lieweyl.weyl import WEResidual
 
 
@@ -36,6 +44,104 @@ def unpack_by_sum(system, packed):
     upper = np.zeros(packed.shape[:-1] + (system.n, system.n))
     upper[..., system.index[0], system.index[1]] = packed / system.weight
     return upper + np.swapaxes(upper, -1, -2) - upper * np.eye(system.n)
+
+
+def adapted_parts_by_inner(m, b):
+    """(ideal basis, skew, sym) of ``almost_abelian.decompose`` from its unit
+    normal ``b``: Gram-Schmidt on the standard basis vectors projected off
+    ``b``, every inner product taken by ``m.inner``, then the two parts of
+    ad_b restricted to the ideal."""
+    n = m.dim
+    hvecs = []
+    for i in range(n):
+        v = np.eye(n)[i] - m.inner(np.eye(n)[i], b) * b
+        for h in hvecs:
+            v = v - m.inner(v, h) * h
+        nv = m.inner(v, v)
+        if nv > 1e-16 * max(1.0, float(np.trace(m.metric))):
+            hvecs.append(v / np.sqrt(nv))
+            if len(hvecs) == n - 1:
+                break
+    h = np.array(hvecs)
+    restricted = h @ m.metric @ ad(m.algebra, b) @ h.T
+    return h, 0.5 * (restricted - restricted.T), 0.5 * (restricted + restricted.T)
+
+
+def is_abelian_subspace_by_einsum(m, rows):
+    """``almost_abelian._is_abelian_subspace`` by a three-operand einsum."""
+    if rows.shape[0] < 2:
+        return True
+    prods = np.einsum("ap,bq,pqk->abk", rows, rows, m.c)
+    return float(np.max(np.abs(prods))) <= REL_TOL * m.algebra.scale
+
+
+def is_ideal_by_einsum(m, rows):
+    """``almost_abelian._is_ideal`` by a three-operand einsum."""
+    if rows.shape[0] == 0:
+        return True
+    prods = np.einsum("ip,aq,pqk->iak", np.eye(m.dim), rows, m.c).reshape(-1, m.dim)
+    outside = prods - prods @ rows.T @ rows
+    return float(np.max(np.abs(outside))) <= REL_TOL * m.algebra.scale
+
+
+def bracket_span_by_einsum(algebra, rows_a, rows_b):
+    """``algebra._bracket_span`` by a three-operand einsum."""
+    n = algebra.dim
+    if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
+        return np.zeros((0, n))
+    prods = np.einsum("ap,bq,pqk->abk", rows_a, rows_b, algebra.c)
+    return row_space(prods, n, REL_TOL * algebra.scale)
+
+
+def combination_weights_by_sieve(n):
+    """The square roots of the first n primes, sieved afresh on every call."""
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return np.sqrt(np.array(primes, dtype=float))
+
+
+def multiplication_matrices_by_two_unpacks(system):
+    """``weyl._ResidualSystem.multiplication_matrices`` with ``const`` and
+    ``lin.T`` unpacked by separate calls."""
+    n = system.n
+    p0 = system.unpack(system.const) / (2 - n)
+    p1 = system.unpack(system.lin.T) / (2 - n)
+    ks = np.arange(n)
+    out = np.zeros((n, n + 2, n + 2))
+    out[ks, 1 + ks, 0] = 1.0
+    out[:, 0, 1 : n + 1] = p0
+    out[:, 1 : n + 1, 1 : n + 1] = p1.transpose(1, 0, 2)
+    out[ks, n + 1, 1 + ks] = 1.0
+    p1_k = p1.transpose(2, 0, 1).reshape(n, n * n)
+    out[:, 0, n + 1] = p1_k @ p0.ravel()
+    out[:, 1 : n + 1, n + 1] = p0 + p1_k @ p1.transpose(2, 1, 0).reshape(n * n, n)
+    out[:, n + 1, n + 1] = np.trace(p1, axis1=0, axis2=1)
+    out[:, :, n + 1] /= n - 1
+    return out
+
+
+def quotient_dim_by_nullspace(system):
+    """(r, rank of the first relations) of ``weyl._quotient_candidates``, with
+    r always read from the nullspace of the closed relations."""
+    size = system.n + 2
+    mult = multiplication_matrices_by_two_unpacks(system)
+    products = mult[:, None] @ mult
+    k, l = system.index
+    pairs = k < l
+    commutators = products[k[pairs], l[pairs]] - products[l[pairs], k[pairs]]
+    relations = row_space(commutators.transpose(0, 2, 1), size)
+    first = len(relations)
+    while 0 < len(relations) < size:
+        shifted = (relations @ mult.transpose(0, 2, 1)).reshape(-1, size)
+        grown = row_space(np.concatenate((relations, shifted)), size)
+        if len(grown) == len(relations):
+            break
+        relations = grown
+    return len(nullspace(relations)), first
 
 
 def _monomials(n: int, degree: int) -> list[tuple]:

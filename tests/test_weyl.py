@@ -32,8 +32,15 @@ from lieweyl.riemann import (
 )
 from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
-from models import LADDER_MODELS, acceptance_mix
-from oracle import dense_weyl_einstein_residual, macaulay_nullity, unpack_by_sum
+from models import LADDER_MODELS, acceptance_mix, almost_abelian_draws
+from oracle import (
+    combination_weights_by_sieve,
+    dense_weyl_einstein_residual,
+    macaulay_nullity,
+    multiplication_matrices_by_two_unpacks,
+    quotient_dim_by_nullspace,
+    unpack_by_sum,
+)
 
 TOL = 1e-12
 SOLVER_TOL = 1e-8
@@ -361,6 +368,50 @@ def test_unpack_and_multiplication_matrices_match_the_sum_formula_bit_for_bit(mo
     monkeypatch.setattr(weyl._ResidualSystem, "unpack", unpack_by_sum)
     for system, out in zip(systems, mult):
         assert out.tobytes() == system.multiplication_matrices().tobytes(), system.n
+
+
+def test_multiplication_matrices_match_the_two_unpack_oracle_bit_for_bit():
+    # const and lin.T unpacked in one call give the bits of two calls
+    for i, m in enumerate(acceptance_mix(300) + almost_abelian_draws(44)):
+        system = weyl._ResidualSystem(m)
+        want = multiplication_matrices_by_two_unpacks(system)
+        assert system.multiplication_matrices().tobytes() == want.tobytes(), i
+
+
+def test_combination_weights_are_cached_read_only_and_equal_the_sieve():
+    for n in range(1, 14):
+        weights = weyl._combination_weights(n)
+        assert weyl._combination_weights(n) is weights
+        assert not weights.flags.writeable
+        assert weights.tobytes() == combination_weights_by_sieve(n).tobytes()
+
+
+def test_quotient_skips_the_nullspace_when_the_relations_span_the_basis(monkeypatch):
+    # r = 0 exactly when the closed relations span all n + 2 elements of B,
+    # and then no nullspace SVD runs; r > 0 takes the nullspace as before.
+    # On the acceptance mix r agrees with the nullspace of the closed
+    # relations everywhere
+    calls = [0]
+    nullspace = weyl.nullspace
+
+    def counting(*args):
+        calls[0] += 1
+        return nullspace(*args)
+
+    monkeypatch.setattr(weyl, "nullspace", counting)
+    spanned = []
+    for i, m in enumerate(acceptance_mix(300)):
+        system = weyl._ResidualSystem(m)
+        r_full, first = quotient_dim_by_nullspace(system)
+        calls[0] = 0
+        r, candidates = weyl._quotient_candidates(system)
+        assert r == r_full and calls[0] == (r > 0), i
+        if r == 0:
+            assert candidates.shape == (0, m.dim), i
+        if first == m.dim + 2:
+            spanned.append(i % 3)
+    # the first relations span B on every generic draw and on no other
+    assert spanned == [2] * 100
 
 
 def test_residual_matches_dense_oracle_at_random_forms_and_classifier_roots():
