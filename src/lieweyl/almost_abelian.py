@@ -84,7 +84,7 @@ def _is_abelian_subspace(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
 def _is_ideal(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
     if rows.shape[0] == 0:
         return True
-    prods = _brackets(m.algebra, np.eye(m.dim), rows).reshape(-1, m.dim)
+    prods = (rows @ m.c).reshape(-1, m.dim)  # [e_i, rows[a]] for every i, a
     outside = prods - prods @ rows.T @ rows
     return float(np.max(np.abs(outside))) <= REL_TOL * m.algebra.scale
 

@@ -10,10 +10,10 @@ import numpy as np
 from lieweyl import samples
 
 
-def acceptance_mix(count, seed=1000):
+def acceptance_mix(count):
     """The first ``count`` draws of the acceptance mix: einstein, trace and
     generic almost abelian algebras in turn, n = 3..7."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1000)
     return [samples.random_almost_abelian(rng, (3, 4, 5, 6, 7)[(i // 3) % 5],
                                           ("einstein", "trace", "generic")[i % 3])
             for i in range(count)]

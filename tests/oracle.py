@@ -10,9 +10,8 @@ matrices by a three-operation sum, the bit-level reference for its unpacking.
 The ``*_by_*`` functions below keep the plain forms of steps the package
 computes in a faster way with the same bits or the same verdicts: the
 Gram-Schmidt of ``almost_abelian.decompose`` through ``m.inner``, the
-subspace tests by three-operand einsums, the prime sieve of the quotient's
-combination weights, the multiplication matrices from two unpacks and the
-quotient dimension from the nullspace of the closed relations.
+subspace tests by three-operand einsums and the quotient dimension from the
+nullspace of the closed relations.
 """
 import numpy as np
 
@@ -93,42 +92,11 @@ def bracket_span_by_einsum(algebra, rows_a, rows_b):
     return row_space(prods, n, REL_TOL * algebra.scale)
 
 
-def combination_weights_by_sieve(n):
-    """The square roots of the first n primes, sieved afresh on every call."""
-    primes = []
-    k = 2
-    while len(primes) < n:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    return np.sqrt(np.array(primes, dtype=float))
-
-
-def multiplication_matrices_by_two_unpacks(system):
-    """``weyl._ResidualSystem.multiplication_matrices`` with ``const`` and
-    ``lin.T`` unpacked by separate calls."""
-    n = system.n
-    p0 = system.unpack(system.const) / (2 - n)
-    p1 = system.unpack(system.lin.T) / (2 - n)
-    ks = np.arange(n)
-    out = np.zeros((n, n + 2, n + 2))
-    out[ks, 1 + ks, 0] = 1.0
-    out[:, 0, 1 : n + 1] = p0
-    out[:, 1 : n + 1, 1 : n + 1] = p1.transpose(1, 0, 2)
-    out[ks, n + 1, 1 + ks] = 1.0
-    p1_k = p1.transpose(2, 0, 1).reshape(n, n * n)
-    out[:, 0, n + 1] = p1_k @ p0.ravel()
-    out[:, 1 : n + 1, n + 1] = p0 + p1_k @ p1.transpose(2, 1, 0).reshape(n * n, n)
-    out[:, n + 1, n + 1] = np.trace(p1, axis1=0, axis2=1)
-    out[:, :, n + 1] /= n - 1
-    return out
-
-
 def quotient_dim_by_nullspace(system):
     """(r, rank of the first relations) of ``weyl._quotient_candidates``, with
     r always read from the nullspace of the closed relations."""
     size = system.n + 2
-    mult = multiplication_matrices_by_two_unpacks(system)
+    mult = system.multiplication_matrices()
     products = mult[:, None] @ mult
     k, l = system.index
     pairs = k < l

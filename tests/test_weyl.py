@@ -32,12 +32,10 @@ from lieweyl.riemann import (
 )
 from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
-from models import LADDER_MODELS, acceptance_mix, almost_abelian_draws
+from models import LADDER_MODELS, acceptance_mix
 from oracle import (
-    combination_weights_by_sieve,
     dense_weyl_einstein_residual,
     macaulay_nullity,
-    multiplication_matrices_by_two_unpacks,
     quotient_dim_by_nullspace,
     unpack_by_sum,
 )
@@ -354,8 +352,8 @@ def test_packed_residual_matches_dense_oracle():
 
 def test_unpack_and_multiplication_matrices_match_the_sum_formula_bit_for_bit(monkeypatch):
     # on packed vectors, with signed zeros among them, and on the (n, q)
-    # batch lin.T that multiplication_matrices unpacks, at n = 3..12 (seed
-    # 30 would need a generic almost abelian draw at n >= 10)
+    # batch lin.T that multiplication_matrices unpacks together with const,
+    # at n = 3..12 (seed 30 would need a generic almost abelian draw at n >= 10)
     systems = [system for _, system, _ in _residual_batches(31, dims=range(3, 13))]
     rng = np.random.default_rng(32)
     for system in systems:
@@ -364,18 +362,14 @@ def test_unpack_and_multiplication_matrices_match_the_sum_formula_bit_for_bit(mo
         packed[1::3] = 0.0
         for vector in (packed, system.const, system.lin.T):
             assert system.unpack(vector).tobytes() == unpack_by_sum(system, vector).tobytes()
+        # multiplication_matrices unpacks const and lin.T in one call
+        both = system.unpack(np.vstack((system.const, system.lin.T)))
+        apart = np.concatenate((system.unpack(system.const)[None], system.unpack(system.lin.T)))
+        assert both.tobytes() == apart.tobytes()
     mult = [system.multiplication_matrices() for system in systems]
     monkeypatch.setattr(weyl._ResidualSystem, "unpack", unpack_by_sum)
     for system, out in zip(systems, mult):
         assert out.tobytes() == system.multiplication_matrices().tobytes(), system.n
-
-
-def test_multiplication_matrices_match_the_two_unpack_oracle_bit_for_bit():
-    # const and lin.T unpacked in one call give the bits of two calls
-    for i, m in enumerate(acceptance_mix(300) + almost_abelian_draws(44)):
-        system = weyl._ResidualSystem(m)
-        want = multiplication_matrices_by_two_unpacks(system)
-        assert system.multiplication_matrices().tobytes() == want.tobytes(), i
 
 
 def test_combination_weights_are_cached_read_only_and_equal_the_sieve():
@@ -383,7 +377,7 @@ def test_combination_weights_are_cached_read_only_and_equal_the_sieve():
         weights = weyl._combination_weights(n)
         assert weyl._combination_weights(n) is weights
         assert not weights.flags.writeable
-        assert weights.tobytes() == combination_weights_by_sieve(n).tobytes()
+        assert weights.tobytes() == weyl._combination_weights.__wrapped__(n).tobytes()
 
 
 def test_quotient_skips_the_nullspace_when_the_relations_span_the_basis(monkeypatch):
