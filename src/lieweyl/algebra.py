@@ -15,13 +15,15 @@ so that no verdict depends on the basis or on the homothety c -> lam c:
 * c-sized: the size of c in the basis the test runs in, |c| =
   :attr:`LieAlgebra.scale`, cached on the table, for tests on it (the
   ranks of brackets of subspaces, which are rounding noise on abelian ones:
-  the derived and lower central series, the centralizer and ideal tests of
-  ``almost_abelian.decompose``; ``abelian``, ``unimodular``), and lam =
+  the derived and lower central series, the ideal system of
+  ``almost_abelian.decompose``, its rank cutoff and its hint and abelian
+  tests; ``abelian``, ``unimodular``), and lam =
   ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an abelian
   algebra) for frame quantities (the ad-gap of ``decompose``, the 3D
   adapted frame, the nonzero test of a Lee form).  A test linear in a Lee
-  form theta, itself c-sized, reads it times lam + |theta| (Faraday form,
-  Lee-gradient cross-check), so a root that is zero up to the solver's
+  form theta, itself c-sized, reads it times lam + |theta| (closed Faraday
+  form, Lee-gradient cross-check), or |c| (|c| + |theta|) on the brackets
+  c[i, j] (exact Faraday form), so a root that is zero up to the solver's
   accuracy counts as zero;
 * curvature-sized: ``MetricLieAlgebra.curvature_scale`` = lam^2 + |X|, |X|
   the frame norm of the compared form (Ricci and Weyl-Ricci cross-checks,
@@ -34,10 +36,10 @@ its input: ``REL_TOL`` (1 + max |entry|) (:func:`coefficient_tolerance`),
 1 + max |c|^2 for the Jacobi sums.  The named verdict constants multiply the
 same scales: ``weyl.FLATNESS_RTOL`` 1e-8 and
 ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
-``weyl.DEFAULT_ROOT_TOL`` 1e-8 (``--tol``) the root test at unit lam, where
+``weyl.DEFAULT_ROOT_TOL`` 1e-8 the root test at unit lam, where
 the almost abelian classifier also runs; ``almost_abelian.EIGEN_CLUSTER_RTOL``
 1e-7 the largest eigenvalue of ``sym``; ``almost_abelian.SIGNIFICANT_RTOL``
-1e-8 a vector's own size.  ``weyl.ROOT_FLOOR_EPS`` is a solver level,
+1e-8 a vector's own size, or that of the unit covector it projects.  ``weyl.ROOT_FLOOR_EPS`` is a solver level,
 documented there: the root floor and stall rule of the polish, and the rank
 cutoff of the quotient ring's Hermite trace form, ``ROOT_FLOOR_EPS`` times
 its largest singular value.

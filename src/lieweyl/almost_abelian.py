@@ -13,13 +13,21 @@ and the Weyl-Einstein equation collapses to a two-case test on traces of
   a single non-exact solution ``(tr sym / (n-2))`` times the dual of ``b``;
 * anything else admits no Weyl-Einstein structure.
 
-The decomposition is deterministic: when several ideals exist (abelian
-algebras, Heisenberg-plus-abelian) the earliest standard-basis choice wins and
-``unique_ideal`` is reported ``False``.
+The decomposition is deterministic.  The covectors l whose kernel is a
+codimension-one abelian ideal, with 0, form one linear space L; when it has
+dimension above one (abelian algebras, Heisenberg-plus-abelian) several ideals
+exist, ``unique_ideal`` is reported ``False``, and the ideal is the kernel of
+the orthogonal projection onto L of the first standard dual basis covector
+e^i whose projection has norm above ``SIGNIFICANT_RTOL``.  On an abelian
+algebra that is e^1, the ideal span(e_2, ..., e_n); on Heisenberg plus
+abelian ([e_1, e_2] = e_3) it is also e^1, the ideal spanned by e_2, e_3 and
+the abelian factor.
 """
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +39,7 @@ from .algebra import (
     _brackets,
     ad,
     coefficient_tolerance,
-    derived_subalgebra,
     nullspace,
-    row_space,
 )
 from .errors import (
     ConsistencyError,
@@ -45,7 +51,7 @@ from .errors import (
     PreconditionError,
     StructureError,
 )
-from .riemann import CurvatureData, MetricLieAlgebra
+from .riemann import CurvatureData, MetricLieAlgebra, _read_only
 from .weyl import _as_covector, weyl_einstein_residual
 
 EIGEN_CLUSTER_RTOL = 1e-7
@@ -81,73 +87,31 @@ def _is_abelian_subspace(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
     return float(np.max(np.abs(_brackets(m.algebra, rows, rows)))) <= REL_TOL * m.algebra.scale
 
 
-def _is_ideal(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
-    if rows.shape[0] == 0:
-        return True
-    prods = (rows @ m.c).reshape(-1, m.dim)  # [e_i, rows[a]] for every i, a
-    outside = prods - prods @ rows.T @ rows
-    return float(np.max(np.abs(outside))) <= REL_TOL * m.algebra.scale
+@lru_cache(maxsize=None)
+def _ideal_system_plan(n: int) -> np.ndarray:
+    """Gather plan of the ideal system at dimension n, cached and read-only.
 
-
-def _standard_complement(rows: np.ndarray, n: int, count: int) -> np.ndarray:
-    """First ``count`` standard basis vectors independent of ``rows`` (greedy)."""
-    picked: list[np.ndarray] = []
-    basis = rows
-    for i in range(n):
-        v = np.eye(n)[i]
-        resid = v - basis.T @ (basis @ v)
-        if np.linalg.norm(resid) > SIGNIFICANT_RTOL:
-            picked.append(v)
-            basis = row_space(np.vstack([basis, v]), n)
-            if len(picked) == count:
-                break
-    if len(picked) != count:
-        raise ConsistencyError("failed to complete a complement basis")
-    return np.array(picked)
-
-
-def _central_quotient_ideal(m: MetricLieAlgebra, der: np.ndarray) -> np.ndarray:
-    """Ideal search when the derived subalgebra is central.
-
-    Brackets then descend to derived-subalgebra-valued skew forms on the
-    quotient by the derived subalgebra; a codimension-one abelian ideal is the
-    preimage of a hyperplane on which all those forms vanish, and such a
-    hyperplane ker(l) exists iff every form wedges to zero against l, a linear
-    condition on l.
+    Row r of the system is ``ext[plan[r]]`` with ``ext`` the concatenation of
+    c.ravel(), -c.ravel() and one zero.  The first C(n, 2) rows are the
+    brackets c[i, j], i < j; the next n C(n, 3) rows are the coefficients of
+    l ^ c^k on e_p ^ e_q ^ e_s, p < q < s, with c^k(x, y) = e^k([x, y]):
+    c^k[q, s] at column p, -c^k[p, s] at q and c^k[p, q] at s.  Zero rows pad
+    the system to at least n rows (n = 2 has no triple).
     """
-    n = m.dim
-    d = der.shape[0]
-    mq = n - d
-    comp = _standard_complement(der, n, mq)
-    forms = np.einsum("pi,qj,ijk,ak->apq", comp, comp, m.c, der)
-
-    if mq == 2:
-        # any line in the quotient works; take the earliest complement vector
-        lifted = comp[:1]
-    else:
-        rows = []
-        for a in range(d):
-            for p in range(mq):
-                for q in range(p + 1, mq):
-                    for s in range(q + 1, mq):
-                        row = np.zeros(mq)
-                        row[s] += forms[a, p, q]
-                        row[q] -= forms[a, p, s]
-                        row[p] += forms[a, q, s]
-                        rows.append(row)
-        null = nullspace(np.array(rows), REL_TOL * m.algebra.scale) if rows else np.eye(mq)
-        if null.shape[0] == 0:
-            raise NotAlmostAbelianError(
-                "no hyperplane kills all quotient bracket forms; "
-                "the algebra has no codimension-one abelian ideal"
-            )
-        ell = null[0]
-        lifted = nullspace(ell[None, :]) @ comp
-
-    candidate = row_space(np.vstack([der, lifted]), n)
-    if candidate.shape[0] != n - 1:
-        raise ConsistencyError("quotient ideal construction lost a dimension")
-    return candidate
+    cube, zero = n**3, 2 * n**3
+    ks = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    brackets = ((i * n + j) * n)[:, None] + ks
+    triples = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    wedges = np.full((n, len(triples), n), zero, dtype=np.intp)
+    rows = np.arange(len(triples))
+    p, q, s = triples.T
+    wedges[:, rows, p] = ((q * n + s) * n)[None, :] + ks[:, None]
+    wedges[:, rows, q] = cube + ((p * n + s) * n)[None, :] + ks[:, None]
+    wedges[:, rows, s] = ((p * n + q) * n)[None, :] + ks[:, None]
+    plan = np.concatenate((brackets, wedges.reshape(-1, n)))
+    padding = np.full((max(0, n - len(plan)), n), zero, dtype=np.intp)
+    return _read_only(np.concatenate((plan, padding)))
 
 
 def _first_significant_positive(v: np.ndarray) -> np.ndarray:
@@ -161,20 +125,27 @@ def _first_significant_positive(v: np.ndarray) -> np.ndarray:
 def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecomposition:
     """Find a codimension-one abelian ideal and the adapted orthonormal data.
 
-    ``hint`` may supply the ideal as rows spanning it; it is validated and
-    used as-is.  Without a hint the ideal is derived from the structure: the
-    derived subalgebra when it already has codimension one, else the
-    centralizer of the derived subalgebra, else the central-quotient search.
-    Raises :class:`NotAlmostAbelianError` when no such ideal exists.  Ideal
-    tests read ``REL_TOL`` |c|, the ad_normal invariance check ``REL_TOL`` lam.
+    ker(l) is an abelian ideal of codimension one exactly when the covector
+    l kills every bracket (an ideal) and l ^ c^k = 0 for every component
+    2-form c^k (abelian): one linear system on l (:func:`_ideal_system_plan`)
+    whose null space L, read from one SVD at the c-sized cutoff ``REL_TOL``
+    |c|, holds every such l.  L = 0 raises :class:`NotAlmostAbelianError`,
+    and ``unique_ideal`` is dim L = 1.  The normal covector is P_L e^i for
+    the first standard dual basis covector e^i whose projection onto L is
+    significant, a choice independent of the basis the SVD picks in L.
+
+    ``hint`` may supply the ideal as rows spanning it; its normal covector is
+    tested on both halves of the same system, at the same cutoff, and the
+    ideal is used as-is.  The ad_normal invariance check reads ``REL_TOL`` lam.
     """
     n = m.dim
     if n < 2:
         raise NotAlmostAbelianError("need dimension at least 2")
-    tol = REL_TOL * m.algebra.scale
-    abelian = float(np.max(np.abs(m.c))) <= tol
-    der = derived_subalgebra(m.algebra)
-    d = der.shape[0]
+    flat = m.c.ravel()
+    system = np.concatenate((flat, -flat, [0.0]))[_ideal_system_plan(n)]
+    cutoff = REL_TOL * m.algebra.scale
+    _, values, vh = np.linalg.svd(system, full_matrices=False)
+    admissible = vh[np.count_nonzero(values > cutoff):]
 
     if hint is not None:
         rows = np.asarray(hint, dtype=float)
@@ -182,46 +153,27 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
             raise HintError(f"ideal hint must be an ({n - 1}, {n}) array of rows, got {rows.shape}")
         if not np.isfinite(rows).all():
             raise HintError("ideal hint contains NaN or infinity")
-        span = row_space(rows, n)
-        if span.shape[0] != n - 1:
+        normals = nullspace(rows)
+        if len(normals) != 1:
             raise HintError("ideal hint rows are not linearly independent")
-        if not _is_abelian_subspace(m, span):
+        ell = normals[0]
+        brackets = n * (n - 1) // 2
+        if np.linalg.norm(system[brackets:] @ ell) > cutoff:
             raise HintError("ideal hint is not abelian")
-        if not _is_ideal(m, span):
+        if np.linalg.norm(system[:brackets] @ ell) > cutoff:
             raise HintError("ideal hint is not an ideal")
-        span_rows = span
-    elif abelian:
-        span_rows = row_space(np.eye(n)[1:], n)
-    elif d == n:
-        raise NotAlmostAbelianError("derived subalgebra is the whole algebra")
-    elif not _is_abelian_subspace(m, der):
-        raise NotAlmostAbelianError("derived subalgebra is not abelian")
-    elif d == n - 1:
-        span_rows = der
+    elif len(admissible) == 0:
+        raise NotAlmostAbelianError(
+            "no covector kills every bracket and wedges to zero with every bracket "
+            "component: the algebra has no codimension-one abelian ideal"
+        )
     else:
-        # centralizer of the derived subalgebra
-        maps = [np.einsum("ijk,j->ki", m.c, w) for w in der]
-        stacked = np.vstack(maps)
-        z_rows = nullspace(stacked, REL_TOL * m.algebra.scale)
-        if z_rows.shape[0] < n - 1:
-            raise NotAlmostAbelianError(
-                "centralizer of the derived subalgebra is too small for a "
-                "codimension-one abelian ideal"
-            )
-        if z_rows.shape[0] == n - 1:
-            if not _is_abelian_subspace(m, z_rows):
-                raise NotAlmostAbelianError("the only candidate ideal is not abelian")
-            span_rows = z_rows
-        else:
-            span_rows = _central_quotient_ideal(m, der)
+        projector = admissible.T @ admissible
+        ell = projector[int(np.argmax(np.linalg.norm(projector, axis=0) > SIGNIFICANT_RTOL))]
 
-    # unit normal, sign-fixed
-    normal_rows = nullspace(span_rows @ m.metric)
-    if normal_rows.shape[0] != 1:
-        raise ConsistencyError("ideal normal is not one-dimensional")
-    b = normal_rows[0]
-    b = b / np.sqrt(m.inner(b, b))
-    b = _first_significant_positive(b)
+    # unit g-normal of ker(ell), sign-fixed
+    b = m.raise_covector(ell)
+    b = _first_significant_positive(b / np.sqrt(m.inner(b, b)))
 
     # g-orthonormal ideal basis from projected standard basis vectors, with
     # the inner products associated as in MetricLieAlgebra.inner
@@ -255,17 +207,8 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     skew = 0.5 * (restricted - restricted.T)
     sym = 0.5 * (restricted + restricted.T)
 
-    if abelian:
-        unique = False
-    elif d == 1:
-        w = der[0]
-        central = float(np.max(np.abs(np.einsum("ijk,j->ki", m.c, w)))) <= tol
-        unique = not central
-    else:
-        unique = True
-
     return AADecomposition(
-        ideal_basis=h, normal=b, skew=skew, sym=sym, unique_ideal=unique
+        ideal_basis=h, normal=b, skew=skew, sym=sym, unique_ideal=len(admissible) == 1
     )
 
 

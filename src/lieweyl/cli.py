@@ -55,9 +55,8 @@ def _curvature_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
     return records
 
 
-def _weyl_records(m: riemann.MetricLieAlgebra, starts: int | None, seed: int,
-                  tol: float) -> list[ReportRecord]:
-    result = weyl.solve_lee_forms(m, starts=starts, seed=seed, tol_root=tol)
+def _weyl_records(m: riemann.MetricLieAlgebra, starts: int | None, seed: int) -> list[ReportRecord]:
+    result = weyl.solve_lee_forms(m, starts=starts, seed=seed)
     records = [ReportRecord("weyl.root_count", len(result.roots))]
     if np.isfinite(result.infimum):  # some start ran
         records.append(ReportRecord("weyl.infimum", result.infimum))
@@ -124,7 +123,7 @@ def _cmd_curvature(args) -> str:
 
 def _cmd_weyl_solve(args) -> str:
     m = _read_document(args.file).to_metric_lie_algebra()
-    return mla.emit_report(_weyl_records(m, args.starts, args.seed, args.tol), args.format)
+    return mla.emit_report(_weyl_records(m, args.starts, args.seed), args.format)
 
 
 def _cmd_aa_classify(args) -> str:
@@ -136,7 +135,7 @@ def _cmd_aa_classify(args) -> str:
 def _cmd_report(args) -> str:
     m = _read_document(args.file).to_metric_lie_algebra()
     records = _validate_records(m) + _curvature_records(m)
-    records += _weyl_records(m, None, weyl.DEFAULT_SEED, weyl.DEFAULT_ROOT_TOL)
+    records += _weyl_records(m, None, weyl.DEFAULT_SEED)
     try:
         aa = _aa_records(m, None)
     except NotAlmostAbelianError:
@@ -251,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=weyl.DEFAULT_SEED,
         help="non-negative seed of the seeded search's start directions",
-    )
-    p.add_argument(
-        "--tol", type=float, default=weyl.DEFAULT_ROOT_TOL,
-        help="root test: residual at most TOL (1 + |Ric|), both measured after scaling "
-             "the structure constants to unit frame norm",
     )
     p.set_defaults(run=_cmd_weyl_solve)
 

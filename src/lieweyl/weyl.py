@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frames, riemann
-from .algebra import REL_TOL, derived_subalgebra, nullspace, row_space
+from .algebra import REL_TOL, nullspace, row_space
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -119,8 +119,11 @@ class FaradayForm(NamedTuple):
     For left-invariant forms F(x, y) = -theta([x, y]); the form is closed
     exactly when theta kills the derived subalgebra, so the two flags agree
     (they are computed independently as a cross-check): F in the frame
-    against ``REL_TOL`` lam (lam + |theta|), theta on the orthonormal rows of
-    the derived subalgebra against ``REL_TOL`` (|c| + |theta|).
+    against ``REL_TOL`` lam (lam + |theta|), theta on the brackets c[i, j],
+    i < j, which span the derived subalgebra, against ``REL_TOL`` |c|
+    (|c| + |theta|).  The brackets themselves, not an orthonormal basis of
+    their span, keep the exact test as accurate as c on an ill-conditioned
+    derived subalgebra.
     """
 
     matrix: np.ndarray
@@ -138,8 +141,9 @@ def faraday(m: MetricLieAlgebra, theta) -> FaradayForm:
     f = _faraday_matrix(m, theta)
     lam = m.structure_scale
     closed = m.form_norm(f) <= REL_TOL * lam * (lam + m.covector_norm(theta))
-    der = derived_subalgebra(m.algebra)
-    exact = bool(np.linalg.norm(der @ theta) <= REL_TOL * (m.algebra.scale + np.linalg.norm(theta)))
+    scale = m.algebra.scale
+    brackets = m.c[np.triu_indices(m.dim, 1)]
+    exact = bool(np.linalg.norm(brackets @ theta) <= REL_TOL * scale * (scale + np.linalg.norm(theta)))
     return FaradayForm(matrix=f, closed=closed, exact=exact)
 
 
@@ -686,7 +690,6 @@ def solve_lee_forms(
     m: MetricLieAlgebra,
     starts: int | None = None,
     seed: int = DEFAULT_SEED,
-    tol_root: float = DEFAULT_ROOT_TOL,
 ) -> SolveResult:
     """Find all Lee forms solving the Weyl-Einstein equation on ``m``.
 
@@ -698,10 +701,11 @@ def solve_lee_forms(
     ring (:func:`_quotient_candidates`), at most n + 2; each is polished by
     damped Newton steps until one of four rules stops it (root floor, stall,
     damping cap, iteration cap; see :func:`_levenberg_marquardt`).  A
-    polished candidate is a root when its residual is at most ``tol_root *
-    (1 + |Ric|)`` at |c| = 1, and every candidate must be one: a candidate
-    that fails the test raises :class:`ConsistencyError`, as the Hermite
-    signature counts exactly the distinct real roots.  The quotient resolves
+    polished candidate is a root when its residual is at most
+    :data:`DEFAULT_ROOT_TOL` (1 + |Ric|) at |c| = 1, and every candidate
+    must be one: a candidate that fails the test raises
+    :class:`ConsistencyError`, as the Hermite signature counts exactly the
+    distinct real roots.  The quotient resolves
     real roots down to a gap of about sqrt(:data:`ROOT_FLOOR_EPS`) lam =
     1e-7 lam: two closer roots are one candidate, and one root at their mean
     comes back.  The quotient is the evidence that there is no root:
@@ -716,10 +720,9 @@ def solve_lee_forms(
     that ran per exit rule.  :data:`DEFAULT_STARTS` = 8 starts reached the
     256-start minimum on every root-free model measured (README).
     Deterministic for fixed inputs.  ``starts`` that is neither None nor an
-    integer from 1 to :data:`MAX_STARTS`, a ``seed`` that is not a
-    non-negative integer and a ``tol_root`` that is not a finite positive
-    number raise :class:`InputError`, even where no search runs; numpy
-    scalars are accepted, bools are not.
+    integer from 1 to :data:`MAX_STARTS` and a ``seed`` that is not a
+    non-negative integer raise :class:`InputError`, even where no search
+    runs; numpy scalars are accepted, bools are not.
     """
     if m.dim < 3:
         raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
@@ -727,11 +730,9 @@ def solve_lee_forms(
         raise InputError(f"need an integer between 1 and {MAX_STARTS} starts, got {starts!r}")
     if not (_is_a(seed, numbers.Integral) and seed >= 0):
         raise InputError(f"the seed must be a non-negative integer, got {seed!r}")
-    if not (_is_a(tol_root, numbers.Real) and np.isfinite(tol_root) and tol_root > 0.0):
-        raise InputError(f"the root tolerance must be a finite positive number, got {tol_root!r}")
     system = _residual_system(m)
     lam = system.scale
-    threshold = tol_root * system.ric_scale
+    threshold = DEFAULT_ROOT_TOL * system.ric_scale
 
     quotient_dim, candidates = _quotient_candidates(system)
     exit_codes = np.zeros(0, dtype=np.intp)

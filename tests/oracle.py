@@ -10,8 +10,8 @@ matrices by a three-operation sum, the bit-level reference for its unpacking.
 The ``*_by_*`` functions below keep the plain forms of steps the package
 computes in a faster way with the same bits or the same verdicts: the
 Gram-Schmidt of ``almost_abelian.decompose`` through ``m.inner``, the
-subspace tests by three-operand einsums and the quotient dimension from the
-nullspace of the closed relations.
+abelian-subspace test and the bracket span by three-operand einsums and the
+quotient dimension from the nullspace of the closed relations.
 """
 import numpy as np
 
@@ -72,15 +72,6 @@ def is_abelian_subspace_by_einsum(m, rows):
         return True
     prods = np.einsum("ap,bq,pqk->abk", rows, rows, m.c)
     return float(np.max(np.abs(prods))) <= REL_TOL * m.algebra.scale
-
-
-def is_ideal_by_einsum(m, rows):
-    """``almost_abelian._is_ideal`` by a three-operand einsum."""
-    if rows.shape[0] == 0:
-        return True
-    prods = np.einsum("ip,aq,pqk->iak", np.eye(m.dim), rows, m.c).reshape(-1, m.dim)
-    outside = prods - prods @ rows.T @ rows
-    return float(np.max(np.abs(outside))) <= REL_TOL * m.algebra.scale
 
 
 def bracket_span_by_einsum(algebra, rows_a, rows_b):

@@ -43,11 +43,26 @@ def sol() -> MetricLieAlgebra:
 
 def test_decompose_heisenberg():
     dec = decompose(samples.heisenberg())
-    np.testing.assert_allclose(dec.normal, [0.0, 1.0, 0.0], atol=TOL)
-    np.testing.assert_allclose(dec.ideal_basis, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], atol=TOL)
-    np.testing.assert_allclose(dec.skew, [[0.0, 0.5], [-0.5, 0.0]], atol=TOL)
-    np.testing.assert_allclose(dec.sym, [[0.0, -0.5], [-0.5, 0.0]], atol=TOL)
+    np.testing.assert_allclose(dec.normal, [1.0, 0.0, 0.0], atol=TOL)
+    np.testing.assert_allclose(dec.ideal_basis, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], atol=TOL)
+    np.testing.assert_allclose(dec.skew, [[0.0, -0.5], [0.5, 0.0]], atol=TOL)
+    np.testing.assert_allclose(dec.sym, [[0.0, 0.5], [0.5, 0.0]], atol=TOL)
     assert not dec.unique_ideal
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_decompose_heisenberg_plus_abelian_takes_the_first_admissible_covector(extra):
+    # the admissible covectors are span(e^1, e^2); e^1 is its own projection,
+    # so the ideal is ker e^1 whatever the abelian factor
+    n = 3 + extra
+    dec = decompose(samples.heisenberg(extra))
+    assert not dec.unique_ideal
+    np.testing.assert_allclose(dec.normal, np.eye(n)[0], atol=TOL)
+    np.testing.assert_allclose(dec.ideal_basis, np.eye(n)[1:], atol=TOL)
+    # in the basis (e_3, e_1, e_2, ...) the first covector projects to zero
+    # and the second, the old e^1, is taken
+    moved = change_basis(samples.heisenberg(extra), np.eye(n)[:, [2, 0, 1, *range(3, n)]])
+    np.testing.assert_allclose(decompose(moved).normal, np.eye(n)[1], atol=TOL)
 
 
 def test_decompose_sol():
@@ -64,7 +79,7 @@ def test_decompose_abelian_defaults():
     assert not dec.unique_ideal
 
 
-def test_decompose_filiform_centralizer_route():
+def test_decompose_filiform_has_a_unique_ideal():
     dec = decompose(samples.filiform4())
     np.testing.assert_allclose(np.abs(dec.normal), [1.0, 0.0, 0.0, 0.0], atol=TOL)
     assert dec.unique_ideal
@@ -332,12 +347,11 @@ def test_decompose_is_scale_free_on_small_tables():
 
 def test_decompose_matches_the_inner_product_oracle_bit_for_bit(monkeypatch):
     # the Gram-Schmidt reads each inner product as x @ g @ y, the association
-    # of m.inner, and the subspace tests multiply by two matmuls; the normal,
+    # of m.inner, and the abelian check multiplies by two matmuls; the normal,
     # ideal basis, skew and sym keep every bit of the plain forms
     draws = acceptance_mix(300) + almost_abelian_draws(40) + almost_abelian_draws(41)
     decs = [decompose(m) for m in draws]
     monkeypatch.setattr(almost_abelian, "_is_abelian_subspace", oracle.is_abelian_subspace_by_einsum)
-    monkeypatch.setattr(almost_abelian, "_is_ideal", oracle.is_ideal_by_einsum)
     for i, (m, dec) in enumerate(zip(draws, decs)):
         normal = decompose(m).normal
         h, skew, sym = oracle.adapted_parts_by_inner(m, normal)
@@ -361,19 +375,23 @@ def test_subspace_verdicts_match_the_einsum_oracle():
         if n - der.shape[0] > 1:
             subspaces.append(np.vstack([der, rng.standard_normal((1, n))]))
         try:
-            subspaces.append(decompose(m).ideal_basis)
+            dec = decompose(m)
         except NotAlmostAbelianError:
             pass
+        else:
+            subspaces.append(dec.ideal_basis)
+            # the computed ideal passes both halves of the system as a hint
+            hinted = decompose(m, hint=dec.ideal_basis)
+            np.testing.assert_allclose(hinted.normal, dec.normal, atol=1e-12)
+            assert hinted.unique_ideal == dec.unique_ideal
         for rows in subspaces:
             abelian = almost_abelian._is_abelian_subspace(m, rows)
-            ideal = almost_abelian._is_ideal(m, rows)
             assert abelian == oracle.is_abelian_subspace_by_einsum(m, rows), i
-            assert ideal == oracle.is_ideal_by_einsum(m, rows), i
-            seen.add((abelian, ideal))
+            seen.add(abelian)
             for a, b in ((rows, rows), (np.eye(n), rows), (rows[:0], rows)):
                 span = algebra_module._bracket_span(m.algebra, a, b)
                 assert span.shape == oracle.bracket_span_by_einsum(m.algebra, a, b).shape, i
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert seen == {True, False}
     # hints that are not abelian (Heisenberg) or abelian but no ideal
     # (r_2 + R^2, [e_0, e_1] = e_1, and span(e_0, e_2, e_3)) are refused
     m = samples.heisenberg()
@@ -386,10 +404,27 @@ def test_subspace_verdicts_match_the_einsum_oracle():
     hint = np.eye(4)[[0, 2, 3]]
     assert almost_abelian._is_abelian_subspace(m, hint)
     assert oracle.is_abelian_subspace_by_einsum(m, hint)
-    assert not almost_abelian._is_ideal(m, hint)
-    assert not oracle.is_ideal_by_einsum(m, hint)
     with pytest.raises(HintError, match="not an ideal"):
         decompose(m, hint=hint)
+
+
+def test_decompose_accepts_nearly_singular_derivations():
+    # draw 1093 of this sequence (trace, n = 4, random basis) has a derived
+    # subalgebra whose third singular value is 2.9e-8 of the first; a
+    # computed basis of [g, g] then failed its abelian test, where the ideal
+    # system keeps the accuracy of c
+    rng = np.random.default_rng(77)
+    kinds = ("einstein", "trace", "generic")
+    for i in range(1100):
+        kind = kinds[i % 3]
+        m = samples.random_almost_abelian(rng, 3 + i % 7, kind, basis_change=bool(i % 2))
+        cls = classify_weyl_einstein(decompose(m), m)
+        assert cls.case is {"einstein": WEClass.EINSTEIN_FAMILY, "trace": WEClass.TRACE_CASE,
+                            "generic": WEClass.NO_WE}[kind], i
+        roots = solve_lee_forms(m).roots
+        assert len(roots) == len(cls.lee_forms), i
+        for a, b in zip(sorted(map(tuple, cls.lee_forms)), sorted(map(tuple, roots))):
+            assert np.linalg.norm(np.array(a) - np.array(b)) <= 1e-6, i
 
 
 def test_structure_flags_match_the_einsum_bracket_span(monkeypatch):
