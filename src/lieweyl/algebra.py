@@ -33,8 +33,10 @@ Rank cutoffs on c itself (derived subalgebra, center) and those of
 :func:`row_space` and :func:`nullspace` by default are relative to the
 largest singular value of their input.  Input validation keeps the scale of
 its input: ``REL_TOL`` (1 + max |entry|) (:func:`coefficient_tolerance`),
-1 + max |c|^2 for the Jacobi sums.  The named verdict constants multiply the
-same scales: ``weyl.FLATNESS_RTOL`` 1e-8 and
+1 + max |c|^2 for the Jacobi sums; a metric whose Cholesky pivots have a
+squared ratio min/max below machine epsilon is singular to working precision
+and rejected.  The named verdict constants multiply the same scales:
+``weyl.FLATNESS_RTOL`` 1e-8 and
 ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
 ``weyl.DEFAULT_ROOT_TOL`` 1e-8 the root test at unit lam, where
 the almost abelian classifier also runs; ``almost_abelian.EIGEN_CLUSTER_RTOL``
@@ -47,7 +49,7 @@ its largest singular value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -161,6 +163,20 @@ class ValidityReport(NamedTuple):
     violations: tuple
 
 
+@lru_cache(maxsize=None)
+def _validate_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of c as (n^2, n) and of P as (n^3, n) that :func:`validate` reads at
+    the pairs i <= j and the triples i < j < k; cached per n, read-only."""
+    r = np.arange(n)
+    i, j = np.nonzero(r[:, None] <= r)
+    a, b, d = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    pairs = np.array((i * n + j, j * n + i))
+    triples = np.array(((a * n + b) * n + d, (b * n + d) * n + a, (d * n + a) * n + b))
+    pairs.setflags(write=False)
+    triples.setflags(write=False)
+    return pairs, triples
+
+
 def validate(algebra: LieAlgebra) -> ValidityReport:
     """Check antisymmetry and the Jacobi identity entrywise.
 
@@ -168,34 +184,30 @@ def validate(algebra: LieAlgebra) -> ValidityReport:
     violated (i, j, k), i < j < k, each in row-major order, with the
     Euclidean magnitude of the residual vector; ``ok`` means no violations.
     Raises :class:`NumericInputError` when max |c|^2, the size of the Jacobi
-    sums, overflows float64.
+    sums, overflows float64.  With P[i, j, k, l] = sum_m c[i, j, m] c[m, k, l],
+    one matrix product, the Jacobi sum at (i, j, k) is P[i, j, k] + P[j, k, i]
+    + P[k, i, j], read at the rows of a plan cached per n.
     """
     c = algebra.c
     n = algebra.dim
     # the Jacobi sums are products of two structure constants, so their
     # tolerance grows like max |c|^2 where the antisymmetry one grows like max |c|
-    peak = float(np.max(np.abs(c)))
+    peak = float(np.abs(c).max())
     if not np.isfinite(peak * peak):
         raise NumericInputError(
             f"structure constants up to {peak:.3e} overflow float64 in their products"
         )
-    jacobi_tol = REL_TOL * (1.0 + peak * peak)
-
-    anti = np.linalg.norm(c + np.einsum("ijk->jik", c), axis=2)
-    pairs = np.nonzero(np.triu(anti > coefficient_tolerance(c)))
-    # jac[i, j, k] = [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-    jac = np.linalg.norm(
-        np.einsum("ijm,mkl->ijkl", c, c)
-        + np.einsum("jkm,mil->ijkl", c, c)
-        + np.einsum("kim,mjl->ijkl", c, c),
-        axis=3,
-    )
-    i, j, k = np.ogrid[:n, :n, :n]
-    triples = np.nonzero((jac > jacobi_tol) & (i < j) & (j < k))
-    violations = [Violation("antisymmetry", (int(a), int(b)), float(anti[a, b]))
-                  for a, b in zip(*pairs)]
-    violations += [Violation("jacobi", (int(a), int(b), int(d)), float(jac[a, b, d]))
-                   for a, b, d in zip(*triples)]
+    tol, jacobi_tol = REL_TOL * (1.0 + peak), REL_TOL * (1.0 + peak * peak)
+    pairs, triples = _validate_plan(n)
+    rows = c.reshape(n * n, n)
+    anti = rows.take(pairs, axis=0).sum(axis=0)
+    anti = np.sqrt(np.add.reduce(anti * anti, axis=1))  # np.linalg.norm's sum
+    jac = (rows @ c.reshape(n, n * n)).reshape(n**3, n).take(triples, axis=0).sum(axis=0)
+    jac = np.sqrt(np.add.reduce(jac * jac, axis=1))
+    violations = [Violation("antisymmetry", divmod(int(pairs[0, r]), n), float(anti[r]))
+                  for r in np.flatnonzero(anti > tol)]
+    violations += [Violation("jacobi", tuple(map(int, np.unravel_index(triples[0, r], (n,) * 3))),
+                             float(jac[r])) for r in np.flatnonzero(jac > jacobi_tol)]
     return ValidityReport(not violations, tuple(violations))
 
 

@@ -184,7 +184,7 @@ def parse_mla(text: str) -> MlaDocument:
             raise MlaParseError(
                 "metric-not-symmetric", 0, "metric block is not symmetric"
             ) from None
-        raise MlaParseError("metric-not-spd", 0, "metric is not positive definite") from None
+        raise MlaParseError("metric-not-spd", 0, str(exc)) from None
     except NumericInputError as exc:
         raise MlaParseError("overflow", 0, str(exc)) from None
     except InvalidAlgebraError as exc:

@@ -62,9 +62,11 @@ class MetricLieAlgebra:
         if np.max(np.abs(g - g.T)) > coefficient_tolerance(g):
             raise MetricError("metric is not symmetric", "symmetric")
         try:
-            np.linalg.cholesky(g)
+            low = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise MetricError("metric is not positive definite", "positive-definite") from None
+        if (low.diagonal().min() / low.diagonal().max()) ** 2 < np.finfo(float).eps:
+            raise MetricError("metric is singular to working precision", "positive-definite")
         report = validate(self.algebra)
         if not report.ok:
             first = report.violations[0]
@@ -77,6 +79,7 @@ class MetricLieAlgebra:
             raise error
         g.setflags(write=False)
         object.__setattr__(self, "metric", g)
+        object.__setattr__(self, "_cholesky", low)
 
     @property
     def dim(self) -> int:
@@ -88,8 +91,8 @@ class MetricLieAlgebra:
 
     @cached_property
     def frame(self) -> np.ndarray:
-        """Columns form a deterministic g-orthonormal basis."""
-        return _read_only(frames.orthonormal_frame(self.metric))
+        """Columns: the g-orthonormal :func:`frames.orthonormal_frame`, from the kept factor."""
+        return _read_only(np.linalg.inv(self._cholesky).T)
 
     @cached_property
     def metric_inv(self) -> np.ndarray:

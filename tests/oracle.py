@@ -10,13 +10,17 @@ matrices by a three-operation sum, the bit-level reference for its unpacking.
 The ``*_by_*`` functions below keep the plain forms of steps the package
 computes in a faster way with the same bits or the same verdicts: the
 Gram-Schmidt of ``almost_abelian.decompose`` through ``m.inner``, the
-abelian-subspace test and the bracket span by three-operand einsums and the
-quotient dimension from the nullspace of the closed relations.
+abelian-subspace test and the bracket span by three-operand einsums, the
+quotient dimension from the nullspace of the closed relations and the
+antisymmetry and Jacobi check by full-size einsums and masks.
 """
 import numpy as np
 
 from lieweyl import riemann
-from lieweyl.algebra import REL_TOL, ad, nullspace, row_space
+from lieweyl.algebra import (
+    REL_TOL, ValidityReport, Violation, ad, coefficient_tolerance, nullspace, row_space,
+)
+from lieweyl.errors import NumericInputError
 from lieweyl.weyl import WEResidual
 
 
@@ -81,6 +85,36 @@ def bracket_span_by_einsum(algebra, rows_a, rows_b):
         return np.zeros((0, n))
     prods = np.einsum("ap,bq,pqk->abk", rows_a, rows_b, algebra.c)
     return row_space(prods, n, REL_TOL * algebra.scale)
+
+
+def validate_by_einsum(algebra) -> ValidityReport:
+    """``algebra.validate`` with each cyclic Jacobi term its own einsum over
+    the full (n, n, n, n) table, and the pairs and triples read by masks."""
+    c = algebra.c
+    n = algebra.dim
+    peak = float(np.max(np.abs(c)))
+    if not np.isfinite(peak * peak):
+        raise NumericInputError(
+            f"structure constants up to {peak:.3e} overflow float64 in their products"
+        )
+    jacobi_tol = REL_TOL * (1.0 + peak * peak)
+
+    anti = np.linalg.norm(c + np.einsum("ijk->jik", c), axis=2)
+    pairs = np.nonzero(np.triu(anti > coefficient_tolerance(c)))
+    # jac[i, j, k] = [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    jac = np.linalg.norm(
+        np.einsum("ijm,mkl->ijkl", c, c)
+        + np.einsum("jkm,mil->ijkl", c, c)
+        + np.einsum("kim,mjl->ijkl", c, c),
+        axis=3,
+    )
+    i, j, k = np.ogrid[:n, :n, :n]
+    triples = np.nonzero((jac > jacobi_tol) & (i < j) & (j < k))
+    violations = [Violation("antisymmetry", (int(a), int(b)), float(anti[a, b]))
+                  for a, b in zip(*pairs)]
+    violations += [Violation("jacobi", (int(a), int(b), int(d)), float(jac[a, b, d]))
+                   for a, b, d in zip(*triples)]
+    return ValidityReport(not violations, tuple(violations))
 
 
 def quotient_dim_by_nullspace(system):

@@ -8,6 +8,8 @@ from lieweyl.algebra import REL_TOL, derived_subalgebra
 from lieweyl.errors import NumericInputError, StructureError
 from lieweyl import samples
 from lieweyl.riemann import MetricLieAlgebra, change_basis
+from models import acceptance_mix, almost_abelian_draws
+from oracle import validate_by_einsum
 
 TOL = 1e-12
 
@@ -174,6 +176,98 @@ def test_validate_flags_diagonal_antisymmetry():
     c[0, 0, 1] = 2.0
     report = validate(LieAlgebra(c))
     assert any(v.kind == "antisymmetry" and v.indices == (0, 0) for v in report.violations)
+
+
+def _twice_the_jacobi_tolerance(c, i, j, k):
+    """c with c[i, j, k] and -c[j, i, k] moved by a step found by bisection on
+    the oracle, so that its largest Jacobi sum is twice its tolerance; c
+    itself when no step up to 10 (1 + max |c|) reaches that."""
+    def moved(step):
+        d = c.copy()
+        d[i, j, k] += step
+        d[j, i, k] -= step
+        return d
+
+    def ratio(d):
+        jacobi = [v.magnitude for v in validate_by_einsum(LieAlgebra(d)).violations
+                  if v.kind == "jacobi"]
+        return max(jacobi, default=0.0) / (REL_TOL * (1.0 + np.max(np.abs(d)) ** 2))
+
+    hi = 10.0 * (1.0 + np.max(np.abs(c)))
+    lo = 1e-30 * hi
+    if ratio(moved(hi)) < 2.0:
+        return c
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        lo, hi = (mid, hi) if ratio(moved(mid)) < 2.0 else (lo, mid)
+    return moved(hi)
+
+
+def _oracle_tables():
+    """Valid tables at n = 1..12 at three scales, then copies with planted
+    antisymmetry and Jacobi defects at random positions, half of them at
+    twice the tolerance they are tested against."""
+    rng = np.random.default_rng(19)
+    basis = samples.random_basis_change(rng, 2)
+    affine = LieAlgebra.from_brackets(2, {(0, 1): [0.0, 1.0]}).c
+    valid = [np.zeros((1, 1, 1)), np.zeros((2, 2, 2)), affine,
+             np.einsum("ijk,ia,jb,ck->abc", affine, basis, basis, np.linalg.inv(basis).T), so3().c]
+    valid += [m.c for m in (samples.heisenberg(), samples.filiform4(), samples.free_two_step(),
+                            samples.hyperbolic(4, 1.5))]
+    valid += [m.c for m in acceptance_mix(30) + almost_abelian_draws(19)]
+    valid += [samples.random_metric_algebra(rng, 3 + i % 7).c for i in range(40)]
+    tables = [scale * np.asarray(c) for c in valid for scale in (1e-8, 1.0, 1e8)]
+    for t, c in enumerate(tables[: 3 * 60]):
+        n = c.shape[0]
+        peak = np.max(np.abs(c))
+        at_tolerance = t // 2 % 2 == 0
+        k = rng.integers(n)
+        if t % 2 or n < 3:
+            # antisymmetry: c[i, j, k], i <= j, no longer matches -c[j, i, k]
+            i, j = sorted(rng.integers(n, size=2))
+            c = c.copy()
+            c[i, j, k] += 2.0 * REL_TOL * (1.0 + peak) if at_tolerance else peak * rng.normal()
+            tables.append(c)
+            continue
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        if at_tolerance:
+            c = _twice_the_jacobi_tolerance(c, i, j, k)
+        else:
+            # Jacobi: an antisymmetric change of the size of c, at up to three places
+            for _ in range(1 + t % 3):
+                step = max(peak, 1e-8) * rng.normal()
+                c = c.copy()
+                c[i, j, k] += step
+                c[j, i, k] -= step
+                i, j = sorted(rng.choice(n, size=2, replace=False))
+                k = rng.integers(n)
+        tables.append(c)
+    return tables
+
+
+def test_validate_matches_the_einsum_oracle():
+    eps = np.finfo(float).eps
+    kinds, near = set(), {"antisymmetry": 0, "jacobi": 0}
+    for c in _oracle_tables():
+        got, want = validate(LieAlgebra(c)), validate_by_einsum(LieAlgebra(c))
+        assert got.ok == want.ok
+        assert [v[:2] for v in got.violations] == [v[:2] for v in want.violations]
+        n = c.shape[0]
+        bound = 8 * eps * n * np.max(np.abs(c)) ** 2
+        for v, w in zip(got.violations, want.violations):
+            # antisymmetry reads the same sums in the same order: the same bits
+            if v.kind == "antisymmetry":
+                assert v.magnitude == w.magnitude
+            else:
+                assert abs(v.magnitude - w.magnitude) <= bound, (v, w)
+        kinds.add(tuple(sorted({v.kind for v in got.violations})))
+        peak = np.max(np.abs(c))
+        for v in got.violations:
+            tol = REL_TOL * (1.0 + (peak if v.kind == "antisymmetry" else peak**2))
+            near[v.kind] += bool(v.magnitude < 2.5 * tol)
+    assert kinds == {(), ("antisymmetry",), ("jacobi",), ("antisymmetry", "jacobi")}
+    # the planted defects at twice the tolerance are there
+    assert min(near.values()) >= 10, near
 
 
 def test_flags_heisenberg():

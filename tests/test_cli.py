@@ -319,6 +319,19 @@ def test_malformed_document_exit_two(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("small", ["1e-320", "1e-40"])
+def test_metric_singular_to_working_precision_exits_two(tmp_path, capsys, small):
+    # let through, these metrics make curvature print nan Ricci (1e-320) and
+    # report die in an SVD (1e-320) or raise a consistency error (1e-40)
+    text = f"mla 1\ndim 3\nbracket 1 2 = 0 0 1\nmetric\n1 0 0\n0 1 0\n0 0 {small}\n"
+    path = write_mla(tmp_path, "singular.mla", text)
+    for command in ("validate", "curvature", "report", "weyl-solve"):
+        assert cli.main([command, path]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error[mla.metric-not-spd]: line 0: metric is singular to working precision\n"
+
+
 def _report_verdicts(tmp_path, capsys, name, m):
     """Exit code, record keys and verdict records of ``report``; roots are
     listed by increasing g-norm, so their indices do not depend on the basis."""

@@ -28,7 +28,7 @@ from lieweyl.riemann import (
     ricci_trace,
     torsion_residual,
 )
-from lieweyl import riemann, samples
+from lieweyl import frames, riemann, samples
 from models import acceptance_mix
 
 TOL = 1e-12
@@ -55,6 +55,32 @@ def test_metric_must_be_positive_definite():
     with pytest.raises(MetricError) as info:
         MetricLieAlgebra(samples.abelian(3).algebra, g)
     assert info.value.law == "positive-definite"
+
+
+@pytest.mark.parametrize("small", [1e-300, 1e-40, 1e-16])
+def test_metric_singular_to_working_precision_is_rejected(small):
+    # squared pivot ratio below machine epsilon; let through, such metrics
+    # give nan curvature or an SVD failure downstream
+    for scale in (1e-8, 1.0, 1e8):
+        with pytest.raises(MetricError) as info:
+            MetricLieAlgebra(samples.heisenberg().algebra, scale * np.diag([1.0, 1.0, small]))
+        assert info.value.law == "positive-definite"
+        assert "singular to working precision" in str(info.value)
+
+
+def test_ill_conditioned_metric_within_working_precision_is_accepted():
+    for scale in (1e-8, 1.0, 1e8):
+        m = MetricLieAlgebra(samples.heisenberg().algebra, scale * np.diag([1.0, 1.0, 1e-15]))
+        assert np.allclose(m.frame.T @ m.metric @ m.frame, np.eye(3))
+
+
+def test_frame_is_the_orthonormal_frame_of_the_metric_bit_for_bit():
+    # the frame is built from the Cholesky factor kept by the construction
+    rng = np.random.default_rng(19)
+    algebras = acceptance_mix(60) + [samples.random_metric_algebra(rng, 3 + i % 7)
+                                     for i in range(60)]
+    for m in algebras:
+        assert np.array_equal(m.frame, frames.orthonormal_frame(m.metric))
 
 
 def test_algebra_must_satisfy_axioms():
