@@ -15,12 +15,11 @@ so that no verdict depends on the basis or on the homothety c -> lam c:
 * c-sized: the size of c in the basis the test runs in, |c| =
   :attr:`LieAlgebra.scale`, cached on the table, for tests on it (the
   ranks of brackets of subspaces, which are rounding noise on abelian ones:
-  the derived and lower central series, the ideal system of
-  ``almost_abelian.decompose``, its rank cutoff and its hint and abelian
-  tests; ``abelian``, ``unimodular``), and lam =
-  ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an abelian
-  algebra) for frame quantities (the ad-gap of ``decompose``, the 3D
-  adapted frame, the nonzero test of a Lee form).  A test linear in a Lee
+  the derived and lower central series; ``abelian``, ``unimodular``), and
+  lam = ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an
+  abelian algebra) for frame quantities (``almost_abelian.decompose``, run
+  on the frame table: its ideal system's rank cutoff, its hint, ad-gap and
+  abelian tests; the 3D adapted frame, the nonzero test of a Lee form).  A test linear in a Lee
   form theta, itself c-sized, reads it times lam + |theta| (closed Faraday
   form, Lee-gradient cross-check), or |c| (|c| + |theta|) on the brackets
   c[i, j] (exact Faraday form), so a root that is zero up to the solver's

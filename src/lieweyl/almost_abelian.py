@@ -17,8 +17,8 @@ The decomposition is deterministic.  The covectors l whose kernel is a
 codimension-one abelian ideal, with 0, form one linear space L; when it has
 dimension above one (abelian algebras, Heisenberg-plus-abelian) several ideals
 exist, ``unique_ideal`` is reported ``False``, and the ideal is the kernel of
-the orthogonal projection onto L of the first standard dual basis covector
-e^i whose projection has norm above ``SIGNIFICANT_RTOL``.  On an abelian
+the g-orthogonal projection onto L of the first standard dual basis covector
+e^i whose projection has norm above ``SIGNIFICANT_RTOL`` |e^i|.  On an abelian
 algebra that is e^1, the ideal span(e_2, ..., e_n); on Heisenberg plus
 abelian ([e_1, e_2] = e_3) it is also e^1, the ideal spanned by e_2, e_3 and
 the abelian factor.
@@ -81,12 +81,6 @@ class AADecomposition(NamedTuple):
         return np.column_stack([self.normal, self.ideal_basis.T])
 
 
-def _is_abelian_subspace(m: MetricLieAlgebra, rows: np.ndarray) -> bool:
-    if rows.shape[0] < 2:
-        return True
-    return float(np.max(np.abs(_brackets(m.algebra, rows, rows)))) <= REL_TOL * m.algebra.scale
-
-
 @lru_cache(maxsize=None)
 def _ideal_system_plan(n: int) -> np.ndarray:
     """Gather plan of the ideal system at dimension n, cached and read-only.
@@ -125,25 +119,31 @@ def _first_significant_positive(v: np.ndarray) -> np.ndarray:
 def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecomposition:
     """Find a codimension-one abelian ideal and the adapted orthonormal data.
 
-    ker(l) is an abelian ideal of codimension one exactly when the covector
-    l kills every bracket (an ideal) and l ^ c^k = 0 for every component
-    2-form c^k (abelian): one linear system on l (:func:`_ideal_system_plan`)
-    whose null space L, read from one SVD at the c-sized cutoff ``REL_TOL``
-    |c|, holds every such l.  L = 0 raises :class:`NotAlmostAbelianError`,
-    and ``unique_ideal`` is dim L = 1.  The normal covector is P_L e^i for
-    the first standard dual basis covector e^i whose projection onto L is
-    significant, a choice independent of the basis the SVD picks in L.
+    Every step runs in the orthonormal frame, where g = I; only the normal
+    and the ideal basis are mapped back.  ker(l) is an abelian ideal of
+    codimension one exactly when the covector l kills every bracket (an
+    ideal) and l ^ c^k = 0 for every component 2-form c^k (abelian): one
+    linear system on l (:func:`_ideal_system_plan`) whose null space L, read
+    from one SVD at the cutoff ``REL_TOL`` lam, holds every such l.  L = 0
+    raises :class:`NotAlmostAbelianError`; ``unique_ideal`` is dim L = 1.
+    The normal covector is the g-orthogonal projection onto L of the first
+    standard dual covector e^i whose projection is significant relative to
+    |e^i|, independent of the basis the SVD picks in L.  The ideal basis is
+    the Gram-Schmidt of the standard vectors projected off the unit normal
+    b, as one QR of [b | e_1 ... e_n without e_j] with the signs of diag R;
+    e_j, j the last significant component of b, is the dependent vector.
 
     ``hint`` may supply the ideal as rows spanning it; its normal covector is
-    tested on both halves of the same system, at the same cutoff, and the
-    ideal is used as-is.  The ad_normal invariance check reads ``REL_TOL`` lam.
+    tested on both halves of the same system and the ideal is used as-is.
+    The ad-gap and abelian checks read the same cutoff.
     """
     n = m.dim
     if n < 2:
         raise NotAlmostAbelianError("need dimension at least 2")
-    flat = m.c.ravel()
+    frame_algebra = LieAlgebra(m.frame_structure)
+    flat = frame_algebra.c.ravel()
     system = np.concatenate((flat, -flat, [0.0]))[_ideal_system_plan(n)]
-    cutoff = REL_TOL * m.algebra.scale
+    cutoff = REL_TOL * m.structure_scale
     _, values, vh = np.linalg.svd(system, full_matrices=False)
     admissible = vh[np.count_nonzero(values > cutoff):]
 
@@ -153,7 +153,7 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
             raise HintError(f"ideal hint must be an ({n - 1}, {n}) array of rows, got {rows.shape}")
         if not np.isfinite(rows).all():
             raise HintError("ideal hint contains NaN or infinity")
-        normals = nullspace(rows)
+        normals = nullspace(rows @ m._cholesky)  # the rows in the frame
         if len(normals) != 1:
             raise HintError("ideal hint rows are not linearly independent")
         ell = normals[0]
@@ -168,48 +168,41 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
             "component: the algebra has no codimension-one abelian ideal"
         )
     else:
-        projector = admissible.T @ admissible
-        ell = projector[int(np.argmax(np.linalg.norm(projector, axis=0) > SIGNIFICANT_RTOL))]
+        # column i: the projection of e^i (frame components: row i of U) in L
+        coords = admissible @ m.frame.T
+        size = np.linalg.norm(m.frame, axis=1)
+        large = np.linalg.norm(coords, axis=0) > SIGNIFICANT_RTOL * size
+        ell = admissible.T @ coords[:, np.argmax(large)]
 
-    # unit g-normal of ker(ell), sign-fixed
-    b = m.raise_covector(ell)
-    b = _first_significant_positive(b / np.sqrt(m.inner(b, b)))
+    # unit normal, its first significant input-basis component positive
+    b_f = ell / np.linalg.norm(ell)
+    b = m.frame @ b_f
+    significant = np.flatnonzero(np.abs(b) > SIGNIFICANT_RTOL * np.max(np.abs(b)))
+    if b[significant[0]] < 0:
+        b, b_f = -b, -b_f
 
-    # g-orthonormal ideal basis from projected standard basis vectors, with
-    # the inner products associated as in MetricLieAlgebra.inner
-    g, floor = m.metric, 1e-16 * max(1.0, float(np.trace(m.metric)))
-    hvecs: list[np.ndarray] = []
-    for x in np.eye(n):
-        v = x - float(x @ g @ b) * b
-        for h in hvecs:
-            v = v - float(v @ g @ h) * h
-        nv = float(v @ g @ v)
-        if nv > floor:
-            hvecs.append(v / np.sqrt(nv))
-            if len(hvecs) == n - 1:
-                break
-    if len(hvecs) != n - 1:
-        raise ConsistencyError("could not orthonormalize the ideal")
-    h = np.array(hvecs)
+    # the columns of L^T are the standard basis vectors in the frame
+    j = significant[-1]
+    e_f = m._cholesky.T
+    q, r = np.linalg.qr(np.column_stack((b_f, e_f[:, :j], e_f[:, j + 1:])))
+    h_f = (q[:, 1:] * np.copysign(1.0, np.diag(r)[1:])).T
 
-    ad_b = ad(m.algebra, b)
-    restricted = h @ m.metric @ ad_b @ h.T
-    gap = float(np.max(np.abs(ad_b @ h.T - h.T @ restricted)))
-    bound = REL_TOL * m.structure_scale
-    if gap > bound:
+    ad_b = ad(frame_algebra, b_f)
+    restricted = h_f @ ad_b @ h_f.T
+    gap = float(np.max(np.abs(ad_b @ h_f.T - h_f.T @ restricted)))
+    if gap > cutoff:
         raise ConsistencyError(
             f"ad_normal on the ideal basis and its projection onto the ideal differ by "
-            f"{gap:.3e} in max norm (tolerance {bound:.3e})"
+            f"{gap:.3e} in max norm (tolerance {cutoff:.3e})"
         )
-    if not _is_abelian_subspace(m, h):
+    if n > 2 and float(np.max(np.abs(_brackets(frame_algebra, h_f, h_f)))) > cutoff:
         raise ConsistencyError("computed ideal is not abelian")
 
     skew = 0.5 * (restricted - restricted.T)
     sym = 0.5 * (restricted + restricted.T)
 
-    return AADecomposition(
-        ideal_basis=h, normal=b, skew=skew, sym=sym, unique_ideal=len(admissible) == 1
-    )
+    return AADecomposition(ideal_basis=h_f @ m.frame.T, normal=b, skew=skew, sym=sym,
+                           unique_ideal=len(admissible) == 1)
 
 
 class WEClass(enum.Enum):
@@ -406,7 +399,8 @@ def conformal_metric_flatness(
         raise PreconditionError("Lee form must be nonzero")
     # the root test's scale, lam^2 + |Ric|, and the spectrum's own size
     resid = weyl_einstein_residual(m, theta)
-    if resid.norm > WE_PRECONDITION_RTOL * m.curvature_scale(m.form_norm(m.curvature_data.ricci)):
+    ric_norm = float(np.linalg.norm(m.frame_curvature.ricci))
+    if resid.norm > WE_PRECONDITION_RTOL * m.curvature_scale(ric_norm):
         raise PreconditionError("covector is not a Weyl-Einstein Lee form")
 
     eigs = np.linalg.eigvalsh(dec.sym)

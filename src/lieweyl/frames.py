@@ -7,6 +7,10 @@ in the new one.  The orthonormal frame of a metric ``G`` is the upper
 triangular ``U = L^{-T}`` from the Cholesky factorisation ``G = L L^T``, so
 ``U^T G U = I`` and the construction is deterministic (no eigen-ordering
 ambiguity) and fixes the flag spanned by the leading basis vectors.
+
+Policy: decide in that frame, where the metric is I, and map back to the
+input basis only for output, by products and no solves: in, covector slots
+by U and vector slots by L; back, by L^T and U^T.
 """
 from __future__ import annotations
 
@@ -18,37 +22,32 @@ def orthonormal_frame(metric: np.ndarray) -> np.ndarray:
     return np.linalg.inv(low).T
 
 
-def _tensor_in_basis(tensor: np.ndarray, basis: np.ndarray, upper: int = 0) -> np.ndarray:
+def tensor_in_basis(tensor: np.ndarray, basis: np.ndarray, dual: np.ndarray | None,
+                    upper: int = 0) -> np.ndarray:
     """Components of a tensor in a new basis; the last ``upper`` slots are vectors.
 
-    Covector slots transform with ``basis`` and vector slots with its inverse.
-    The slots are contracted one at a time, each ``tensordot`` over the
-    leading axis appending the new index last, so after one pass the indices
-    are back in their original order and a rank-k tensor costs k products of
-    size n^(k+1) instead of one n^(2k) sum.
+    Covector slots transform with ``basis`` and vector slots with ``dual`` =
+    inv(basis)^T.  The slots are contracted one at a time, each ``tensordot``
+    over the leading axis appending the new index last, so after one pass the
+    indices are back in their original order and a rank-k tensor costs k
+    products of size n^(k+1) instead of one n^(2k) sum.
     """
-    mats = [basis] * (tensor.ndim - upper) + [np.linalg.inv(basis).T] * upper
-    for mat in mats:
+    for mat in [basis] * (tensor.ndim - upper) + [dual] * upper:
         tensor = np.tensordot(tensor, mat, axes=(0, 0))
     return tensor
 
 
 def structure_in_basis(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return _tensor_in_basis(c, basis, upper=1)
+    return tensor_in_basis(c, basis, np.linalg.inv(basis).T, upper=1)
 
 
 def form_in_basis(form: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis.T @ form @ basis
 
 
-def covector_from_basis(theta_in_frame: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Components in the standard dual basis from components in the frame."""
-    return np.linalg.solve(basis.T, theta_in_frame)
-
-
 def curvature13_in_basis(riem: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return _tensor_in_basis(riem, basis, upper=1)
+    return tensor_in_basis(riem, basis, np.linalg.inv(basis).T, upper=1)
 
 
 def curvature04_in_basis(riem4: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return _tensor_in_basis(riem4, basis)
+    return tensor_in_basis(riem4, basis, None)

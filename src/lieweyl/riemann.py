@@ -15,10 +15,12 @@ plus the trace vector), and raises :class:`ConsistencyError` if they disagree.
 The second route never touches the connection, so agreement is a strong check
 on both.
 
-Derived geometry (orthonormal frame, structure constants in that frame,
-Levi-Civita table, checked curvature) is computed once per
-:class:`MetricLieAlgebra` and returned read-only, so the Ricci cross-check
-runs once per algebra and :func:`ricci` returns the same object every time.
+Policy: decide in the orthonormal frame, map back only for output.  The
+connection, curvature, both Ricci routes and their cross-check run on the
+frame structure constants, where g = I and no solve with g enters, and are
+computed once per :class:`MetricLieAlgebra`; input-basis arrays are products
+with the Cholesky factor (:meth:`MetricLieAlgebra.from_frame`).  All are
+read-only, and :func:`ricci` returns the same object every time.
 """
 from __future__ import annotations
 
@@ -100,8 +102,13 @@ class MetricLieAlgebra:
 
     @cached_property
     def frame_structure(self) -> np.ndarray:
-        """Structure constants in the orthonormal :attr:`frame`."""
-        return _read_only(frames.structure_in_basis(self.c, self.frame))
+        """Structure constants in the orthonormal :attr:`frame` (slots by U, U, L)."""
+        return _read_only(frames.tensor_in_basis(self.c, self.frame, self._cholesky, upper=1))
+
+    def from_frame(self, tensor: np.ndarray, upper: int = 0) -> np.ndarray:
+        """Input-basis components of a tensor given in the :attr:`frame`, the
+        last ``upper`` slots vectors (slots by L^T, vectors by U^T = L^-1)."""
+        return frames.tensor_in_basis(tensor, self._cholesky.T, self.frame.T, upper)
 
     @cached_property
     def structure_scale(self) -> float:
@@ -112,32 +119,38 @@ class MetricLieAlgebra:
         return norm if norm > 0.0 else 1.0
 
     @cached_property
-    def connection(self) -> ConnectionTable:
-        """The Levi-Civita table; see :func:`levi_civita`."""
-        c, g = self.c, self.metric
-        t = np.einsum("ijm,mk->ijk", c, g)  # t[i,j,k] = g([e_i, e_j], e_k)
-        rhs = 0.5 * (t - np.einsum("jki->ijk", t) - np.einsum("ikj->ijk", t))
-        n = self.dim
-        gamma = np.linalg.solve(g, rhs.reshape(n * n, n).T).T.reshape(n, n, n)
-        return ConnectionTable(_read_only(gamma))
+    def frame_connection(self) -> np.ndarray:
+        """The Levi-Civita table in the :attr:`frame`; see :func:`levi_civita`."""
+        cf = self.frame_structure
+        return _read_only(0.5 * (cf - np.einsum("jki->ijk", cf) - np.einsum("ikj->ijk", cf)))
 
     @cached_property
-    def curvature_data(self) -> CurvatureData:
-        """Curvature of :attr:`connection`, Ricci-checked; see :func:`ricci`."""
-        riem = curvature(self, levi_civita(self))
+    def connection(self) -> ConnectionTable:
+        """The Levi-Civita table; see :func:`levi_civita`."""
+        return ConnectionTable(_read_only(self.from_frame(self.frame_connection, upper=1)))
+
+    @cached_property
+    def frame_curvature(self) -> CurvatureData:
+        """Curvature data in the :attr:`frame`, Ricci-checked there; see :func:`ricci`."""
+        riem = _curvature(self.frame_structure, self.frame_connection)
         ric = ricci_trace(riem)
-        oracle = besse_ricci(self)
-        gap = self.form_norm(ric - oracle)
-        bound = REL_TOL * self.curvature_scale(self.form_norm(ric))
+        oracle = frame_besse_ricci(self)
+        gap = float(np.linalg.norm(ric - oracle))
+        bound = REL_TOL * self.curvature_scale(float(np.linalg.norm(ric)))
         if gap > bound:
             raise ConsistencyError(
                 f"curvature-trace Ricci and structure-constant (Besse) Ricci differ by "
                 f"{gap:.3e} in frame norm, above the tolerance {bound:.3e}"
             )
-        scalar = float(np.trace(self.metric_inv @ ric))
-        return CurvatureData(
-            riem=_read_only(riem), ricci=_read_only(ric), scalar=scalar, besse=_read_only(oracle)
-        )
+        return CurvatureData(riem=_read_only(riem), ricci=_read_only(ric),
+                             scalar=float(np.trace(ric)), besse=_read_only(oracle))
+
+    @cached_property
+    def curvature_data(self) -> CurvatureData:
+        """:attr:`frame_curvature` mapped back to the input basis."""
+        riem, ric, scalar, besse = self.frame_curvature
+        ric, besse = (_read_only(self.from_frame(form)) for form in (ric, besse))
+        return CurvatureData(_read_only(self.from_frame(riem, upper=1)), ric, scalar, besse)
 
     def curvature_scale(self, size: float) -> float:
         """lam^2 + ``size``, the curvature-sized scale, ``size`` the frame norm
@@ -165,8 +178,8 @@ class MetricLieAlgebra:
         return 0.5 * (ad_t.T @ self.metric + self.metric @ ad_t)
 
     def covector_norm(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        return float(np.sqrt(max(theta @ self.raise_covector(theta), 0.0)))
+        """g-norm of a covector: the norm of its frame components U^T theta."""
+        return float(np.linalg.norm(self.frame.T @ np.asarray(theta, dtype=float)))
 
 
 def change_basis(m: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
@@ -195,8 +208,8 @@ def levi_civita(m: MetricLieAlgebra) -> ConnectionTable:
     """Torsion-free metric connection from the Koszul formula.
 
     On a Lie algebra with a left-invariant metric the Koszul formula reduces
-    to  g(D_x y, z) = (g([x,y],z) - g(x,[y,z]) - g(y,[x,z])) / 2.
-    Computed once per algebra; the table is read-only.
+    to  g(D_x y, z) = (g([x,y],z) - g(x,[y,z]) - g(y,[x,z])) / 2, the table
+    itself in the frame (no solve with g).  Computed once per algebra, read-only.
     """
     return m.connection
 
@@ -214,9 +227,12 @@ def compatibility_residual(m: MetricLieAlgebra, table: ConnectionTable) -> float
 
 def curvature(m: MetricLieAlgebra, table: ConnectionTable) -> np.ndarray:
     """(1,3) curvature tensor of any connection table on ``m``'s algebra."""
-    gamma = table.gamma
+    return _curvature(m.c, table.gamma)
+
+
+def _curvature(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return (
-        np.einsum("ijm,mkl->ijkl", m.c, gamma)
+        np.einsum("ijm,mkl->ijkl", c, gamma)
         - np.einsum("jkm,iml->ijkl", gamma, gamma)
         + np.einsum("ikm,jml->ijkl", gamma, gamma)
     )
@@ -233,29 +249,22 @@ def curvature_lowered(m: MetricLieAlgebra, riem: np.ndarray) -> np.ndarray:
 
 
 def besse_ricci(m: MetricLieAlgebra) -> np.ndarray:
-    """Ricci form from structure constants alone, bypassing the connection.
+    """Ricci form from structure constants alone, bypassing the connection:
+    :func:`frame_besse_ricci` mapped back to the input basis."""
+    return m.from_frame(frame_besse_ricci(m))
 
-    In a g-orthonormal frame,
-    Ric = P - B/2 - (ad_z + ad_z^*)/2 as bilinear forms, where B is the
-    Killing form, z is the g-dual of x -> tr ad_x, and
-    P(x, y) = sum_{i,k} ( -g(e_i,[x,e_k]) g(e_i,[y,e_k]) / 2
-                          + g(x,[e_i,e_k]) g(y,[e_i,e_k]) / 4 ).
-    """
-    c, g = m.c, m.metric
-    u = m.frame
+
+def frame_besse_ricci(m: MetricLieAlgebra) -> np.ndarray:
+    """The structure-constant Ricci form in the orthonormal frame (Besse 7.38):
+    Ric = P - B/2 - (ad_z + ad_z^T)/2, B the Killing form, z_i = tr ad_{e_i}
+    and P(x, y) = sum_{i,k} ( -<e_i,[x,e_k]> <e_i,[y,e_k]> / 2
+                              + <x,[e_i,e_k]> <y,[e_i,e_k]> / 4 )."""
     cf = m.frame_structure
-    p_frame = -0.5 * np.einsum("aki,bki->ab", cf, cf) + 0.25 * np.einsum(
-        "ika,ikb->ab", cf, cf
-    )
-    back = np.linalg.inv(u)
-    p = frames.form_in_basis(p_frame, back)
-
-    ads = np.einsum("ijk->ikj", c)  # ads[i] = matrix of ad_{e_i}
+    p = -0.5 * np.einsum("aki,bki->ab", cf, cf) + 0.25 * np.einsum("ika,ikb->ab", cf, cf)
+    ads = np.einsum("ijk->ikj", cf)  # ads[i] = matrix of ad_{e_i}
     killing = np.einsum("ipq,jqp->ij", ads, ads)
-
-    traces = np.einsum("ijj->i", c)
-    z = np.linalg.solve(g, traces)
-    return p - 0.5 * killing - m.sym_ad_form(z)
+    ad_z = np.einsum("i,ijk->kj", np.einsum("ijj->i", cf), cf)
+    return p - 0.5 * killing - 0.5 * (ad_z + ad_z.T)
 
 
 def ricci(m: MetricLieAlgebra) -> CurvatureData:
@@ -263,8 +272,8 @@ def ricci(m: MetricLieAlgebra) -> CurvatureData:
 
     Raises :class:`ConsistencyError` if the curvature-trace Ricci and the
     structure-constant Ricci (kept as ``besse``) disagree beyond ``REL_TOL``
-    times the curvature-sized scale lam^2 + |Ric|.  Computed and checked once
-    per algebra; the arrays are read-only.
+    times the curvature-sized scale lam^2 + |Ric|, compared in the frame.
+    Computed and checked once per algebra; the arrays are read-only.
     """
     return m.curvature_data
 
@@ -273,9 +282,8 @@ def einstein_defect(m: MetricLieAlgebra) -> float:
     """Frame norm of the trace-free Ricci part; zero exactly for Einstein."""
     if m.dim < 3:
         raise DimensionError("Einstein defect needs dimension at least 3")
-    data = ricci(m)
-    deviation = data.ricci - (data.scalar / m.dim) * m.metric
-    return m.form_norm(deviation)
+    data = m.frame_curvature
+    return float(np.linalg.norm(data.ricci - (data.scalar / m.dim) * np.eye(m.dim)))
 
 
 def codifferential_oneform(m: MetricLieAlgebra, theta: np.ndarray) -> float:
@@ -293,8 +301,7 @@ def codifferential_sym2(
     (delta h)(y) = -sum_i (D_{f_i} h)(f_i, y) over an orthonormal frame; for a
     constant-coefficient form this expands into connection terms only.
     """
-    u = m.frame
-    gf = frames.structure_in_basis(table.gamma, u)
-    hf = frames.form_in_basis(form, u)
+    gf = frames.tensor_in_basis(table.gamma, m.frame, m._cholesky, upper=1)
+    hf = frames.form_in_basis(form, m.frame)
     delta_frame = np.einsum("aam,mb->b", gf, hf) + np.einsum("abm,am->b", gf, hf)
-    return frames.covector_from_basis(delta_frame, u)
+    return m.from_frame(delta_frame)

@@ -236,7 +236,7 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
     system = _residual_system(m)
     t = (m.frame.T @ _as_covector(m, theta))[None] / system.scale
     packed = system.scale**2 * system.residual(t, system.jacobian(t))[0]
-    matrix = frames.form_in_basis(system.unpack(packed), np.linalg.inv(m.frame))
+    matrix = m.from_frame(system.unpack(packed))
     return WEResidual(matrix=matrix, norm=float(np.linalg.norm(packed)))
 
 
@@ -321,8 +321,8 @@ class _ResidualSystem:
         adf = np.einsum("ijk->ikj", cf)
         sym_adf = 0.5 * (adf + np.einsum("ijk->ikj", adf))
         tau = np.einsum("ijj->i", cf)
-        base = riemann.ricci(m)
-        ric = frames.form_in_basis(base.ricci, m.frame) / lam**2
+        base = m.frame_curvature
+        ric = base.ricci / lam**2
         self.n = n
         self.scale = lam
         self.scal = base.scalar / lam**2
@@ -751,7 +751,7 @@ def solve_lee_forms(
         infimum = float(np.min(res_final))
         order = sorted(range(len(candidates)),
                        key=lambda i: (np.linalg.norm(t_final[i]), tuple(t_final[i])))
-        roots = [frames.covector_from_basis(lam * t_final[i], m.frame) for i in order]
+        roots = [m.from_frame(lam * t_final[i]) for i in order]
         residuals = [lam**2 * float(res_final[i]) for i in order]
     elif starts is not None:
         _, res_seeded, exit_codes = _seeded_search(system, starts, seed)

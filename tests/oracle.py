@@ -8,8 +8,9 @@ instead of against themselves.  It also unpacks the solver's packed symmetric
 matrices by a three-operation sum, the bit-level reference for its unpacking.
 
 The ``*_by_*`` functions below keep the plain forms of steps the package
-computes in a faster way with the same bits or the same verdicts: the
-Gram-Schmidt of ``almost_abelian.decompose`` through ``m.inner``, the
+computes in a faster way with the same bits, the same verdicts or the same
+values up to rounding: the input-basis Gram-Schmidt through ``m.inner`` that
+``almost_abelian.decompose`` replaces by one QR in the orthonormal frame, the
 abelian-subspace test and the bracket span by three-operand einsums, the
 quotient dimension from the nullspace of the closed relations and the
 antisymmetry and Jacobi check by full-size einsums and masks.
@@ -71,7 +72,8 @@ def adapted_parts_by_inner(m, b):
 
 
 def is_abelian_subspace_by_einsum(m, rows):
-    """``almost_abelian._is_abelian_subspace`` by a three-operand einsum."""
+    """Whether ``rows`` span an abelian subalgebra, by a three-operand einsum:
+    the reference for the abelian verdicts of ``almost_abelian.decompose``."""
     if rows.shape[0] < 2:
         return True
     prods = np.einsum("ap,bq,pqk->abk", rows, rows, m.c)

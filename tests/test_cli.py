@@ -1,11 +1,12 @@
 """End-to-end checks of the command line interface via subprocess."""
+import functools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from lieweyl import algebra, catalog3d, cli, frames, mla, riemann, samples, weyl
+from lieweyl import algebra, catalog3d, cli, mla, riemann, samples, weyl
 
 SOL_TEXT = """mla 1
 dim 3
@@ -332,6 +333,23 @@ def test_metric_singular_to_working_precision_exits_two(tmp_path, capsys, small)
         assert err == "error[mla.metric-not-spd]: line 0: metric is singular to working precision\n"
 
 
+def test_ill_conditioned_heisenberg_reports_as_its_isometric_document(tmp_path, capsys):
+    # metric diag(1, 1, 1e-15) is accepted (squared pivot ratio 1e-15 > eps);
+    # its frame is that of the identity metric with [e_1, e_2] = sqrt(1e-15) e_3
+    bracket = "bracket 1 2 = 0 0 {}\nmetric\n1 0 0\n0 1 0\n0 0 {}\n"
+    texts = {"ill.mla": bracket.format("1", "1e-15"),
+             "iso.mla": bracket.format("3.1622776601683794e-8", "1")}
+    seen = {}
+    for name, body in texts.items():
+        path = write_mla(tmp_path, name, "mla 1\ndim 3\n" + body)
+        assert cli.main(["report", path, "--format", "records"]) == 0, name
+        report = mla.parse_records(capsys.readouterr().out)
+        assert cli.main(["weyl-solve", path, "--format", "records"]) == 0, name
+        solve = mla.parse_records(capsys.readouterr().out)
+        seen[name] = (report["aa.case"], report["weyl.root_count"], solve["weyl.root_count"])
+    assert seen["ill.mla"] == seen["iso.mla"] == ("NoWE", 0, 0)
+
+
 def _report_verdicts(tmp_path, capsys, name, m):
     """Exit code, record keys and verdict records of ``report``; roots are
     listed by increasing g-norm, so their indices do not depend on the basis."""
@@ -421,8 +439,18 @@ def test_report_computes_shared_geometry_once(tmp_path, monkeypatch, capsys):
     calls = {}
     package = [mod for name, mod in sys.modules.items()
                if mod is not None and (name == "lieweyl" or name.startswith("lieweyl."))]
-    for owner, name in ((riemann, "besse_ricci"), (frames, "structure_in_basis"),
-                        (algebra, "validate")):
+    # the frame structure constants are a cached property: count its builds
+    frame_structure = riemann.MetricLieAlgebra.__dict__["frame_structure"]
+    calls["frame_structure"] = 0
+
+    def counted_frame_structure(self):
+        calls["frame_structure"] += 1
+        return frame_structure.func(self)
+
+    counted_property = functools.cached_property(counted_frame_structure)
+    counted_property.__set_name__(riemann.MetricLieAlgebra, "frame_structure")
+    monkeypatch.setattr(riemann.MetricLieAlgebra, "frame_structure", counted_property)
+    for owner, name in ((riemann, "frame_besse_ricci"), (algebra, "validate")):
         original = getattr(owner, name)
         calls[name] = 0
 
@@ -446,5 +474,5 @@ def test_report_computes_shared_geometry_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(weyl._ResidualSystem, "__init__", counted_build)
     assert cli.main(["report", path, "--format", "records"]) == 0
     assert "aa.lee_forms[1].flat = true" in capsys.readouterr().out
-    assert calls == {"besse_ricci": 1, "structure_in_basis": 1, "validate": 1,
+    assert calls == {"frame_besse_ricci": 1, "frame_structure": 1, "validate": 1,
                      "residual_system": 1}

@@ -226,8 +226,11 @@ def test_derived_geometry_is_computed_once_and_read_only():
     data = ricci(m)
     assert ricci(m) is data
     assert levi_civita(m) is levi_civita(m)
+    frame = m.frame_curvature
+    assert m.frame_curvature is frame
     cached = (data.riem, data.ricci, data.besse, levi_civita(m).gamma,
-              m.frame_structure, m.frame, m.metric_inv)
+              m.frame_structure, m.frame, m.metric_inv, m.frame_connection,
+              frame.riem, frame.ricci, frame.besse)
     for array in cached:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] += 1.0
@@ -235,18 +238,21 @@ def test_derived_geometry_is_computed_once_and_read_only():
 
 
 def test_ricci_cross_check_alarm_names_routes_gap_and_tolerance(monkeypatch):
-    # the bound is curvature-sized, so the alarm keeps its strength at any scale
+    # the bound is curvature-sized, so the alarm keeps its strength at any
+    # scale; the check runs in the frame, where the defect 1e-3 lam^2 g is
+    # 1e-3 lam^2 I
     for lam in (1.0, 1e8):
         m = MetricLieAlgebra(LieAlgebra(lam * sol().c), np.eye(3))  # nothing cached yet
-        honest = riemann.besse_ricci
-        monkeypatch.setattr(riemann, "besse_ricci", lambda m: honest(m) + 1e-3 * lam**2 * m.metric)
+        honest = riemann.frame_besse_ricci
+        monkeypatch.setattr(riemann, "frame_besse_ricci",
+                            lambda m: honest(m) + 1e-3 * lam**2 * np.eye(3))
         with pytest.raises(ConsistencyError) as info:
             ricci(m)
         monkeypatch.undo()
         # a failed check caches nothing, so the honest oracle now passes
-        data = ricci(m)
-        gap = m.form_norm(data.ricci - (data.besse + 1e-3 * lam**2 * m.metric))
-        bound = REL_TOL * m.curvature_scale(m.form_norm(data.ricci))
+        data = m.frame_curvature
+        gap = float(np.linalg.norm(data.ricci - (data.besse + 1e-3 * lam**2 * np.eye(3))))
+        bound = REL_TOL * m.curvature_scale(float(np.linalg.norm(data.ricci)))
         message = str(info.value)
         assert "curvature-trace Ricci" in message and "structure-constant" in message
         assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
@@ -267,9 +273,9 @@ def test_ricci_cross_check_carries_the_rounding_of_c_squared(monkeypatch, lam):
         moved = MetricLieAlgebra(LieAlgebra(lam * np.asarray(m.c)), m.metric)
         assert moved.form_norm(ricci(moved).ricci) <= 1e-12 * moved.structure_scale**2
         corrupted = MetricLieAlgebra(moved.algebra, moved.metric)
-        honest = riemann.besse_ricci
-        monkeypatch.setattr(riemann, "besse_ricci",
-                            lambda m: honest(m) + 1e-6 * m.structure_scale**2 * m.metric)
+        honest = riemann.frame_besse_ricci
+        monkeypatch.setattr(riemann, "frame_besse_ricci",
+                            lambda m: honest(m) + 1e-6 * m.structure_scale**2 * np.eye(m.dim))
         with pytest.raises(ConsistencyError):
             ricci(corrupted)
         monkeypatch.undo()

@@ -1,7 +1,8 @@
 """Smoke runs of the experiment scripts on tiny grids.
 
 Each script exits 0 only when its check holds: no classifier/solver mismatch,
-no root on a nilpotent model, no table/solver disagreement in the catalog.
+no root on a nilpotent model, no table/solver disagreement in the catalog,
+no wrong verdict on a draw that is not flat in a basis of condition up to 1e3.
 The nilpotent ladder also says why each start stopped: one line of exit
 counts per model and rung, and it exits 1 when any start ends by a cap.
 Both solver scripts report the quotient dimension of each solve: the ladder
@@ -24,6 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ("classification_equivalence.py", ["--count", "6", "--dims", "3", "4"]),
         ("nilpotent_no_go.py", ["--ladder", "8", "16", "--max-extra", "0"]),
         ("catalog_sweep.py", ["--nu", "1", "--t", "2", "--mu-steps", "1", "--quiet"]),
+        ("conditioning_sweep.py", ["--count", "6"]),
     ],
 )
 def test_script_exits_clean(script, args):
@@ -55,6 +57,15 @@ def test_script_exits_clean(script, args):
     if script == "catalog_sweep.py":
         # every grid point is in the catalog's domain
         assert "0 degenerate points" in proc.stdout, proc.stdout
+    if script == "conditioning_sweep.py":
+        # one line per condition and kind, flat draws apart; a draw that is
+        # not flat is right at every kappa up to 1e3
+        rows = [line.split() for line in proc.stdout.splitlines() if line.startswith("kappa")]
+        assert [(row[1], row[2]) for row in rows] == [
+            (kappa, label) for kappa in ("1e+00", "1e+02", "1e+03", "1e+04")
+            for label in ("einstein", "trace", "generic", "flat")], proc.stdout
+        assert "6 draws at 4 conditions" in proc.stdout
+        assert "0 draws that are not flat wrong or raised at kappa <= 1e+03" in proc.stdout
     if script == "classification_equivalence.py":
         # 6 instances: two per kind; only the root-free generic kind falls
         # back (a polished quotient candidate that is no root would end the
