@@ -22,7 +22,7 @@ def orthonormal_frame(metric: np.ndarray) -> np.ndarray:
     return np.linalg.inv(low).T
 
 
-def tensor_in_basis(tensor: np.ndarray, basis: np.ndarray, dual: np.ndarray | None,
+def tensor_in_basis(tensor: np.ndarray, basis: np.ndarray, dual: np.ndarray,
                     upper: int = 0) -> np.ndarray:
     """Components of a tensor in a new basis; the last ``upper`` slots are vectors.
 
@@ -48,6 +48,3 @@ def form_in_basis(form: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def curvature13_in_basis(riem: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return tensor_in_basis(riem, basis, np.linalg.inv(basis).T, upper=1)
 
-
-def curvature04_in_basis(riem4: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return tensor_in_basis(riem4, basis, None)

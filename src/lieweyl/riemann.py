@@ -20,7 +20,9 @@ connection, curvature, both Ricci routes and their cross-check run on the
 frame structure constants, where g = I and no solve with g enters, and are
 computed once per :class:`MetricLieAlgebra`; input-basis arrays are products
 with the Cholesky factor (:meth:`MetricLieAlgebra.from_frame`).  All are
-read-only, and :func:`ricci` returns the same object every time.
+read-only, and :func:`ricci` returns the same object every time.  The Weyl
+routes (Weyl-Ricci, Lee form gradient, conformal flatness) and
+:func:`codifferential_oneform` read these frame tables too, with t = U^T theta.
 """
 from __future__ import annotations
 
@@ -97,10 +99,6 @@ class MetricLieAlgebra:
         return _read_only(np.linalg.inv(self._cholesky).T)
 
     @cached_property
-    def metric_inv(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.metric))
-
-    @cached_property
     def frame_structure(self) -> np.ndarray:
         """Structure constants in the orthonormal :attr:`frame` (slots by U, U, L)."""
         return _read_only(frames.tensor_in_basis(self.c, self.frame, self._cholesky, upper=1))
@@ -158,24 +156,8 @@ class MetricLieAlgebra:
         structure constants where that form vanishes."""
         return self.structure_scale**2 + size
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.asarray(x, float) @ self.metric @ np.asarray(y, float))
-
-    def raise_covector(self, theta: np.ndarray) -> np.ndarray:
-        """The g-dual vector of a covector given in the dual basis."""
-        return np.linalg.solve(self.metric, np.asarray(theta, dtype=float))
-
     def lower_vector(self, x: np.ndarray) -> np.ndarray:
         return self.metric @ np.asarray(x, dtype=float)
-
-    def form_norm(self, form: np.ndarray) -> float:
-        """Frobenius norm of a bilinear form in the orthonormal frame."""
-        return float(np.linalg.norm(frames.form_in_basis(form, self.frame)))
-
-    def sym_ad_form(self, t: np.ndarray) -> np.ndarray:
-        """The g-symmetric part of ad_t, as a bilinear form."""
-        ad_t = np.einsum("i,ijk->kj", t, self.c)
-        return 0.5 * (ad_t.T @ self.metric + self.metric @ ad_t)
 
     def covector_norm(self, theta: np.ndarray) -> float:
         """g-norm of a covector: the norm of its frame components U^T theta."""
@@ -243,11 +225,6 @@ def ricci_trace(riem: np.ndarray) -> np.ndarray:
     return np.einsum("imjm->ij", riem)
 
 
-def curvature_lowered(m: MetricLieAlgebra, riem: np.ndarray) -> np.ndarray:
-    """(0,4) tensor R(x, y, z, w) = g(R(x, y)z, w)."""
-    return np.einsum("ijkm,ml->ijkl", riem, m.metric)
-
-
 def besse_ricci(m: MetricLieAlgebra) -> np.ndarray:
     """Ricci form from structure constants alone, bypassing the connection:
     :func:`frame_besse_ricci` mapped back to the input basis."""
@@ -287,10 +264,10 @@ def einstein_defect(m: MetricLieAlgebra) -> float:
 
 
 def codifferential_oneform(m: MetricLieAlgebra, theta: np.ndarray) -> float:
-    """Codifferential of a left-invariant one-form: tr ad_T with T = g-dual."""
-    t = m.raise_covector(theta)
-    traces = np.einsum("ijj->i", m.c)
-    return float(traces @ t)
+    """Codifferential of a left-invariant one-form: tr ad_T with T = g-dual,
+    whose frame components are those of theta, U^T theta."""
+    t = m.frame.T @ np.asarray(theta, dtype=float)
+    return float(np.einsum("ijj->i", m.frame_structure) @ t)
 
 
 def codifferential_sym2(

@@ -70,6 +70,13 @@ def random_basis_change(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_orthogonal(rng, n) @ np.diag(scales) @ random_orthogonal(rng, n)
 
 
+def conditioned_basis(rng: np.random.Generator, n: int, kappa: float) -> np.ndarray:
+    """U diag(s) V with U, V random orthogonal and s log-spaced from 1 to ``kappa``:
+    a basis of condition kappa, in which an orthonormal basis's metric has condition kappa^2."""
+    s = np.logspace(0.0, np.log10(kappa), n)
+    return random_orthogonal(rng, n) @ np.diag(s) @ random_orthogonal(rng, n)
+
+
 def random_covector(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     return scale * rng.standard_normal(n)
 

@@ -27,6 +27,11 @@ the structure constants scaled to unit frame norm; every solver stage and
 every residual evaluation runs on it and maps only its results back, so the
 solve is equivariant under rescaling.
 
+Policy, as in :mod:`riemann`: the Weyl table, the Lee form gradient, both
+Weyl-Ricci routes, their cross-checks and the flatness verdicts are decided
+on the frame tables with t = U^T theta, the frame components of the Lee form
+and of its g-dual vector, and mapped back only for output.
+
 Everything here requires dimension at least 3: in lower dimensions the
 Weyl-Einstein condition degenerates and none of the formulas below are used.
 """
@@ -40,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import frames, riemann
+from . import riemann
 from .algebra import REL_TOL, nullspace, row_space
 from .errors import (
     ConsistencyError,
@@ -66,7 +71,8 @@ ROOT_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
 class LeeForm(NamedTuple):
-    """A covector with its g-dual vector and squared g-norm attached."""
+    """A covector with its g-dual vector and squared g-norm attached, both
+    read off its frame components t = U^T theta: dual = U t, norm_sq = t . t."""
 
     coeffs: np.ndarray
     dual: np.ndarray
@@ -75,10 +81,11 @@ class LeeForm(NamedTuple):
     @classmethod
     def from_covector(cls, m: MetricLieAlgebra, coeffs: np.ndarray) -> "LeeForm":
         coeffs = np.array(_as_covector(m, coeffs))
-        dual = m.raise_covector(coeffs)
+        t = m.frame.T @ coeffs
+        dual = m.frame @ t
         coeffs.setflags(write=False)
         dual.setflags(write=False)
-        return cls(coeffs=coeffs, dual=dual, norm_sq=float(coeffs @ dual))
+        return cls(coeffs=coeffs, dual=dual, norm_sq=float(t @ t))
 
 
 def _as_covector(m: MetricLieAlgebra, theta) -> np.ndarray:
@@ -101,16 +108,16 @@ class WeylStructure(NamedTuple):
 def weyl_connection(m: MetricLieAlgebra, theta) -> WeylStructure:
     if m.dim < 3:
         raise DimensionError("Weyl structures need dimension at least 3")
-    lee = LeeForm.from_covector(m, _as_covector(m, theta))
-    lc = riemann.levi_civita(m)
+    lee = LeeForm.from_covector(m, theta)
+    table = m.from_frame(_frame_weyl_table(m, m.frame.T @ lee.coeffs), upper=1)
+    return WeylStructure(base=m, lee=lee, table=ConnectionTable(table))
+
+
+def _frame_weyl_table(m: MetricLieAlgebra, t: np.ndarray) -> np.ndarray:
+    """The Weyl table in the frame: the Levi-Civita table + t_i d_jk + t_j d_ik - d_ij t_k."""
     eye = np.eye(m.dim)
-    gamma = (
-        lc.gamma
-        + np.einsum("i,jk->ijk", lee.coeffs, eye)
-        + np.einsum("j,ik->ijk", lee.coeffs, eye)
-        - np.einsum("ij,k->ijk", m.metric, lee.dual)
-    )
-    return WeylStructure(base=m, lee=lee, table=ConnectionTable(gamma))
+    return (m.frame_connection + np.einsum("i,jk->ijk", t, eye)
+            + np.einsum("j,ik->ijk", t, eye) - np.einsum("ij,k->ijk", eye, t))
 
 
 class FaradayForm(NamedTuple):
@@ -131,28 +138,24 @@ class FaradayForm(NamedTuple):
     exact: bool
 
 
-def _faraday_matrix(m: MetricLieAlgebra, theta: np.ndarray) -> np.ndarray:
-    """F(x, y) = -theta([x, y]) as a matrix in the standard basis."""
-    return -np.einsum("ijk,k->ij", m.c, theta)
-
-
 def faraday(m: MetricLieAlgebra, theta) -> FaradayForm:
     theta = _as_covector(m, theta)
-    f = _faraday_matrix(m, theta)
     lam = m.structure_scale
-    closed = m.form_norm(f) <= REL_TOL * lam * (lam + m.covector_norm(theta))
+    f_frame = np.einsum("ijk,k->ij", m.frame_structure, m.frame.T @ theta)
+    closed = bool(np.linalg.norm(f_frame) <= REL_TOL * lam * (lam + m.covector_norm(theta)))
     scale = m.algebra.scale
     brackets = m.c[np.triu_indices(m.dim, 1)]
     exact = bool(np.linalg.norm(brackets @ theta) <= REL_TOL * scale * (scale + np.linalg.norm(theta)))
-    return FaradayForm(matrix=f, closed=closed, exact=exact)
+    return FaradayForm(matrix=-np.einsum("ijk,k->ij", m.c, theta), closed=closed, exact=exact)
 
 
 def lee_gradient(m: MetricLieAlgebra, theta) -> np.ndarray:
     """Covariant derivative of the Lee form as a bilinear form (D theta)(x, y)."""
-    theta = _as_covector(m, theta)
-    t = m.raise_covector(theta)
-    gamma = riemann.levi_civita(m).gamma
-    return np.einsum("ipm,p->im", gamma, t) @ m.metric
+    return m.from_frame(_frame_lee_gradient(m, m.frame.T @ _as_covector(m, theta)))
+
+
+def _frame_lee_gradient(m: MetricLieAlgebra, t: np.ndarray) -> np.ndarray:
+    return np.einsum("ipm,p->im", m.frame_connection, t)
 
 
 def weyl_ricci_formula(m: MetricLieAlgebra, theta) -> tuple[np.ndarray, float]:
@@ -161,30 +164,30 @@ def weyl_ricci_formula(m: MetricLieAlgebra, theta) -> tuple[np.ndarray, float]:
     Uses Ric^D = Ric^g - (n-2)(D theta - theta(x)theta) + (delta theta
     - (n-2)|theta|^2) g and its trace; no Weyl curvature tensor is formed.
     """
-    n = m.dim
-    theta = _as_covector(m, theta)
-    lee = LeeForm.from_covector(m, theta)
-    base = riemann.ricci(m)
-    grad = lee_gradient(m, theta)
+    ric, scalar = _frame_weyl_ricci_formula(m, m.frame.T @ _as_covector(m, theta))
+    return m.from_frame(ric), scalar
 
-    # self-check: the symmetric part of D theta is -sym(ad_T) as a form,
-    # c-sized and linear in theta (see faraday)
-    gap = m.form_norm(0.5 * (grad + grad.T) + m.sym_ad_form(lee.dual))
-    lam = m.structure_scale
-    tol = REL_TOL * lam * (lam + np.sqrt(lee.norm_sq))
+
+def _frame_weyl_ricci_formula(m: MetricLieAlgebra, t: np.ndarray) -> tuple[np.ndarray, float]:
+    n = m.dim
+    cf = m.frame_structure
+    grad = _frame_lee_gradient(m, t)
+
+    # self-check: sym(D theta) = -sym(ad_T), c-sized and linear in theta (see faraday)
+    ad_t = np.einsum("i,ijk->kj", t, cf)
+    gap = float(np.linalg.norm(0.5 * (grad + grad.T + ad_t + ad_t.T)))
+    tol = REL_TOL * m.structure_scale * (m.structure_scale + float(np.linalg.norm(t)))
     if gap > tol:
         raise ConsistencyError(
             f"symmetric Lee form gradient from the Levi-Civita table and -sym(ad_T) from "
             f"the structure constants differ by {gap:.3e} in frame norm (tolerance {tol:.3e})"
         )
 
-    delta = riemann.codifferential_oneform(m, theta)
-    ric = (
-        base.ricci
-        - (n - 2) * (grad - np.outer(theta, theta))
-        + (delta - (n - 2) * lee.norm_sq) * m.metric
-    )
-    scalar = base.scalar + 2 * (n - 1) * delta - (n - 1) * (n - 2) * lee.norm_sq
+    base = m.frame_curvature
+    delta = float(np.einsum("ijj->i", cf) @ t)  # the codifferential, tr ad_T
+    norm_sq = float(t @ t)
+    ric = base.ricci - (n - 2) * (grad - np.outer(t, t)) + (delta - (n - 2) * norm_sq) * np.eye(n)
+    scalar = base.scalar + 2 * (n - 1) * delta - (n - 1) * (n - 2) * norm_sq
     return ric, scalar
 
 
@@ -195,16 +198,23 @@ def weyl_ricci(w: WeylStructure) -> tuple[np.ndarray, float]:
     -(n-2)/2 times the Faraday form.  The raw curvature trace of the
     connection table differs from it by exactly one copy of the Faraday
     form, so the trace route is shifted by F before the comparison; a
-    mismatch between the two routes raises :class:`ConsistencyError`.
+    mismatch between the two routes raises :class:`ConsistencyError`.  Both
+    routes run in the frame, on the base algebra and the Lee form.
     """
     m = w.base
-    riem = riemann.curvature(m, w.table)
-    ric = riemann.ricci_trace(riem) + _faraday_matrix(m, w.lee.coeffs)
-    scalar = float(np.trace(m.metric_inv @ ric))
+    ric, scalar = _frame_weyl_ricci(m, m.frame.T @ w.lee.coeffs)
+    return m.from_frame(ric), scalar
 
-    ric_f, scalar_f = weyl_ricci_formula(m, w.lee)
-    tol = REL_TOL * m.curvature_scale(m.form_norm(ric))
-    gap, scalar_gap = m.form_norm(ric - ric_f), abs(scalar - scalar_f)
+
+def _frame_weyl_ricci(m: MetricLieAlgebra, t: np.ndarray) -> tuple[np.ndarray, float]:
+    # the curvature trace plus the Faraday form F = -theta([x, y]), all in the frame
+    riem = riemann._curvature(m.frame_structure, _frame_weyl_table(m, t))
+    ric = riemann.ricci_trace(riem) - np.einsum("ijk,k->ij", m.frame_structure, t)
+    scalar = float(np.trace(ric))
+
+    ric_f, scalar_f = _frame_weyl_ricci_formula(m, t)
+    tol = REL_TOL * m.curvature_scale(float(np.linalg.norm(ric)))
+    gap, scalar_gap = float(np.linalg.norm(ric - ric_f)), abs(scalar - scalar_f)
     if gap > tol or scalar_gap > tol * m.dim:
         raise ConsistencyError(
             f"Weyl Ricci from the connection's curvature trace and from the base-metric "
@@ -808,16 +818,14 @@ def conformal_flatness(m: MetricLieAlgebra, theta) -> FlatnessReport:
     if not faraday(m, theta).closed:
         raise NotClosedError("Lee form is not closed; no conformal rescaling exists")
 
-    w = weyl_connection(m, theta)
-    ric_w, _ = weyl_ricci(w)
-    base = riemann.ricci(m)
-    ricci_flat = m.form_norm(ric_w) <= FLATNESS_RTOL * m.curvature_scale(m.form_norm(base.ricci))
+    t = m.frame.T @ theta
+    ric_w, _ = _frame_weyl_ricci(m, t)
+    base = m.frame_curvature
+    ricci_flat = float(np.linalg.norm(ric_w)) <= FLATNESS_RTOL * m.curvature_scale(
+        float(np.linalg.norm(base.ricci)))
 
-    b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * w.lee.norm_sq * m.metric
-    target = KN_CALIBRATION_SIGN * kulkarni_nomizu(m.metric, b)
-    r4 = riemann.curvature_lowered(m, base.riem)
-    diff_frame = frames.curvature04_in_basis(r4 - target, m.frame)
-    kn_residual = float(np.linalg.norm(diff_frame))
-    r4_norm = float(np.linalg.norm(frames.curvature04_in_basis(r4, m.frame)))
-    flat = kn_residual <= FLATNESS_RTOL * m.curvature_scale(r4_norm)
+    b = _frame_lee_gradient(m, t) - np.outer(t, t) + 0.5 * float(t @ t) * np.eye(m.dim)
+    target = KN_CALIBRATION_SIGN * kulkarni_nomizu(np.eye(m.dim), b)
+    kn_residual = float(np.linalg.norm(base.riem - target))
+    flat = kn_residual <= FLATNESS_RTOL * m.curvature_scale(float(np.linalg.norm(base.riem)))
     return FlatnessReport(ricci_flat=ricci_flat, flat=flat, kn_residual=kn_residual)

@@ -3,7 +3,6 @@
 ``acceptance_mix`` draws the acceptance mix from one seeded generator, so
 every module that reads its first ``count`` draws sees the same algebras;
 ``almost_abelian_draws`` adds almost abelian algebras up to n = 12;
-``conditioned_basis`` makes bases of a given condition;
 ``LADDER_MODELS`` are the nilpotent models of the start-count ladder.
 """
 import numpy as np
@@ -28,14 +27,6 @@ def almost_abelian_draws(seed):
     return [samples.random_almost_abelian(rng, n, kind)
             for n in range(3, 13) for kind in ("einstein", "trace", "generic")
             if kind != "generic" or n <= 10]
-
-
-def conditioned_basis(rng, n, kappa):
-    """U diag(s) V with U, V random orthogonal and s log-spaced from 1 to
-    ``kappa``: a basis of condition kappa, in which the metric of an
-    orthonormal basis has condition kappa^2."""
-    s = np.logspace(0.0, np.log10(kappa), n)
-    return samples.random_orthogonal(rng, n) @ np.diag(s) @ samples.random_orthogonal(rng, n)
 
 
 LADDER_MODELS = [samples.heisenberg(extra=k) for k in range(3)] + [

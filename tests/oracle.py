@@ -9,7 +9,7 @@ matrices by a three-operation sum, the bit-level reference for its unpacking.
 
 The ``*_by_*`` functions below keep the plain forms of steps the package
 computes in a faster way with the same bits, the same verdicts or the same
-values up to rounding: the input-basis Gram-Schmidt through ``m.inner`` that
+values up to rounding: the input-basis Gram-Schmidt through g inner products that
 ``almost_abelian.decompose`` replaces by one QR in the orthonormal frame, the
 abelian-subspace test and the bracket span by three-operand einsums, the
 quotient dimension from the nullspace of the closed relations and the
@@ -30,15 +30,16 @@ def dense_weyl_einstein_residual(m, theta) -> WEResidual:
     + (n-2)(sym(ad_T) + theta (x) theta), with ``norm`` its frame norm."""
     n = m.dim
     theta = np.asarray(theta, dtype=float)
-    dual = m.raise_covector(theta)
+    dual = np.linalg.solve(m.metric, theta)
     base = riemann.ricci(m)
-    tr_ad = riemann.codifferential_oneform(m, theta)
+    tr_ad = float(np.einsum("ijj->i", m.c) @ dual)
+    ad_t = np.einsum("i,ijk->kj", dual, m.c)
     e = (
         base.ricci
         - ((base.scalar + (n - 2) * (tr_ad + float(theta @ dual))) / n) * m.metric
-        + (n - 2) * (m.sym_ad_form(dual) + np.outer(theta, theta))
+        + (n - 2) * (0.5 * (ad_t.T @ m.metric + m.metric @ ad_t) + np.outer(theta, theta))
     )
-    return WEResidual(matrix=e, norm=m.form_norm(e))
+    return WEResidual(matrix=e, norm=float(np.linalg.norm(m.frame.T @ e @ m.frame)))
 
 
 def unpack_by_sum(system, packed):
@@ -53,15 +54,15 @@ def unpack_by_sum(system, packed):
 def adapted_parts_by_inner(m, b):
     """(ideal basis, skew, sym) of ``almost_abelian.decompose`` from its unit
     normal ``b``: Gram-Schmidt on the standard basis vectors projected off
-    ``b``, every inner product taken by ``m.inner``, then the two parts of
+    ``b``, every inner product taken as x^T g y, then the two parts of
     ad_b restricted to the ideal."""
     n = m.dim
     hvecs = []
     for i in range(n):
-        v = np.eye(n)[i] - m.inner(np.eye(n)[i], b) * b
+        v = np.eye(n)[i] - (np.eye(n)[i] @ m.metric @ b) * b
         for h in hvecs:
-            v = v - m.inner(v, h) * h
-        nv = m.inner(v, v)
+            v = v - (v @ m.metric @ h) * h
+        nv = float(v @ m.metric @ v)
         if nv > 1e-16 * max(1.0, float(np.trace(m.metric))):
             hvecs.append(v / np.sqrt(nv))
             if len(hvecs) == n - 1:

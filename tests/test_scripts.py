@@ -66,6 +66,9 @@ def test_script_exits_clean(script, args):
             for label in ("einstein", "trace", "generic", "flat")], proc.stdout
         assert "6 draws at 4 conditions" in proc.stdout
         assert "0 draws that are not flat wrong or raised at kappa <= 1e+03" in proc.stdout
+        # the Weyl-Ricci and flatness checks of every draw, flat ones included
+        assert "0 Weyl-Ricci or flatness checks wrong, differing or raised at kappa <= 1e+03" \
+            in proc.stdout
     if script == "classification_equivalence.py":
         # 6 instances: two per kind; only the root-free generic kind falls
         # back (a polished quotient candidate that is no root would end the

@@ -26,7 +26,6 @@ from lieweyl.errors import ConsistencyError, DimensionError, InputError, NotClos
 from lieweyl.riemann import (
     change_basis,
     curvature,
-    curvature_lowered,
     levi_civita,
     torsion_residual,
 )
@@ -146,7 +145,7 @@ def test_lee_gradient_symmetric_part():
     m = samples.random_metric_algebra(rng, 4)
     theta = rng.standard_normal(4)
     grad = lee_gradient(m, theta)
-    t_vec = m.raise_covector(theta)
+    t_vec = np.linalg.solve(m.metric, theta)
     ad_t = np.einsum("i,ijk->kj", t_vec, np.asarray(m.c))
     sym_ad = 0.5 * (ad_t.T @ m.metric + m.metric @ ad_t)
     np.testing.assert_allclose(0.5 * (grad + grad.T), -sym_ad, atol=1e-10)
@@ -307,7 +306,8 @@ def test_residual_system_is_built_once_per_algebra_and_read_only():
     # the system is that of c / lam, so Ricci-sized quantities are over lam^2
     lam = system.scale
     assert lam == m.structure_scale == np.linalg.norm(m.frame_structure)
-    assert system.ric_scale == pytest.approx(1.0 + m.form_norm(ricci(m).ricci) / lam**2, rel=1e-14)
+    ric_norm = np.linalg.norm(m.frame_curvature.ricci)
+    assert system.ric_scale == pytest.approx(1.0 + ric_norm / lam**2, rel=1e-14)
     for name in ("const", "lin", "hess", "curv", "lin_gram", "gram"):
         with pytest.raises(ValueError):
             getattr(system, name)[...] = 0.0
@@ -423,10 +423,10 @@ def test_residual_matches_dense_oracle_at_random_forms_and_classifier_roots():
         oracle = dense_weyl_einstein_residual(m, theta)
         # the three terms of E(theta) in the units of the input
         system, t = weyl._residual_system(m), m.frame.T @ theta
-        scale = (1.0 + m.form_norm(ricci(m).ricci)
+        scale = (1.0 + np.linalg.norm(m.frame_curvature.ricci)
                  + system.scale * system.lin_norm * np.linalg.norm(t) + (m.dim - 2) * t @ t)
         assert abs(res.norm - oracle.norm) <= 1e-12 * scale
-        assert m.form_norm(res.matrix - oracle.matrix) <= 1e-12 * scale
+        assert np.linalg.norm(m.frame.T @ (res.matrix - oracle.matrix) @ m.frame) <= 1e-12 * scale
         assert np.max(np.abs(res.matrix - oracle.matrix)) <= 1e-12 * scale
 
 
@@ -837,7 +837,7 @@ def test_calibration_sign():
     alg = LieAlgebra.from_brackets(3, {(0, 1): (0.0, 1.0, 0.0), (0, 2): (0.0, 0.0, 1.0)})
     m = MetricLieAlgebra(alg, np.eye(3))
     theta = np.array([1.0, 0.0, 0.0])
-    r4 = curvature_lowered(m, curvature(m, levi_civita(m)))
+    r4 = np.einsum("ijkm,ml->ijkl", curvature(m, levi_civita(m)), m.metric)
     lee = LeeForm.from_covector(m, theta)
     b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * lee.norm_sq * m.metric
     prod = kulkarni_nomizu(m.metric, b)
@@ -901,48 +901,53 @@ def test_ricci_flat_but_not_flat_witness():
 
 
 def test_weyl_ricci_cross_check_alarm_names_routes_gaps_and_tolerances(monkeypatch):
-    # the bound is curvature-sized, so the alarm keeps its strength at any scale
+    # the bound is curvature-sized, so the alarm keeps its strength at any
+    # scale; both routes run in the frame, where the defect is 1e-3 lam^2 I
     for lam in (1.0, 1e8):
         m = _rescaled(sol(), lam)  # a fresh instance: nothing is cached yet
         w = weyl_connection(m, lam * np.array([0.3, -0.2, 0.5]))
-        honest = weyl.weyl_ricci_formula
+        t = m.frame.T @ w.lee.coeffs
+        honest = weyl._frame_weyl_ricci_formula
 
-        def skewed(m, theta):
-            ric, scalar = honest(m, theta)
-            return ric + 1e-3 * lam**2 * m.metric, scalar + 1e-3 * lam**2
+        def skewed(m, t):
+            ric, scalar = honest(m, t)
+            return ric + 1e-3 * lam**2 * np.eye(m.dim), scalar + 1e-3 * lam**2
 
-        monkeypatch.setattr(weyl, "weyl_ricci_formula", skewed)
+        monkeypatch.setattr(weyl, "_frame_weyl_ricci_formula", skewed)
         with pytest.raises(ConsistencyError) as info:
             weyl_ricci(w)
         monkeypatch.undo()
-        ric, scalar = weyl_ricci(w)
-        ric_f, scalar_f = skewed(m, w.lee)
-        tol = REL_TOL * m.curvature_scale(m.form_norm(ric))
+        ric, scalar = weyl._frame_weyl_ricci(m, t)
+        ric_f, scalar_f = skewed(m, t)
+        tol = REL_TOL * m.curvature_scale(float(np.linalg.norm(ric)))
         message = str(info.value)
         assert "curvature trace" in message and "base-metric formula" in message
-        assert f"{m.form_norm(ric - ric_f):.3e}" in message and f"{tol:.3e}" in message
+        assert f"{np.linalg.norm(ric - ric_f):.3e}" in message and f"{tol:.3e}" in message
         assert f"{abs(scalar - scalar_f):.3e}" in message and f"{tol * m.dim:.3e}" in message
 
 
 def test_lee_gradient_alarm_names_routes_gap_and_tolerance(monkeypatch):
-    # the bound is c-sized times the size of theta: it keeps its strength at any scale
+    # the bound is c-sized times the size of theta: it keeps its strength at
+    # any scale; the check runs in the frame, where the defect is 1e-3 lam^2 I
     for lam in (1.0, 1e8):
         m = _rescaled(sol(), lam)
         theta = lam * np.array([0.3, -0.2, 0.5])
-        honest = weyl.lee_gradient
+        t = m.frame.T @ theta
+        honest = weyl._frame_lee_gradient
 
-        def skewed(m, theta):
-            return honest(m, theta) + 1e-3 * lam**2 * m.metric
+        def skewed(m, t):
+            return honest(m, t) + 1e-3 * lam**2 * np.eye(m.dim)
 
-        monkeypatch.setattr(weyl, "lee_gradient", skewed)
+        monkeypatch.setattr(weyl, "_frame_lee_gradient", skewed)
         with pytest.raises(ConsistencyError) as info:
             weyl.weyl_ricci_formula(m, theta)
         monkeypatch.undo()
         weyl.weyl_ricci_formula(m, theta)
-        grad = skewed(m, theta)
-        gap = m.form_norm(0.5 * (grad + grad.T) + m.sym_ad_form(m.raise_covector(theta)))
+        grad = skewed(m, t)
+        ad_t = np.einsum("i,ijk->kj", t, m.frame_structure)
+        gap = np.linalg.norm(0.5 * (grad + grad.T + ad_t + ad_t.T))
         lam_m = m.structure_scale
-        tol = REL_TOL * lam_m * (lam_m + m.covector_norm(theta))
+        tol = REL_TOL * lam_m * (lam_m + np.linalg.norm(t))
         message = str(info.value)
         assert "Levi-Civita table" in message and "structure constants" in message
         assert f"{gap:.3e}" in message and f"{tol:.3e}" in message
