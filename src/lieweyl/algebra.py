@@ -28,9 +28,9 @@ so that no verdict depends on the basis or on the homothety c -> lam c:
   the frame norm of the compared form (Ricci and Weyl-Ricci cross-checks,
   flatness verdicts, the Lee-form precondition).
 
-Rank cutoffs on c itself (derived subalgebra, center) and those of
-:func:`row_space` and :func:`nullspace` by default are relative to the
-largest singular value of their input.  Input validation keeps the scale of
+Rank cutoffs on c itself (derived subalgebra, center), of :func:`nullspace`
+and by default of :func:`row_space` are relative to the largest singular
+value of their input.  Input validation keeps the scale of
 its input: ``REL_TOL`` (1 + max |entry|) (:func:`coefficient_tolerance`),
 1 + max |c|^2 for the Jacobi sums; a metric whose Cholesky pivots have a
 squared ratio min/max below machine epsilon is singular to working precision
@@ -81,14 +81,14 @@ def row_space(vectors: np.ndarray, n: int, cutoff: float | None = None) -> np.nd
     return vh[: np.count_nonzero(s > (REL_TOL * s[0] if cutoff is None else cutoff))]
 
 
-def nullspace(a: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Orthonormal basis (as rows) of the right null space of ``a``, with the
-    rank cutoff of :func:`row_space`."""
+def nullspace(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the right null space of ``a``, at the
+    default rank cutoff of :func:`row_space`."""
     a = np.asarray(a, dtype=float)
     if a.shape[0] == 0 or not a.any():
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    return vh[np.count_nonzero(s > (REL_TOL * s[0] if cutoff is None else cutoff)):]
+    return vh[np.count_nonzero(s > REL_TOL * s[0]):]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from .errors import (
     ConsistencyError,
     HintError,
     InputError,
-    MetricError,
     NotAlmostAbelianError,
     NumericInputError,
     PreconditionError,
@@ -195,8 +194,13 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
             f"ad_normal on the ideal basis and its projection onto the ideal differ by "
             f"{gap:.3e} in max norm (tolerance {cutoff:.3e})"
         )
-    if n > 2 and float(np.max(np.abs(_brackets(frame_algebra, h_f, h_f)))) > cutoff:
-        raise ConsistencyError("computed ideal is not abelian")
+    if n > 2:
+        gap = float(np.max(np.abs(_brackets(frame_algebra, h_f, h_f))))
+        if gap > cutoff:
+            raise ConsistencyError(
+                f"computed ideal is not abelian: the brackets of the ideal basis and zero differ "
+                f"by {gap:.3e} in max norm (tolerance {cutoff:.3e})"
+            )
 
     skew = 0.5 * (restricted - restricted.T)
     sym = 0.5 * (restricted + restricted.T)
@@ -265,12 +269,11 @@ def classify_weyl_einstein(dec: AADecomposition, m: MetricLieAlgebra) -> AAClass
     return AAClassification(case=case, coefficient=coeff, lee_forms=tuple(roots))
 
 
-def build_semidirect(
-    skew: np.ndarray, sym: np.ndarray, inner: np.ndarray | None = None
-) -> MetricLieAlgebra:
-    """Extend an abelian ideal by one derivation: ad of the new direction acts
-    as ``skew + sym`` on the ideal.  ``inner`` is the inner product on the
-    ideal (identity by default); the new direction is a unit normal."""
+def build_semidirect(skew: np.ndarray, sym: np.ndarray) -> MetricLieAlgebra:
+    """Extend an abelian ideal with an orthonormal basis by one derivation:
+    ad of the new direction, a unit normal, acts as ``skew + sym`` on the
+    ideal.  Any other inner product on the ideal is a basis change of this
+    algebra (:func:`lieweyl.riemann.change_basis`)."""
     skew = np.asarray(skew, dtype=float)
     sym = np.asarray(sym, dtype=float)
     if skew.ndim != 2 or skew.shape[0] != skew.shape[1] or skew.shape != sym.shape:
@@ -280,32 +283,18 @@ def build_semidirect(
         raise StructureError("ideal dimension must be at least 1")
     if not (np.isfinite(skew).all() and np.isfinite(sym).all()):
         raise NumericInputError("matrix input contains NaN or infinity")
-    g0 = np.eye(nh) if inner is None else np.asarray(inner, dtype=float)
-    if g0.shape != (nh, nh):
-        raise StructureError(f"inner product must have shape ({nh}, {nh})")
-    tol = coefficient_tolerance(skew, sym, g0)
-    if np.max(np.abs(g0 - g0.T)) > tol:
-        raise MetricError("ideal inner product is not symmetric", "symmetric")
-    try:
-        np.linalg.cholesky(g0)
-    except np.linalg.LinAlgError:
-        raise MetricError(
-            "ideal inner product is not positive definite", "positive-definite"
-        ) from None
-    if np.max(np.abs((g0 @ skew) + (g0 @ skew).T)) > tol:
-        raise InputError("skew part is not skew-adjoint for the given inner product")
-    if np.max(np.abs((g0 @ sym) - (g0 @ sym).T)) > tol:
-        raise InputError("sym part is not self-adjoint for the given inner product")
+    tol = coefficient_tolerance(skew, sym, np.eye(nh))
+    if np.max(np.abs(skew + skew.T)) > tol:
+        raise InputError("skew part is not skew-symmetric")
+    if np.max(np.abs(sym - sym.T)) > tol:
+        raise InputError("sym part is not symmetric")
 
     n = nh + 1
     c = np.zeros((n, n, n))
     action = skew + sym
     c[0, 1:, 1:] = action.T
     c[1:, 0, 1:] = -action.T
-    metric = np.zeros((n, n))
-    metric[0, 0] = 1.0
-    metric[1:, 1:] = g0
-    return MetricLieAlgebra(LieAlgebra(c), metric)
+    return MetricLieAlgebra(LieAlgebra(c), np.eye(n))
 
 
 def trace_case_instance(n: int, seed: np.ndarray, a: float) -> tuple[MetricLieAlgebra, np.ndarray]:
@@ -375,8 +364,9 @@ def curvature_closed_form(dec: AADecomposition, m: MetricLieAlgebra) -> Curvatur
     ric_f[1:, 1:] = comm - tr_s * s
     scalar = -tr_s2 - tr_s**2
 
-    back = np.linalg.inv(dec.frame)
-    riem = frames.curvature13_in_basis(riem_f, back)
+    # the frame F is g-orthonormal, so inv(F) = F^T g
+    back = dec.frame.T @ m.metric
+    riem = frames.tensor_in_basis(riem_f, back, dec.frame.T, upper=1)
     ricci = frames.form_in_basis(ric_f, back)
     return CurvatureData(riem=riem, ricci=ricci, scalar=scalar)
 

@@ -55,11 +55,9 @@ def _curvature_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
     return records
 
 
-def _weyl_records(m: riemann.MetricLieAlgebra, starts: int | None, seed: int) -> list[ReportRecord]:
-    result = weyl.solve_lee_forms(m, starts=starts, seed=seed)
+def _weyl_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
+    result = weyl.solve_lee_forms(m)
     records = [ReportRecord("weyl.root_count", len(result.roots))]
-    if np.isfinite(result.infimum):  # some start ran
-        records.append(ReportRecord("weyl.infimum", result.infimum))
     for idx, (root, residual) in enumerate(zip(result.roots, result.residuals)):
         far = weyl.faraday(m, root)
         records.append(ReportRecord(f"weyl.roots[{idx}]", root))
@@ -123,7 +121,7 @@ def _cmd_curvature(args) -> str:
 
 def _cmd_weyl_solve(args) -> str:
     m = _read_document(args.file).to_metric_lie_algebra()
-    return mla.emit_report(_weyl_records(m, args.starts, args.seed), args.format)
+    return mla.emit_report(_weyl_records(m), args.format)
 
 
 def _cmd_aa_classify(args) -> str:
@@ -135,7 +133,7 @@ def _cmd_aa_classify(args) -> str:
 def _cmd_report(args) -> str:
     m = _read_document(args.file).to_metric_lie_algebra()
     records = _validate_records(m) + _curvature_records(m)
-    records += _weyl_records(m, None, weyl.DEFAULT_SEED)
+    records += _weyl_records(m)
     try:
         aa = _aa_records(m, None)
     except NotAlmostAbelianError:
@@ -240,17 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl-solve", help="find all Weyl-Einstein Lee forms")
     add_common(p)
-    p.add_argument(
-        "--starts", type=int, default=None,
-        help=f"run a seeded search of this many starts (1 to {weyl.MAX_STARTS}) when the "
-             "quotient ring route finds no real root, and report its weyl.infimum; default: no "
-             f"search.  {weyl.DEFAULT_STARTS} starts matched 256 on every root-free model "
-             "measured.  The quotient is the evidence of no root (dimension 0: no complex root)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=weyl.DEFAULT_SEED,
-        help="non-negative seed of the seeded search's start directions",
-    )
     p.set_defaults(run=_cmd_weyl_solve)
 
     p = sub.add_parser("aa-classify", help="almost abelian decomposition and classification")

@@ -43,8 +43,3 @@ def structure_in_basis(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def form_in_basis(form: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis.T @ form @ basis
-
-
-def curvature13_in_basis(riem: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return tensor_in_basis(riem, basis, np.linalg.inv(basis).T, upper=1)
-

@@ -62,7 +62,6 @@ DEFAULT_SEED = 0
 DEFAULT_ROOT_TOL = 1e-8
 FLATNESS_RTOL = 1e-8
 MAX_STARTS = 10**5
-KN_CALIBRATION_SIGN = 1.0  # R = sign * kulkarni_nomizu(g, B) iff the rescaled metric is flat
 # The solver's root floor in units of the evaluation scale of E.  A few ulps
 # per term would do for E itself, but its constant part inherits the rounding
 # of the Ricci form, about 20 ulps of 1 + |Ric| on Ricci-flat almost abelian
@@ -825,7 +824,7 @@ def conformal_flatness(m: MetricLieAlgebra, theta) -> FlatnessReport:
         float(np.linalg.norm(base.ricci)))
 
     b = _frame_lee_gradient(m, t) - np.outer(t, t) + 0.5 * float(t @ t) * np.eye(m.dim)
-    target = KN_CALIBRATION_SIGN * kulkarni_nomizu(np.eye(m.dim), b)
+    target = kulkarni_nomizu(np.eye(m.dim), b)
     kn_residual = float(np.linalg.norm(base.riem - target))
     flat = kn_residual <= FLATNESS_RTOL * m.curvature_scale(float(np.linalg.norm(base.riem)))
     return FlatnessReport(ricci_flat=ricci_flat, flat=flat, kn_residual=kn_residual)

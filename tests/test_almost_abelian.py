@@ -201,9 +201,13 @@ def test_build_semidirect_validates_parts():
 
 
 def test_build_semidirect_weighted_inner_product():
-    g0 = np.diag([2.0, 0.5])
-    m = build_semidirect(np.zeros((2, 2)), np.diag([1.0, -1.0]), inner=g0)
-    np.testing.assert_allclose(m.metric, np.diag([1.0, 2.0, 0.5]), atol=TOL)
+    # a weighted inner product on the ideal is a basis change of the
+    # orthonormal build; a diagonal action keeps its structure constants
+    sym = np.diag([1.0, -1.0])
+    m = build_semidirect(np.zeros((2, 2)), sym)
+    weighted = change_basis(m, np.diag([1.0, np.sqrt(2.0), np.sqrt(0.5)]))
+    np.testing.assert_allclose(weighted.metric, np.diag([1.0, 2.0, 0.5]), atol=TOL)
+    np.testing.assert_allclose(np.asarray(weighted.c), np.asarray(m.c), atol=TOL)
 
 
 def test_closed_form_curvature_matches_numeric():
@@ -297,6 +301,28 @@ def test_ideal_invariance_alarm_names_routes_gap_and_tolerance(monkeypatch):
         bound = REL_TOL * m.structure_scale
         message = str(info.value)
         assert "ideal basis" in message and "projection onto the ideal" in message
+        assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
+
+
+def test_abelian_ideal_alarm_names_routes_gap_and_tolerance(monkeypatch):
+    # the same c-sized bound as the ad-gap alarm, at any scale
+    for lam in (1.0, 1e8):
+        m = _rescaled(sol(), lam)
+        honest = almost_abelian._brackets
+
+        def leaky(algebra, rows_a, rows_b):
+            # a constant shift makes the ideal basis fail to commute
+            return honest(algebra, rows_a, rows_b) + 1e-3 * lam
+
+        monkeypatch.setattr(almost_abelian, "_brackets", leaky)
+        with pytest.raises(ConsistencyError) as info:
+            decompose(m)
+        monkeypatch.undo()
+        h = decompose(m).ideal_basis  # the metric is I: the frame is the input basis
+        gap = float(np.max(np.abs(leaky(m.algebra, h, h))))
+        bound = REL_TOL * m.structure_scale
+        message = str(info.value)
+        assert "brackets of the ideal basis" in message and "zero" in message
         assert f"{gap:.3e}" in message and f"{bound:.3e}" in message
 
 

@@ -133,7 +133,7 @@ def test_weyl_solve_finds_both_roots(tmp_path):
     assert proc.returncode == 0
     records = mla.parse_records(proc.stdout)
     assert records["weyl.root_count"] == 2
-    assert records["weyl.infimum"] <= 1e-16
+    assert min(records[f"weyl.roots[{i}].residual"] for i in range(2)) <= 1e-16
     roots = sorted((records[f"weyl.roots[{i}]"] for i in range(2)), key=np.linalg.norm)
     assert np.allclose(roots[0], [0.0, 0.0, 0.0], atol=1e-8)
     assert np.allclose(roots[1], [1.0, 0.0, 0.0], atol=1e-8)
@@ -162,8 +162,8 @@ def test_report_on_an_ill_conditioned_derived_subalgebra(tmp_path):
 
 def test_weyl_solve_is_deterministic(tmp_path):
     path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
-    first = run_cli("weyl-solve", path, "--starts", "32", "--seed", "5")
-    second = run_cli("weyl-solve", path, "--starts", "32", "--seed", "5")
+    first = run_cli("weyl-solve", path)
+    second = run_cli("weyl-solve", path)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -200,11 +200,6 @@ def test_aa_classify_rejects_bad_hint_shape(tmp_path):
 @pytest.mark.parametrize(
     "command, option, value",
     [
-        ("weyl-solve", "--seed", "-1"),
-        ("weyl-solve", "--starts", "0"),
-        ("weyl-solve", "--starts", "-3"),
-        ("weyl-solve", "--starts", str(weyl.MAX_STARTS + 1)),
-        ("weyl-solve", "--starts", "100000000000"),
         ("aa-classify", "--ideal", "1 0 0; 0 1"),
     ],
 )
@@ -213,6 +208,17 @@ def test_bad_solver_parameters_exit_two(tmp_path, command, option, value):
     proc = run_cli(command, path, option, value)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error[input]:")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("option, value", [("--starts", "8"), ("--seed", "1")])
+def test_weyl_solve_has_no_search_options(tmp_path, option, value):
+    # the seeded search is API-only (weyl.solve_lee_forms); the quotient ring
+    # is the evidence that there is no root
+    path = write_mla(tmp_path, "sol.mla", SOL_TEXT)
+    proc = run_cli("weyl-solve", path, option, value)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {option} {value}" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -232,23 +238,22 @@ def test_report_covers_all_sections(tmp_path):
     assert records["algebra.ok"] is True
     assert records["ricci.scalar"] == pytest.approx(-2.0)
     assert records["weyl.root_count"] == 0
-    # no start ran: the quotient ring has no real candidate and the report
-    # asks for no seeded search
-    assert "weyl.infimum" not in records
+    # no root, so the count is the only Weyl record
+    assert [key for key in records if key.startswith("weyl.")] == ["weyl.root_count"]
     assert records["aa.almost_abelian"] is True
     assert records["aa.case"] == "NoWE"
     assert np.isnan(records["aa.coefficient"])
 
 
-def test_weyl_solve_with_starts_reports_the_infimum(tmp_path):
+def test_weyl_solve_without_roots_prints_only_the_count(tmp_path):
     path = write_mla(tmp_path, "sol.mla", SOL_TEXT)
-    proc = run_cli("weyl-solve", path, "--starts", str(weyl.DEFAULT_STARTS), "--format", "records")
+    proc = run_cli("weyl-solve", path, "--format", "records")
     assert proc.returncode == 0
-    records = mla.parse_records(proc.stdout)
-    assert records["weyl.root_count"] == 0
-    assert records["weyl.infimum"] == pytest.approx(np.sqrt(2.5), rel=1e-9)
-    plain = mla.parse_records(run_cli("weyl-solve", path, "--format", "records").stdout)
-    assert plain == {"weyl.root_count": 0}
+    assert mla.parse_records(proc.stdout) == {"weyl.root_count": 0}
+    # the seeded search of the API finds the residual's minimum sqrt(5/2)
+    m = mla.parse_mla(SOL_TEXT).to_metric_lie_algebra()
+    result = weyl.solve_lee_forms(m, starts=weyl.DEFAULT_STARTS)
+    assert result.infimum == pytest.approx(np.sqrt(2.5), rel=1e-9)
 
 
 def _cold_report(path):
@@ -275,13 +280,13 @@ def test_report_with_roots_does_not_import_numpy_random(tmp_path):
 
 @pytest.mark.parametrize("name", ["sol", "heisenberg"])
 def test_report_without_roots_does_not_import_numpy_random(tmp_path, name):
-    # a report asks for no seeded search, so a root-free document runs no
-    # start at all and has no infimum to report
+    # a report runs no seeded search, so a root-free document runs no start
+    # at all and prints only the root count
     text = SOL_TEXT if name == "sol" else mla.emit_mla(
         mla.MlaDocument.from_metric_lie_algebra(samples.heisenberg()))
     records, imported = _cold_report(write_mla(tmp_path, f"{name}.mla", text))
     assert not imported
-    assert "weyl.infimum" not in records
+    assert [key for key in records if key.startswith("weyl.")] == ["weyl.root_count"]
     assert records["weyl.root_count"] == 0
 
 
@@ -292,10 +297,10 @@ def test_report_flags_non_almost_abelian(tmp_path):
     records = mla.parse_records(proc.stdout)
     assert records["aa.almost_abelian"] is False
     assert records["weyl.root_count"] == 0
-    assert "weyl.infimum" not in records
+    assert [key for key in records if key.startswith("weyl.")] == ["weyl.root_count"]
     assert "aa.case" not in records
-    proc = run_cli("weyl-solve", path, "--starts", str(weyl.DEFAULT_STARTS), "--format", "records")
-    assert mla.parse_records(proc.stdout)["weyl.infimum"] > 0.5
+    m = mla.parse_mla(RANK2_STEP3_TEXT).to_metric_lie_algebra()
+    assert weyl.solve_lee_forms(m, starts=weyl.DEFAULT_STARTS).infimum > 0.5
 
 
 def test_missing_file_exit_two(tmp_path):
@@ -423,6 +428,21 @@ def test_catalog3d_rejects_unpaired_metric():
     proc = run_cli("catalog3d", "--family", "gt", "--t", "2.0", "--metric", "m")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[input]:")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--family", "gt"),  # gt needs --t
+        ("--family", "sol", "--t", "2"),  # --t only applies to gt
+        ("--family", "g0", "--t", "2"),  # g0 fixes t = 0
+    ],
+)
+def test_catalog3d_flag_rules_exit_two(options):
+    proc = run_cli("catalog3d", *options, "--metric", "std")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error[input]:")
+    assert proc.stdout == ""
 
 
 def test_missing_subcommand_is_usage_error():

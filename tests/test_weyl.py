@@ -832,8 +832,8 @@ def test_kulkarni_nomizu_symmetries():
 def test_calibration_sign():
     # On the hyperbolic witness [b, u] = u, [b, v] = v (b, u, v orthonormal,
     # Lee form the dual of b) the lowered curvature is +-(g . B) with
-    # B = D theta - theta (x) theta + |theta|^2 g / 2; the sign that fits is
-    # the one conformal_flatness uses.
+    # B = D theta - theta (x) theta + |theta|^2 g / 2; the plus sign fits, the
+    # one conformal_flatness uses.
     alg = LieAlgebra.from_brackets(3, {(0, 1): (0.0, 1.0, 0.0), (0, 2): (0.0, 0.0, 1.0)})
     m = MetricLieAlgebra(alg, np.eye(3))
     theta = np.array([1.0, 0.0, 0.0])
@@ -844,7 +844,7 @@ def test_calibration_sign():
     gap_plus = float(np.linalg.norm(r4 - prod))
     gap_minus = float(np.linalg.norm(r4 + prod))
     assert min(gap_plus, gap_minus) <= 1e-10
-    assert weyl.KN_CALIBRATION_SIGN == (1.0 if gap_plus <= gap_minus else -1.0)
+    assert gap_plus <= gap_minus
 
 
 def test_conformal_flatness_hyperbolic():
