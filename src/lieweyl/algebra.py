@@ -83,11 +83,11 @@ def row_space(vectors: np.ndarray, n: int, cutoff: float | None = None) -> np.nd
 
 def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as rows) of the right null space of ``a``, at the
-    default rank cutoff of :func:`row_space`."""
+    default rank cutoff of :func:`row_space`; only wide input needs a full SVD."""
     a = np.asarray(a, dtype=float)
     if a.shape[0] == 0 or not a.any():
         return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[np.count_nonzero(s > REL_TOL * s[0]):]
 
 

@@ -139,8 +139,7 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     n = m.dim
     if n < 2:
         raise NotAlmostAbelianError("need dimension at least 2")
-    frame_algebra = LieAlgebra(m.frame_structure)
-    flat = frame_algebra.c.ravel()
+    flat = m.frame_algebra.c.ravel()
     system = np.concatenate((flat, -flat, [0.0]))[_ideal_system_plan(n)]
     cutoff = REL_TOL * m.structure_scale
     _, values, vh = np.linalg.svd(system, full_matrices=False)
@@ -169,33 +168,36 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     else:
         # column i: the projection of e^i (frame components: row i of U) in L
         coords = admissible @ m.frame.T
-        size = np.linalg.norm(m.frame, axis=1)
-        large = np.linalg.norm(coords, axis=0) > SIGNIFICANT_RTOL * size
+        size = np.sqrt(np.add.reduce(m.frame * m.frame, axis=1))  # np.linalg.norm's sum
+        large = np.sqrt(np.add.reduce(coords * coords, axis=0)) > SIGNIFICANT_RTOL * size
         ell = admissible.T @ coords[:, np.argmax(large)]
 
     # unit normal, its first significant input-basis component positive
     b_f = ell / np.linalg.norm(ell)
     b = m.frame @ b_f
-    significant = np.flatnonzero(np.abs(b) > SIGNIFICANT_RTOL * np.max(np.abs(b)))
+    magnitude = np.abs(b)
+    significant = np.flatnonzero(magnitude > SIGNIFICANT_RTOL * magnitude.max())
     if b[significant[0]] < 0:
         b, b_f = -b, -b_f
 
     # the columns of L^T are the standard basis vectors in the frame
     j = significant[-1]
-    e_f = m._cholesky.T
-    q, r = np.linalg.qr(np.column_stack((b_f, e_f[:, :j], e_f[:, j + 1:])))
-    h_f = (q[:, 1:] * np.copysign(1.0, np.diag(r)[1:])).T
+    operand = m._cholesky.T.copy()  # [b | e_1 ... e_n without e_j], in place
+    operand[:, 1 : j + 1] = m._cholesky.T[:, :j]
+    operand[:, 0] = b_f
+    q, r = np.linalg.qr(operand)
+    h_f = (q[:, 1:] * np.copysign(1.0, r.diagonal()[1:])).T
 
-    ad_b = ad(frame_algebra, b_f)
+    ad_b = ad(m.frame_algebra, b_f)
     restricted = h_f @ ad_b @ h_f.T
-    gap = float(np.max(np.abs(ad_b @ h_f.T - h_f.T @ restricted)))
+    gap = float(np.abs(ad_b @ h_f.T - h_f.T @ restricted).max())
     if gap > cutoff:
         raise ConsistencyError(
             f"ad_normal on the ideal basis and its projection onto the ideal differ by "
             f"{gap:.3e} in max norm (tolerance {cutoff:.3e})"
         )
     if n > 2:
-        gap = float(np.max(np.abs(_brackets(frame_algebra, h_f, h_f))))
+        gap = float(np.abs(_brackets(m.frame_algebra, h_f, h_f)).max())
         if gap > cutoff:
             raise ConsistencyError(
                 f"computed ideal is not abelian: the brackets of the ideal basis and zero differ "

@@ -27,13 +27,13 @@ def tensor_in_basis(tensor: np.ndarray, basis: np.ndarray, dual: np.ndarray,
     """Components of a tensor in a new basis; the last ``upper`` slots are vectors.
 
     Covector slots transform with ``basis`` and vector slots with ``dual`` =
-    inv(basis)^T.  The slots are contracted one at a time, each ``tensordot``
-    over the leading axis appending the new index last, so after one pass the
-    indices are back in their original order and a rank-k tensor costs k
-    products of size n^(k+1) instead of one n^(2k) sum.
+    inv(basis)^T.  The slots are contracted one at a time, each by a matmul
+    over the leading axis (the bits of ``tensordot``) appending the new index
+    last, so after one pass the indices are back in their original order and
+    a rank-k tensor costs k products of size n^(k+1) instead of one n^(2k) sum.
     """
     for mat in [basis] * (tensor.ndim - upper) + [dual] * upper:
-        tensor = np.tensordot(tensor, mat, axes=(0, 0))
+        tensor = (tensor.reshape(len(mat), -1).T @ mat).reshape(tensor.shape[1:] + mat.shape[1:])
     return tensor
 
 

@@ -103,6 +103,11 @@ class MetricLieAlgebra:
         """Structure constants in the orthonormal :attr:`frame` (slots by U, U, L)."""
         return _read_only(frames.tensor_in_basis(self.c, self.frame, self._cholesky, upper=1))
 
+    @cached_property
+    def frame_algebra(self) -> LieAlgebra:
+        """:attr:`frame_structure` as a :class:`LieAlgebra` (``almost_abelian.decompose``)."""
+        return LieAlgebra(self.frame_structure)
+
     def from_frame(self, tensor: np.ndarray, upper: int = 0) -> np.ndarray:
         """Input-basis components of a tensor given in the :attr:`frame`, the
         last ``upper`` slots vectors (slots by L^T, vectors by U^T = L^-1)."""

@@ -25,7 +25,10 @@ on request and when there is no candidate, for the residual infimum and as
 a cross-check.  The quadratic map is built once per metric Lie algebra, with
 the structure constants scaled to unit frame norm; every solver stage and
 every residual evaluation runs on it and maps only its results back, so the
-solve is equivariant under rescaling.
+solve is equivariant under rescaling.  What depends on n alone is planned
+once per n (:func:`_plan`): the packing and its unpacking gather, the
+constant Hessian tables, and the unit entries and commutator pairs of the
+quotient's multiplication matrices.
 
 Policy, as in :mod:`riemann`: the Weyl table, the Lee form gradient, both
 Weyl-Ricci routes, their cross-checks and the flatness verdicts are decided
@@ -38,6 +41,7 @@ Weyl-Einstein condition degenerates and none of the formulas below are used.
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
@@ -281,6 +285,41 @@ class SolveResult(NamedTuple):
     quotient_dim: int = 0
 
 
+_Plan = namedtuple("_Plan", "index weight hess curv hess_gram gather unit pairs")
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int) -> _Plan:
+    """The arrays of :class:`_ResidualSystem` that depend on n alone, built
+    once per n and read-only: the packed ``index`` (i <= j) and ``weight``,
+    ``hess``, ``curv``, the H_k^T H_l rows of ``gram``, the packed position
+    of each entry (the gather of ``unpack``), the constant entries of the
+    multiplication matrices and the pairs k < l of their commutators."""
+    eye = np.eye(n)
+    index = np.triu_indices(n)
+    weight = np.where(index[0] == index[1], 1.0, np.sqrt(2.0))
+    gather = np.empty((n, n), dtype=np.intp)
+    gather[index] = gather[index[::-1]] = np.arange(len(weight))
+    # hess[i, j, k, l] = d^2/dt_i dt_j of (n-2)(t_k t_l - |t|^2 delta_kl / n)
+    hess = (n - 2) * (
+        np.einsum("ik,jl->ijkl", eye, eye)
+        + np.einsum("il,jk->ijkl", eye, eye)
+        - (2.0 / n) * np.einsum("ij,kl->ijkl", eye, eye)
+    )
+    hess = (hess[..., index[0], index[1]] * weight).transpose(0, 2, 1).reshape(n, -1)
+    # curv[q] = hess[:, q, :], the Hessian of packed component q, flattened
+    curv = hess.reshape(n, len(weight), n).transpose(1, 0, 2).reshape(len(weight), -1)
+    hess_gram = (curv.T @ curv).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, -1)
+    ks = np.arange(n)
+    unit = np.zeros((n, n + 2, n + 2))
+    unit[ks, 1 + ks, 0] = unit[ks, n + 1, 1 + ks] = 1.0
+    k, l = index
+    pairs = (k[k < l], l[k < l])
+    for a in (k, l, weight, gather, hess, curv, hess_gram, unit, *pairs):
+        _read_only(a)
+    return _Plan(index, weight, hess, curv, hess_gram, gather, unit, pairs)
+
+
 class _ResidualSystem:
     """The Weyl-Einstein residual in an orthonormal frame, as a quadratic map.
 
@@ -319,7 +358,8 @@ class _ResidualSystem:
     rows and H_k^T H_l in row n + k n + l.  Everything is batched over the
     rows of ``t``.  ``const``, ``lin``, ``hess``, ``curv``, ``lin_gram`` and
     ``gram`` are read-only, because one system serves every evaluation on
-    its algebra (see :func:`_residual_system`).
+    its algebra (see :func:`_residual_system`), and ``hess`` and ``curv``,
+    with ``index`` and ``weight``, every system of its dimension.
     """
 
     def __init__(self, m: MetricLieAlgebra):
@@ -338,28 +378,17 @@ class _ResidualSystem:
         self.ric_scale = 1.0 + float(np.linalg.norm(ric))
         self.const_scale = self.ric_scale + float(np.sum(cf**2))
 
-        self.index = np.triu_indices(n)
-        self.weight = np.where(self.index[0] == self.index[1], 1.0, np.sqrt(2.0))
+        plan = _plan(n)
+        self.index, self.weight, self.hess, self.curv = plan[:4]
         self.const = _read_only(self._pack(ric - (self.scal / n) * eye))
         self.lin = _read_only(self._pack((n - 2) * (sym_adf - (tau / n)[:, None, None] * eye)).T)
         self.lin_norm = float(np.linalg.norm(self.lin))
-        # hess[i, j, k, l] = d^2/dt_i dt_j of (n-2)(t_k t_l - |t|^2 delta_kl / n)
-        hess = (n - 2) * (
-            np.einsum("ik,jl->ijkl", eye, eye)
-            + np.einsum("il,jk->ijkl", eye, eye)
-            - (2.0 / n) * np.einsum("ij,kl->ijkl", eye, eye)
-        )
-        self.hess = _read_only(self._pack(hess).transpose(0, 2, 1).reshape(n, -1))
-        # curv[q] = hess[:, q, :], the Hessian of packed component q, flattened
-        size = self.const.size
-        self.curv = _read_only(self.hess.reshape(n, size, n).transpose(1, 0, 2).reshape(size, -1))
         # the columns of curv are those of the stacked [H_0 ... H_{n-1}], so
-        # lin^T curv holds every lin^T H_k and curv^T curv every H_k^T H_l
+        # lin^T curv holds every lin^T H_k (curv^T curv every H_k^T H_l, per n)
         self.lin_gram = _read_only((self.lin.T @ self.lin).ravel())
         lin_h = (self.lin.T @ self.curv).reshape(n, n, n).transpose(1, 0, 2)
-        h_h = (self.curv.T @ self.curv).reshape(n, n, n, n).transpose(0, 2, 1, 3)
         self.gram = _read_only(np.concatenate(
-            ((lin_h + lin_h.transpose(0, 2, 1)).reshape(n, -1), h_h.reshape(n * n, -1))
+            ((lin_h + lin_h.transpose(0, 2, 1)).reshape(n, -1), plan.hess_gram)
         ))
 
     def _pack(self, sym: np.ndarray) -> np.ndarray:
@@ -368,14 +397,10 @@ class _ResidualSystem:
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Symmetric matrices from packed vectors (last axis); inverse of ``_pack``."""
-        out = np.empty(packed.shape[:-1] + (self.n, self.n))
-        # + 0.0 makes every zero +0.0, so the result is bit for bit the sum
-        # upper + upper^T - diag(upper) of tests/oracle.py: the sign of a
-        # zero can steer the reflections of the quotient's LAPACK calls
-        entries = packed / self.weight + 0.0
-        out[..., self.index[0], self.index[1]] = entries
-        out[..., self.index[1], self.index[0]] = entries
-        return out
+        # + 0.0 makes every zero +0.0 and the gather keeps the result C-ordered,
+        # bit for bit the sum upper + upper^T - diag(upper) of tests/oracle.py:
+        # zero signs and memory order steer the quotient's BLAS and LAPACK calls
+        return (packed / self.weight + 0.0).take(_plan(self.n).gather, axis=-1)
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
         return self.lin + (t @ self.hess).reshape(len(t), -1, self.n)
@@ -411,19 +436,16 @@ class _ResidualSystem:
         in the order of B.
         """
         n = self.n
-        p = self.unpack(np.vstack((self.const, self.lin.T))) / (2 - n)
+        p = self.unpack(np.concatenate((self.const[None], self.lin.T))) / (2 - n)
         p0, p1 = p[0], p[1:]  # p1[m] = dP / dt_m
-        ks = np.arange(n)
-        out = np.zeros((n, n + 2, n + 2))
-        out[ks, 1 + ks, 0] = 1.0
+        out = _plan(n).unit.copy()
         out[:, 0, 1 : n + 1] = p0
         out[:, 1 : n + 1, 1 : n + 1] = p1.transpose(1, 0, 2)
-        out[ks, n + 1, 1 + ks] = 1.0
         # (n-1) s t_k = sum_im P1[m,i,k] t_i t_m + sum_i P0[i,k] t_i, rewritten
         p1_k = p1.transpose(2, 0, 1).reshape(n, n * n)  # [k, (m, i)]
         out[:, 0, n + 1] = p1_k @ p0.ravel()
         out[:, 1 : n + 1, n + 1] = p0 + p1_k @ p1.transpose(2, 1, 0).reshape(n * n, n)
-        out[:, n + 1, n + 1] = np.trace(p1, axis1=0, axis2=1)
+        out[:, n + 1, n + 1] = p1.trace(axis1=0, axis2=1)
         out[:, :, n + 1] /= n - 1
         return out
 
@@ -456,6 +478,12 @@ def _combination_weights(n: int) -> np.ndarray:
     return _read_only(np.sqrt(np.array(primes, dtype=float)))
 
 
+def _commutators(mult: np.ndarray) -> np.ndarray:
+    """The commutators [M_k, M_l], k < l, of the multiplication matrices."""
+    k, l = _plan(len(mult)).pairs
+    return mult[k] @ mult[l] - mult[l] @ mult[k]
+
+
 def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
     """Dimension r of C[t]/(E) and its distinct real roots, one per row.
 
@@ -484,12 +512,7 @@ def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
     n = system.n
     size = n + 2
     mult = system.multiplication_matrices()
-    products = mult[:, None] @ mult
-    k, l = system.index
-    pairs = k < l
-    k, l = k[pairs], l[pairs]
-    commutators = products[k, l] - products[l, k]
-    relations = row_space(commutators.transpose(0, 2, 1), size)
+    relations = row_space(_commutators(mult).transpose(0, 2, 1), size)
     while 0 < len(relations) < size:
         shifted = (relations @ mult.transpose(0, 2, 1)).reshape(-1, size)
         grown = row_space(np.concatenate((relations, shifted)), size)
@@ -501,14 +524,14 @@ def _quotient_candidates(system: _ResidualSystem) -> tuple[int, np.ndarray]:
     annihilator = nullspace(relations)
     r = len(annihilator)
     restricted = annihilator @ mult.transpose(0, 2, 1) @ annihilator.T
-    ops = np.array([np.eye(r), *restricted, (restricted @ restricted).sum(axis=0) / n])
+    ops = np.concatenate((np.eye(r)[None], restricted, [(restricted @ restricted).sum(0) / n]))
     hermite = np.einsum("iab,jba->ij", ops, ops)
     _, sv, vh = np.linalg.svd(hermite, full_matrices=False)
     distinct = vh[: np.count_nonzero(sv > ROOT_FLOOR_EPS * sv[0])]
     combination = np.einsum("k,kab->ba", _combination_weights(n), mult)
     values, vecs = np.linalg.eig(distinct @ combination @ distinct.T)
     real = values.imag == 0.0
-    signature = int(np.sum(np.sign(np.linalg.eigvalsh(distinct @ hermite @ distinct.T))))
+    signature = int(np.sign(np.linalg.eigvalsh(distinct @ hermite @ distinct.T)).sum())
     if signature != np.count_nonzero(real):
         raise ConsistencyError(
             f"the quotient ring (dimension {r}) has {np.count_nonzero(real)} real eigenvalues "
@@ -594,7 +617,7 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
     trial = t0
     res_trial = system.residual(trial, system.jacobian(trial))
     cost_trial = np.einsum("bq,bq->b", res_trial, res_trial)
-    if np.all(cost_trial <= system.root_floor(np.sqrt(np.einsum("bi,bi->b", t0, t0))) ** 2):
+    if (cost_trial <= system.root_floor(np.sqrt(np.einsum("bi,bi->b", t0, t0))) ** 2).all():
         return t0.copy(), np.sqrt(cost_trial), np.zeros(b, dtype=np.intp)
 
     t_out = np.empty_like(t0)
@@ -685,8 +708,7 @@ def _seeded_search(system: _ResidualSystem, starts: int, seed: int):
 
 def _exit_counts(exit_codes: np.ndarray) -> dict:
     """Starts per exit rule, keyed by :data:`EXIT_REASONS`."""
-    counts = np.bincount(exit_codes, minlength=len(EXIT_REASONS))
-    return {reason: int(k) for reason, k in zip(EXIT_REASONS, counts)}
+    return dict(zip(EXIT_REASONS, np.bincount(exit_codes, minlength=len(EXIT_REASONS)).tolist()))
 
 
 def _is_a(value, kind) -> bool:
@@ -750,16 +772,16 @@ def solve_lee_forms(
     residuals: list[float] = []
     if len(candidates):
         t_final, res_final, exit_codes = _levenberg_marquardt(system, candidates)
-        worst = float(np.max(res_final))
+        worst = float(res_final.max())
         if not worst <= threshold:
             raise ConsistencyError(
                 f"a quotient ring candidate polished to residual {worst:.3e} at |c| = 1 "
                 f"(root tolerance {threshold:.3e}), but each of the {len(candidates)} candidates "
                 f"is a distinct real root (quotient dimension {quotient_dim})"
             )
-        infimum = float(np.min(res_final))
-        order = sorted(range(len(candidates)),
-                       key=lambda i: (np.linalg.norm(t_final[i]), tuple(t_final[i])))
+        infimum = float(res_final.min())
+        rows = t_final.tolist()
+        order = sorted(range(len(rows)), key=lambda i: (np.linalg.norm(t_final[i]), rows[i]))
         roots = [m.from_frame(lam * t_final[i]) for i in order]
         residuals = [lam**2 * float(res_final[i]) for i in order]
     elif starts is not None:

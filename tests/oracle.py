@@ -13,15 +13,22 @@ values up to rounding: the input-basis Gram-Schmidt through g inner products tha
 ``almost_abelian.decompose`` replaces by one QR in the orthonormal frame, the
 abelian-subspace test and the bracket span by three-operand einsums, the
 quotient dimension from the nullspace of the closed relations and the
-antisymmetry and Jacobi check by full-size einsums and masks.
+antisymmetry and Jacobi check by full-size einsums and masks.  The warm
+classify-and-solve path keeps its earlier forms here, each with the same bits
+as the faster one: the multiplication matrices unpacked by scatter into
+zeros, the commutators read off all n^2 products, ``decompose`` on a freshly
+built frame algebra with its QR operand by ``column_stack``, the frame maps
+by ``tensordot`` and the per-n tables of the residual system built per system.
 """
 import numpy as np
 
 from lieweyl import riemann
 from lieweyl.algebra import (
-    REL_TOL, ValidityReport, Violation, ad, coefficient_tolerance, nullspace, row_space,
+    REL_TOL, LieAlgebra, ValidityReport, Violation, _brackets, ad, coefficient_tolerance,
+    nullspace, row_space,
 )
-from lieweyl.errors import NumericInputError
+from lieweyl.almost_abelian import SIGNIFICANT_RTOL, AADecomposition, _ideal_system_plan
+from lieweyl.errors import ConsistencyError, NotAlmostAbelianError, NumericInputError
 from lieweyl.weyl import WEResidual
 
 
@@ -125,11 +132,7 @@ def quotient_dim_by_nullspace(system):
     r always read from the nullspace of the closed relations."""
     size = system.n + 2
     mult = system.multiplication_matrices()
-    products = mult[:, None] @ mult
-    k, l = system.index
-    pairs = k < l
-    commutators = products[k[pairs], l[pairs]] - products[l[pairs], k[pairs]]
-    relations = row_space(commutators.transpose(0, 2, 1), size)
+    relations = row_space(commutators_by_products(mult).transpose(0, 2, 1), size)
     first = len(relations)
     while 0 < len(relations) < size:
         shifted = (relations @ mult.transpose(0, 2, 1)).reshape(-1, size)
@@ -138,6 +141,106 @@ def quotient_dim_by_nullspace(system):
             break
         relations = grown
     return len(nullspace(relations)), first
+
+
+def multiplication_matrices_by_scatter(system):
+    """``weyl._ResidualSystem.multiplication_matrices`` with P unpacked by
+    scatter into an empty array and the unit entries set on zeros."""
+    n = system.n
+    packed = np.vstack((system.const, system.lin.T))
+    p = np.empty(packed.shape[:-1] + (n, n))
+    entries = packed / system.weight + 0.0
+    p[..., system.index[0], system.index[1]] = entries
+    p[..., system.index[1], system.index[0]] = entries
+    p = p / (2 - n)
+    p0, p1 = p[0], p[1:]
+    ks = np.arange(n)
+    out = np.zeros((n, n + 2, n + 2))
+    out[ks, 1 + ks, 0] = 1.0
+    out[:, 0, 1 : n + 1] = p0
+    out[:, 1 : n + 1, 1 : n + 1] = p1.transpose(1, 0, 2)
+    out[ks, n + 1, 1 + ks] = 1.0
+    p1_k = p1.transpose(2, 0, 1).reshape(n, n * n)
+    out[:, 0, n + 1] = p1_k @ p0.ravel()
+    out[:, 1 : n + 1, n + 1] = p0 + p1_k @ p1.transpose(2, 1, 0).reshape(n * n, n)
+    out[:, n + 1, n + 1] = np.trace(p1, axis1=0, axis2=1)
+    out[:, :, n + 1] /= n - 1
+    return out
+
+
+def commutators_by_products(mult):
+    """``weyl._commutators``: [M_k, M_l], k < l, read off all n^2 products."""
+    n = len(mult)
+    products = mult[:, None] @ mult
+    k, l = np.triu_indices(n, 1)
+    return products[k, l] - products[l, k]
+
+
+def tensor_in_basis_by_tensordot(tensor, basis, dual, upper=0):
+    """``frames.tensor_in_basis`` with each slot one ``np.tensordot``."""
+    for mat in [basis] * (tensor.ndim - upper) + [dual] * upper:
+        tensor = np.tensordot(tensor, mat, axes=(0, 0))
+    return tensor
+
+
+def residual_tables_by_system(system):
+    """(hess, curv, gram) of a ``weyl._ResidualSystem`` as each system built
+    them for itself: the einsum Hessian packed, and every H_k^T H_l by the
+    product curv^T curv."""
+    n, index, weight = system.n, system.index, system.weight
+    eye = np.eye(n)
+    hess = (n - 2) * (
+        np.einsum("ik,jl->ijkl", eye, eye)
+        + np.einsum("il,jk->ijkl", eye, eye)
+        - (2.0 / n) * np.einsum("ij,kl->ijkl", eye, eye)
+    )
+    hess = (hess[..., index[0], index[1]] * weight).transpose(0, 2, 1).reshape(n, -1)
+    size = len(weight)
+    curv = hess.reshape(n, size, n).transpose(1, 0, 2).reshape(size, -1)
+    lin_h = (system.lin.T @ curv).reshape(n, n, n).transpose(1, 0, 2)
+    h_h = (curv.T @ curv).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    gram = np.concatenate(((lin_h + lin_h.transpose(0, 2, 1)).reshape(n, -1), h_h.reshape(n * n, -1)))
+    return hess, curv, gram
+
+
+def decompose_by_column_stack(m):
+    """``almost_abelian.decompose`` without a hint, on a frame algebra built
+    and checked on every call, norms by ``np.linalg.norm`` and the QR
+    operand by ``column_stack``."""
+    n = m.dim
+    frame_algebra = LieAlgebra(m.frame_structure)
+    flat = frame_algebra.c.ravel()
+    system = np.concatenate((flat, -flat, [0.0]))[_ideal_system_plan(n)]
+    cutoff = REL_TOL * m.structure_scale
+    _, values, vh = np.linalg.svd(system, full_matrices=False)
+    admissible = vh[np.count_nonzero(values > cutoff):]
+    if len(admissible) == 0:
+        raise NotAlmostAbelianError("no codimension-one abelian ideal")
+    coords = admissible @ m.frame.T
+    size = np.linalg.norm(m.frame, axis=1)
+    large = np.linalg.norm(coords, axis=0) > SIGNIFICANT_RTOL * size
+    ell = admissible.T @ coords[:, np.argmax(large)]
+
+    b_f = ell / np.linalg.norm(ell)
+    b = m.frame @ b_f
+    significant = np.flatnonzero(np.abs(b) > SIGNIFICANT_RTOL * np.max(np.abs(b)))
+    if b[significant[0]] < 0:
+        b, b_f = -b, -b_f
+    j = significant[-1]
+    e_f = m._cholesky.T
+    q, r = np.linalg.qr(np.column_stack((b_f, e_f[:, :j], e_f[:, j + 1:])))
+    h_f = (q[:, 1:] * np.copysign(1.0, np.diag(r)[1:])).T
+
+    ad_b = ad(frame_algebra, b_f)
+    restricted = h_f @ ad_b @ h_f.T
+    if float(np.max(np.abs(ad_b @ h_f.T - h_f.T @ restricted))) > cutoff:
+        raise ConsistencyError("ad_normal leaves the ideal")
+    if n > 2 and float(np.max(np.abs(_brackets(frame_algebra, h_f, h_f)))) > cutoff:
+        raise ConsistencyError("computed ideal is not abelian")
+    return AADecomposition(ideal_basis=h_f @ m.frame.T, normal=b,
+                           skew=0.5 * (restricted - restricted.T),
+                           sym=0.5 * (restricted + restricted.T),
+                           unique_ideal=len(admissible) == 1)
 
 
 def _monomials(n: int, degree: int) -> list[tuple]:

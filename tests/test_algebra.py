@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lieweyl import LieAlgebra, ad, structure_flags, validate
-from lieweyl.algebra import REL_TOL, derived_subalgebra
+from lieweyl.algebra import REL_TOL, derived_subalgebra, nullspace
 from lieweyl.errors import NumericInputError, StructureError
 from lieweyl import samples
 from lieweyl.riemann import MetricLieAlgebra, change_basis
@@ -268,6 +268,36 @@ def test_validate_matches_the_einsum_oracle():
     assert kinds == {(), ("antisymmetry",), ("jacobi",), ("antisymmetry", "jacobi")}
     # the planted defects at twice the tolerance are there
     assert min(near.values()) >= 10, near
+
+
+def _full_svd_nullspace(a):
+    _, s, vh = np.linalg.svd(a)
+    return vh[np.count_nonzero(s > REL_TOL * s[0]):]
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((9, 4), 4), ((9, 4), 2), ((144, 12), 9),  # tall
+    ((5, 5), 5), ((5, 5), 3),  # square
+    ((3, 7), 3), ((2, 7), 1),  # wide
+    ((6, 3), 0), ((3, 3), 0), ((2, 5), 0),  # all zero
+])
+def test_nullspace_equals_the_right_factor_of_the_full_svd(shape, rank):
+    # a thin SVD of tall or square input gives the same right factor, bit for
+    # bit, without the full left factor; all-zero input gives the identity
+    rng = np.random.default_rng(sum(shape) + rank)
+    a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    got, want = nullspace(a), _full_svd_nullspace(a)
+    assert np.array_equal(got, want) and got.shape == (shape[1] - rank, shape[1])
+    if rank:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_nullspace_of_the_center_systems_equals_the_full_svd():
+    # the (n^2, n) system whose nullspace structure_flags reads as the center
+    for m in almost_abelian_draws(61):
+        n = m.dim
+        stacked = np.einsum("ijk->jki", m.c).reshape(n * n, n)
+        assert nullspace(stacked).tobytes() == _full_svd_nullspace(stacked).tobytes(), n
 
 
 def test_flags_heisenberg():

@@ -32,6 +32,7 @@ from lieweyl.riemann import (
 from lieweyl.weyl import LeeForm, lee_gradient
 from lieweyl import frames, samples, weyl
 from models import LADDER_MODELS, acceptance_mix
+import oracle
 from oracle import (
     dense_weyl_einstein_residual,
     macaulay_nullity,
@@ -311,6 +312,29 @@ def test_residual_system_is_built_once_per_algebra_and_read_only():
     for name in ("const", "lin", "hess", "curv", "lin_gram", "gram"):
         with pytest.raises(ValueError):
             getattr(system, name)[...] = 0.0
+
+
+def test_per_n_tables_are_shared_read_only_and_equal_a_per_system_build():
+    # hess, curv and the H_k^T H_l rows of gram depend on n alone: systems of
+    # one dimension share them, and they equal the tables each system once
+    # built for itself, bit for bit
+    rng = np.random.default_rng(43)
+    for n in (3, 4, 7, 10, 12):
+        systems = [weyl._ResidualSystem(samples.random_almost_abelian(rng, n, kind))
+                   for kind in ("einstein", "trace")]
+        first, second = systems
+        for name in ("index", "weight", "hess", "curv"):
+            assert getattr(first, name) is getattr(second, name), (n, name)
+        plan = weyl._plan(n)
+        assert weyl._plan(n) is plan
+        for array in (*plan.index, *plan.pairs, *plan[1:7]):
+            assert not array.flags.writeable, n
+        assert first.gram[n:].tobytes() == second.gram[n:].tobytes() == plan.hess_gram.tobytes()
+        for system in systems:
+            hess, curv, gram = oracle.residual_tables_by_system(system)
+            assert system.hess.tobytes() == hess.tobytes(), n
+            assert system.curv.tobytes() == curv.tobytes(), n
+            assert system.gram.tobytes() == gram.tobytes(), n
 
 
 @pytest.mark.parametrize("lam", [1e-8, 1e-6, 1e-3, 7.0, 1e6, 1e8])
