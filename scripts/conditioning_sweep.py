@@ -13,8 +13,9 @@ Two Weyl routes are scored on every draw.  The Weyl-Ricci cross-checks of a
 random Lee form theta (its own generator, seed + 1) are right when
 ``weyl_ricci`` raises nothing and its scalar is that of the undisturbed draw
 to 1e-6 (1 + |scal|).  At each nonzero closed classifier root, the numeric
-flatness verdicts (``weyl.conformal_flatness``) agree when they equal the
-spectral ones (``almost_abelian.conformal_metric_flatness``) of the moved draw.
+flatness verdicts (``weyl.conformal_flatness``) agree when the rescaled metric
+is Ricci-flat, as the theorem says, and flat exactly when the spectral verdict
+(``almost_abelian.conformal_metric_flatness``) of the moved draw says so.
 
 Flat draws (the Einstein family with k = 0) are counted apart: their one Lee
 form, 0, is a double root of the Weyl-Einstein residual, which rounding in
@@ -60,10 +61,10 @@ def weyl_scalar(m: riemann.MetricLieAlgebra, theta: np.ndarray) -> float:
 
 
 def flatness_agrees(m: riemann.MetricLieAlgebra, root: np.ndarray) -> bool:
-    """Whether the numeric flatness verdicts at ``root`` are the spectral ones."""
-    spectral = almost_abelian.conformal_metric_flatness(almost_abelian.decompose(m), m, root)
+    """Whether the numeric verdicts at ``root`` read Ricci-flat and the spectral flatness."""
+    flat = almost_abelian.conformal_metric_flatness(almost_abelian.decompose(m), m, root)
     numeric = weyl.conformal_flatness(m, root)
-    return (numeric.ricci_flat, numeric.flat) == tuple(spectral)
+    return numeric.ricci_flat and numeric.flat == flat
 
 
 def attempt(check) -> str:

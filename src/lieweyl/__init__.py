@@ -16,7 +16,6 @@ from .algebra import (
 from .almost_abelian import (
     AAClassification,
     AADecomposition,
-    RescaleVerdict,
     WEClass,
     build_semidirect,
     classify_weyl_einstein,
@@ -69,7 +68,6 @@ from .riemann import (
 from .weyl import (
     FaradayForm,
     FlatnessReport,
-    LeeForm,
     SolveResult,
     WEResidual,
     WeylStructure,

@@ -13,6 +13,10 @@ and the Weyl-Einstein equation collapses to a two-case test on traces of
   a single non-exact solution ``(tr sym / (n-2))`` times the dual of ``b``;
 * anything else admits no Weyl-Einstein structure.
 
+The metric rescaled by a nonzero Lee form is Ricci-flat in both cases;
+whether it is flat is read off the spectrum of ``sym``
+(:func:`conformal_metric_flatness`).
+
 The decomposition is deterministic.  The covectors l whose kernel is a
 codimension-one abelian ideal, with 0, form one linear space L; when it has
 dimension above one (abelian algebras, Heisenberg-plus-abelian) several ideals
@@ -327,11 +331,17 @@ def trace_case_instance(n: int, seed: np.ndarray, a: float) -> tuple[MetricLieAl
     if abs(a * a - norm_sq) > tol * (1.0 + norm_sq):
         raise InputError("need a^2 = tr(seed^2)")
 
-    sym = a * np.sqrt((n - 2) / (n - 1)) * np.eye(nh) + seed
-    m = build_semidirect(np.zeros((nh, nh)), sym)
+    shift, lee = _trace_case_scalars(n, a)
+    m = build_semidirect(np.zeros((nh, nh)), shift * np.eye(nh) + seed)
     theta = np.zeros(n)
-    theta[0] = a * np.sqrt((n - 1) / (n - 2))
+    theta[0] = lee
     return m, theta
+
+
+def _trace_case_scalars(n: int, a: float) -> tuple[float, float]:
+    """The scalar part a sqrt((n-2)/(n-1)) of a trace-case ``sym`` and its Lee
+    coefficient a sqrt((n-1)/(n-2)), for a traceless seed of norm |a|."""
+    return a * np.sqrt((n - 2) / (n - 1)), a * np.sqrt((n - 1) / (n - 2))
 
 
 def curvature_closed_form(dec: AADecomposition, m: MetricLieAlgebra) -> CurvatureData:
@@ -373,19 +383,14 @@ def curvature_closed_form(dec: AADecomposition, m: MetricLieAlgebra) -> Curvatur
     return CurvatureData(riem=riem, ricci=ricci, scalar=scalar)
 
 
-class RescaleVerdict(NamedTuple):
-    """Flatness of the conformal rescaling attached to a nonzero Lee form."""
-
-    ricci_flat: bool
-    flat: bool
-
-
 def conformal_metric_flatness(
     dec: AADecomposition, m: MetricLieAlgebra, theta: np.ndarray
-) -> RescaleVerdict:
-    """Spectral verdict for the rescaled metric of a nonzero Weyl-Einstein
-    Lee form: always Ricci-flat; flat exactly when ``sym`` is scalar or has
-    eigenvalue pattern (alpha repeated, 0 simple) with alpha nonzero."""
+) -> bool:
+    """Spectral flatness verdict for the rescaled metric of a nonzero
+    Weyl-Einstein Lee form.  That metric is always Ricci-flat, so only
+    flatness is returned (:func:`lieweyl.weyl.conformal_flatness` computes
+    both from the curvature); it is flat exactly when ``sym`` is scalar or
+    has eigenvalue pattern (alpha repeated, 0 simple) with alpha nonzero."""
     theta = _as_covector(m, theta)
     if m.covector_norm(theta) <= REL_TOL * m.structure_scale:
         raise PreconditionError("Lee form must be nonzero")
@@ -397,7 +402,7 @@ def conformal_metric_flatness(
 
     eigs = np.linalg.eigvalsh(dec.sym)
     ctol = EIGEN_CLUSTER_RTOL * float(np.max(np.abs(eigs)))
-    return RescaleVerdict(ricci_flat=True, flat=_is_flat_pattern(eigs, ctol))
+    return _is_flat_pattern(eigs, ctol)
 
 
 def _is_flat_pattern(eigs: np.ndarray, tol: float) -> bool:

@@ -16,8 +16,9 @@ the plane and m(z,z)=nu.
 Only the family/metric pairings that appear in the classification of which
 unimodular pairs admit a Weyl-Einstein structure are constructible; this
 keeps the closed-form membership table and the numeric solver comparable on
-every valid input.  :func:`admits_weyl_einstein` evaluates both and raises
-:class:`ConsistencyError` if they ever disagree.
+every valid input.  :func:`admits_weyl_einstein` evaluates both, raises
+:class:`ConsistencyError` if they ever disagree, and otherwise returns the one
+verdict they share with the solver's Lee forms.
 """
 from __future__ import annotations
 
@@ -175,31 +176,28 @@ def table_admits(point: Family3D) -> bool:
 
 
 class Verdict3D(NamedTuple):
-    """Agreement object: table verdict, solver verdict, and the Lee forms."""
+    """The verdict the table and the solver agree on, and the solver's Lee forms."""
 
     admits: bool
     lee_forms: tuple
-    by_table: bool
-    by_solver: bool
 
 
 def admits_weyl_einstein(point: Family3D) -> Verdict3D:
     """Evaluate a catalog point with both the table and the numeric solver.
 
     A disagreement raises :class:`ConsistencyError`; it would mean either a
-    solver completeness failure or a wrong table entry.
+    solver completeness failure or a wrong table entry.  So a returned
+    ``admits`` is the verdict of both.
     """
     m = build_family(point)
     by_table = table_admits(point)
-    result = weyl.solve_lee_forms(m)
-    by_solver = len(result.roots) > 0
+    roots = weyl.solve_lee_forms(m).roots
+    by_solver = bool(roots)
     if by_table != by_solver:
         raise ConsistencyError(
             f"table and solver disagree on {point} (table {by_table}, solver {by_solver})"
         )
-    return Verdict3D(
-        admits=by_table, lee_forms=result.roots, by_table=by_table, by_solver=by_solver
-    )
+    return Verdict3D(admits=by_table, lee_forms=roots)
 
 
 class FrameKind(enum.Enum):

@@ -1,9 +1,14 @@
 """Command line interface.
 
 Subcommands operate on MLA files (see :mod:`lieweyl.mla`) and print report
-records to stdout.  Exit codes: 0 success, 1 domain failure (well-formed
-input without the requested structure, or an internal consistency alarm),
-2 malformed input (bad files, bad parameters, usage errors).
+records to stdout.  The five file commands share one path: read the
+document, build the command's record sections in order, emit.  ``report``
+is the other four sections, with an almost abelian section that marks an
+algebra without a codimension-one abelian ideal instead of failing;
+``catalog3d`` writes a document instead of reading one.  Exit codes: 0
+success, 1 domain failure (well-formed input without the requested
+structure, or an internal consistency alarm), 2 malformed input (bad files,
+bad parameters, usage errors).
 """
 from __future__ import annotations
 
@@ -18,16 +23,21 @@ from .errors import InputError, LieweylError, NotAlmostAbelianError
 from .mla import MlaDocument, ReportRecord
 
 
-def _read_document(path: str) -> MlaDocument:
+def _run_file_command(args) -> str:
+    """Read the document, build the command's record sections in order, emit."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return mla.parse_mla(text)
+        raise InputError(f"cannot read {args.file}: {exc}") from exc
+    m = mla.parse_mla(text).to_metric_lie_algebra()
+    records = []
+    for section in args.sections:
+        records += section(m, args)
+    return mla.emit_report(records, args.format)
 
 
-def _validate_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
+def _validate_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
     flags = structure_flags(m.algebra)
     return [
         ReportRecord("algebra.dim", m.dim),
@@ -41,7 +51,7 @@ def _validate_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
     ]
 
 
-def _curvature_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
+def _curvature_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
     table = riemann.levi_civita(m)
     data = riemann.ricci(m)
     records = [
@@ -55,7 +65,7 @@ def _curvature_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
     return records
 
 
-def _weyl_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
+def _weyl_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
     result = weyl.solve_lee_forms(m)
     records = [ReportRecord("weyl.root_count", len(result.roots))]
     for idx, (root, residual) in enumerate(zip(result.roots, result.residuals)):
@@ -67,7 +77,8 @@ def _weyl_records(m: riemann.MetricLieAlgebra) -> list[ReportRecord]:
     return records
 
 
-def _aa_records(m: riemann.MetricLieAlgebra, hint: np.ndarray | None) -> list[ReportRecord]:
+def _aa_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
+    hint = _parse_ideal_option(args.ideal, m.dim) if args.ideal else None
     dec = almost_abelian.decompose(m, hint=hint)
     cls = almost_abelian.classify_weyl_einstein(dec, m)
     records = [
@@ -87,10 +98,19 @@ def _aa_records(m: riemann.MetricLieAlgebra, hint: np.ndarray | None) -> list[Re
             ReportRecord(f"aa.lee_forms[{idx}].residual", weyl.weyl_einstein_residual(m, root).norm)
         )
         if m.covector_norm(root) > REL_TOL * m.structure_scale:
-            verdict = almost_abelian.conformal_metric_flatness(dec, m, root)
-            records.append(ReportRecord(f"aa.lee_forms[{idx}].ricci_flat", verdict.ricci_flat))
-            records.append(ReportRecord(f"aa.lee_forms[{idx}].flat", verdict.flat))
+            flat = almost_abelian.conformal_metric_flatness(dec, m, root)
+            records.append(ReportRecord(f"aa.lee_forms[{idx}].flat", flat))
     return records
+
+
+def _report_aa_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
+    """The almost abelian section of ``report``, which marks an algebra
+    without a codimension-one abelian ideal instead of failing."""
+    try:
+        records = _aa_records(m, args)
+    except NotAlmostAbelianError:
+        return [ReportRecord("aa.almost_abelian", False)]
+    return [ReportRecord("aa.almost_abelian", True)] + records
 
 
 def _parse_ideal_option(text: str, dim: int) -> np.ndarray:
@@ -107,41 +127,6 @@ def _parse_ideal_option(text: str, dim: int) -> np.ndarray:
             f"got rows of {[len(row) for row in rows]} numbers"
         )
     return np.array(rows, dtype=float)
-
-
-def _cmd_validate(args) -> str:
-    m = _read_document(args.file).to_metric_lie_algebra()
-    return mla.emit_report(_validate_records(m), args.format)
-
-
-def _cmd_curvature(args) -> str:
-    m = _read_document(args.file).to_metric_lie_algebra()
-    return mla.emit_report(_curvature_records(m), args.format)
-
-
-def _cmd_weyl_solve(args) -> str:
-    m = _read_document(args.file).to_metric_lie_algebra()
-    return mla.emit_report(_weyl_records(m), args.format)
-
-
-def _cmd_aa_classify(args) -> str:
-    m = _read_document(args.file).to_metric_lie_algebra()
-    hint = _parse_ideal_option(args.ideal, m.dim) if args.ideal else None
-    return mla.emit_report(_aa_records(m, hint), args.format)
-
-
-def _cmd_report(args) -> str:
-    m = _read_document(args.file).to_metric_lie_algebra()
-    records = _validate_records(m) + _curvature_records(m)
-    records += _weyl_records(m)
-    try:
-        aa = _aa_records(m, None)
-    except NotAlmostAbelianError:
-        records.append(ReportRecord("aa.almost_abelian", False))
-    else:
-        records.append(ReportRecord("aa.almost_abelian", True))
-        records += aa
-    return mla.emit_report(records, args.format)
 
 
 _FAMILIES = {
@@ -169,6 +154,10 @@ def _cmd_catalog3d(args) -> str:
             raise InputError("--t only applies to the gt family")
         t = 0.0
 
+    if args.mu is not None and args.metric not in ("g", "h"):
+        raise InputError("--mu only applies to --metric g or h")
+    if args.nu is not None and args.metric == "std":
+        raise InputError("--nu does not apply to --metric std")
     if args.metric == "std":
         metric = catalog3d.MetricFamily.STD
     elif args.metric == "g":
@@ -183,15 +172,13 @@ def _cmd_catalog3d(args) -> str:
         metric_family=metric,
         t=float(t),
         mu=float(args.mu) if args.mu is not None else 1.0,
-        nu=float(args.nu),
+        nu=float(args.nu) if args.nu is not None else 1.0,
     )
     m = catalog3d.build_family(point)
     verdict = catalog3d.admits_weyl_einstein(point)
 
     records = [
         ReportRecord("cl3.admits", verdict.admits),
-        ReportRecord("cl3.by_table", verdict.by_table),
-        ReportRecord("cl3.by_solver", verdict.by_solver),
         ReportRecord("cl3.root_count", len(verdict.lee_forms)),
     ]
     for idx, root in enumerate(verdict.lee_forms):
@@ -220,45 +207,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="MLA document")
+    def add_file_command(name, help_text, *sections):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="MLA document")
         p.add_argument(
             "--format", choices=("text", "records"), default="text",
             help="output style: aligned text or machine-readable records",
         )
+        p.set_defaults(run=_run_file_command, sections=sections, ideal=None)
+        return p
 
-    p = sub.add_parser("validate", help="check a document and print structure flags")
-    add_common(p)
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser("curvature", help="connection, Ricci (both routes), scalar, Einstein defect")
-    add_common(p)
-    p.set_defaults(run=_cmd_curvature)
-
-    p = sub.add_parser("weyl-solve", help="find all Weyl-Einstein Lee forms")
-    add_common(p)
-    p.set_defaults(run=_cmd_weyl_solve)
-
-    p = sub.add_parser("aa-classify", help="almost abelian decomposition and classification")
-    add_common(p)
+    add_file_command("validate", "check a document and print structure flags", _validate_records)
+    add_file_command("curvature", "connection, Ricci (both routes), scalar, Einstein defect",
+                     _curvature_records)
+    add_file_command("weyl-solve", "find all Weyl-Einstein Lee forms", _weyl_records)
+    p = add_file_command("aa-classify", "almost abelian decomposition and classification",
+                         _aa_records)
     p.add_argument(
         "--ideal", default=None,
         help="optional ideal hint: rows separated by ';', numbers by spaces or commas",
     )
-    p.set_defaults(run=_cmd_aa_classify)
 
     p = sub.add_parser("catalog3d", help="emit a 3D catalog member with its verdict")
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--metric", choices=("std", "g", "h", "m"), required=True)
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=1.0)
+    p.add_argument("--nu", type=float, default=None)
     p.set_defaults(run=_cmd_catalog3d)
 
-    p = sub.add_parser("report", help="full report: flags, curvature, Weyl solve, classification")
-    add_common(p)
-    p.set_defaults(run=_cmd_report)
+    add_file_command("report", "full report: flags, curvature, Weyl solve, classification",
+                     _validate_records, _curvature_records, _weyl_records, _report_aa_records)
 
     return parser
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import catalog3d, riemann
 from .algebra import LieAlgebra
-from .almost_abelian import _is_flat_pattern, build_semidirect
+from .almost_abelian import _is_flat_pattern, _trace_case_scalars, build_semidirect
 from .errors import InputError
 from .riemann import MetricLieAlgebra
 
@@ -81,14 +81,14 @@ def random_covector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n)
 
 
-def _random_skew(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def _random_skew(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
-    return scale * 0.5 * (a - a.T)
+    return 0.5 * (a - a.T)
 
 
-def _random_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def _random_sym(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
-    return scale * 0.5 * (a + a.T)
+    return 0.5 * (a + a.T)
 
 
 def random_almost_abelian(
@@ -104,6 +104,8 @@ def random_almost_abelian(
     """
     if dim < 3:
         raise InputError(f"need dimension at least 3, got {dim}")
+    if kind not in ("einstein", "trace", "generic"):
+        raise InputError(f"unknown kind {kind!r}: need einstein, trace or generic")
     nh = dim - 1
     if kind == "einstein":
         k = 0.0 if rng.random() < 0.2 else float(rng.uniform(-1.5, 1.5))
@@ -111,7 +113,7 @@ def random_almost_abelian(
         m = build_semidirect(skew, k * np.eye(nh))
     elif kind == "trace":
         m, _ = random_trace_case(rng, dim)
-    elif kind == "generic":
+    else:
         for _ in range(1000):
             sym = _random_sym(rng, nh)
             skew = _random_skew(rng, nh)
@@ -127,8 +129,6 @@ def random_almost_abelian(
         else:  # reached from n = 10 on: the margin grows like |sym|^2, faster than off_scalar
             raise RuntimeError("rejection sampling failed")
         m = build_semidirect(skew, sym)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     if basis_change:
         m = riemann.change_basis(m, random_basis_change(rng, dim))
     return m
@@ -170,8 +170,8 @@ def random_trace_case(
         if float(np.linalg.norm(seed_eigs)) < 0.4:
             continue
         a = float(np.linalg.norm(seed_eigs)) * (1.0 if rng.random() < 0.5 else -1.0)
-        sym_eigs = a * np.sqrt((n - 2) / (n - 1)) + seed_eigs
-        mu = a * np.sqrt((n - 1) / (n - 2))
+        shift, mu = _trace_case_scalars(n, a)
+        sym_eigs = shift + seed_eigs
         if flat_pattern is False and _is_flat_pattern(sym_eigs, tol=0.05):
             continue
         break

@@ -33,7 +33,9 @@ quotient's multiplication matrices.
 Policy, as in :mod:`riemann`: the Weyl table, the Lee form gradient, both
 Weyl-Ricci routes, their cross-checks and the flatness verdicts are decided
 on the frame tables with t = U^T theta, the frame components of the Lee form
-and of its g-dual vector, and mapped back only for output.
+and of its g-dual vector, and mapped back only for output.  A Lee form is a
+plain covector in the standard dual basis everywhere, read-only inside a
+:class:`WeylStructure`; its g-norm is ``MetricLieAlgebra.covector_norm``.
 
 Everything here requires dimension at least 3: in lower dimensions the
 Weyl-Einstein condition degenerates and none of the formulas below are used.
@@ -73,27 +75,7 @@ MAX_STARTS = 10**5
 ROOT_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
-class LeeForm(NamedTuple):
-    """A covector with its g-dual vector and squared g-norm attached, both
-    read off its frame components t = U^T theta: dual = U t, norm_sq = t . t."""
-
-    coeffs: np.ndarray
-    dual: np.ndarray
-    norm_sq: float
-
-    @classmethod
-    def from_covector(cls, m: MetricLieAlgebra, coeffs: np.ndarray) -> "LeeForm":
-        coeffs = np.array(_as_covector(m, coeffs))
-        t = m.frame.T @ coeffs
-        dual = m.frame @ t
-        coeffs.setflags(write=False)
-        dual.setflags(write=False)
-        return cls(coeffs=coeffs, dual=dual, norm_sq=float(t @ t))
-
-
 def _as_covector(m: MetricLieAlgebra, theta) -> np.ndarray:
-    if isinstance(theta, LeeForm):
-        return theta.coeffs
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (m.dim,):
         raise StructureError(f"covector must have shape ({m.dim},), got {theta.shape}")
@@ -103,16 +85,20 @@ def _as_covector(m: MetricLieAlgebra, theta) -> np.ndarray:
 
 
 class WeylStructure(NamedTuple):
+    """A metric Lie algebra, the Lee form as a read-only covector, and the
+    table of its Weyl connection."""
+
     base: MetricLieAlgebra
-    lee: LeeForm
+    lee: np.ndarray
     table: ConnectionTable
 
 
 def weyl_connection(m: MetricLieAlgebra, theta) -> WeylStructure:
     if m.dim < 3:
         raise DimensionError("Weyl structures need dimension at least 3")
-    lee = LeeForm.from_covector(m, theta)
-    table = m.from_frame(_frame_weyl_table(m, m.frame.T @ lee.coeffs), upper=1)
+    lee = np.array(_as_covector(m, theta))
+    lee.setflags(write=False)
+    table = m.from_frame(_frame_weyl_table(m, m.frame.T @ lee), upper=1)
     return WeylStructure(base=m, lee=lee, table=ConnectionTable(table))
 
 
@@ -205,7 +191,7 @@ def weyl_ricci(w: WeylStructure) -> tuple[np.ndarray, float]:
     routes run in the frame, on the base algebra and the Lee form.
     """
     m = w.base
-    ric, scalar = _frame_weyl_ricci(m, m.frame.T @ w.lee.coeffs)
+    ric, scalar = _frame_weyl_ricci(m, m.frame.T @ w.lee)
     return m.from_frame(ric), scalar
 
 

@@ -105,7 +105,7 @@ def test_catalog3d_grid_agreement():
             degenerate += 1
             continue
         verdict = catalog3d.admits_weyl_einstein(point)
-        assert verdict.by_table == verdict.by_solver == expected, (point, verdict)
+        assert verdict.admits == bool(verdict.lee_forms) == expected, (point, verdict)
         checked += 1
     elapsed = time.perf_counter() - start
     print(f"catalog grid: {checked} verdicts + {degenerate} degenerate in {elapsed:.1f}s")
@@ -168,12 +168,12 @@ def test_trace_case_rescalings_are_ricci_flat_and_flat_iff_spectral():
         bound = CONFORMAL_RTOL * (1.0 + np.linalg.norm(m.frame_curvature.ricci))
         assert np.linalg.norm(m.frame.T @ ric_w @ m.frame) <= bound
         dec = almost_abelian.decompose(m)
-        spectral = almost_abelian.conformal_metric_flatness(dec, m, theta)
+        flat = almost_abelian.conformal_metric_flatness(dec, m, theta)
         numeric = weyl.conformal_flatness(m, theta)
-        assert spectral.ricci_flat and numeric.ricci_flat
-        assert spectral.flat == numeric.flat
-        n_flat += spectral.flat
-        n_nonflat += not spectral.flat
+        assert numeric.ricci_flat
+        assert flat == numeric.flat
+        n_flat += flat
+        n_nonflat += not flat
     print(f"trace-case rescalings: {n_flat} flat, {n_nonflat} curved")
     assert n_flat >= 20 and n_nonflat >= 20
 

@@ -241,15 +241,13 @@ def test_conformal_metric_flatness_witness():
     m = build_semidirect(np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 3.0]))
     theta = np.zeros(5)
     theta[0] = 2.0
-    verdict = conformal_metric_flatness(decompose(m), m, theta)
-    assert verdict.ricci_flat and not verdict.flat
+    assert conformal_metric_flatness(decompose(m), m, theta) is False
 
 
 def test_conformal_metric_flatness_flat_pattern():
     rng = np.random.default_rng(5)
     m, theta = samples.random_trace_case(rng, 5, flat_pattern=True)
-    verdict = conformal_metric_flatness(decompose(m), m, theta)
-    assert verdict.ricci_flat and verdict.flat
+    assert conformal_metric_flatness(decompose(m), m, theta) is True
 
 
 def test_conformal_metric_flatness_preconditions():
@@ -349,7 +347,7 @@ def test_flatness_verdict_is_scale_free():
     # the eigenvalue clusters at the spectrum's own size
     m, theta = trace_case_instance(5, np.diag([1.0, 2.0, -1.0, -2.0]), np.sqrt(10.0))
     base = conformal_metric_flatness(decompose(m), m, theta)
-    assert base.ricci_flat and not base.flat
+    assert base is False
     for lam in (1e-10, 1e-8, 1.0, 1e8):
         moved = _rescaled(m, lam)
         dec = decompose(moved)
@@ -469,10 +467,13 @@ def test_structure_flags_match_the_einsum_bracket_span(monkeypatch):
 def test_random_generators_refuse_dimension_two_before_drawing():
     rng = np.random.default_rng(7)
     state = rng.bit_generator.state
-    for draw in (lambda: samples.random_metric_algebra(rng, 2),
-                 lambda: samples.random_almost_abelian(rng, 2, "einstein"),
-                 lambda: samples.random_trace_case(rng, 2)):
-        with pytest.raises(InputError, match="dimension at least 3"):
+    for draw, message in ((lambda: samples.random_metric_algebra(rng, 2), "dimension at least 3"),
+                          (lambda: samples.random_almost_abelian(rng, 2, "einstein"),
+                           "dimension at least 3"),
+                          (lambda: samples.random_trace_case(rng, 2), "dimension at least 3"),
+                          (lambda: samples.random_almost_abelian(rng, 4, "bogus"),
+                           "unknown kind 'bogus'")):
+        with pytest.raises(InputError, match=message):
             draw()
         assert rng.bit_generator.state == state
 

@@ -176,7 +176,6 @@ def test_aa_classify_basics(tmp_path):
     assert records["aa.case"] == "EinsteinFamily"
     assert records["aa.coefficient"] == pytest.approx(1.0)
     assert records["aa.root_count"] == 2
-    assert records["aa.lee_forms[1].ricci_flat"] is True
     assert records["aa.lee_forms[1].flat"] is True
 
 
@@ -398,8 +397,6 @@ def test_catalog3d_emits_parseable_document():
     assert np.allclose(np.asarray(m.metric), np.diag([1.0, 1.0, 2.0]))
     records = mla.parse_records(proc.stdout)
     assert records["cl3.admits"] is True
-    assert records["cl3.by_table"] is True
-    assert records["cl3.by_solver"] is True
     assert records["cl3.root_count"] == 2
     assert records["normalform.kind"] == "similarity"
     assert records["normalform.k"] == pytest.approx(1.0 / np.sqrt(2.0))
@@ -407,7 +404,7 @@ def test_catalog3d_emits_parseable_document():
 
 
 def test_catalog3d_non_admitting_point():
-    proc = run_cli("catalog3d", "--family", "sol", "--metric", "std", "--nu", "1.0")
+    proc = run_cli("catalog3d", "--family", "sol", "--metric", "std")
     assert proc.returncode == 0
     records = mla.parse_records(proc.stdout)
     assert records["cl3.admits"] is False
@@ -433,13 +430,16 @@ def test_catalog3d_rejects_unpaired_metric():
 @pytest.mark.parametrize(
     "options",
     [
-        ("--family", "gt"),  # gt needs --t
-        ("--family", "sol", "--t", "2"),  # --t only applies to gt
-        ("--family", "g0", "--t", "2"),  # g0 fixes t = 0
+        ("--family", "gt", "--metric", "std"),  # gt needs --t
+        ("--family", "sol", "--t", "2", "--metric", "std"),  # --t only applies to gt
+        ("--family", "g0", "--t", "2", "--metric", "std"),  # g0 fixes t = 0
+        ("--family", "sol", "--metric", "std", "--mu", "3"),  # --mu only applies to g and h
+        ("--family", "sol", "--metric", "m", "--mu", "2"),
+        ("--family", "abelian", "--metric", "std", "--nu", "-5"),  # std reads no --nu
     ],
 )
 def test_catalog3d_flag_rules_exit_two(options):
-    proc = run_cli("catalog3d", *options, "--metric", "std")
+    proc = run_cli("catalog3d", *options)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error[input]:")
     assert proc.stdout == ""

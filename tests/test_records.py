@@ -19,14 +19,12 @@ FIELDS = {
                        "center_dim"),
     "AADecomposition": ("ideal_basis", "normal", "skew", "sym", "unique_ideal"),
     "AAClassification": ("case", "coefficient", "lee_forms"),
-    "RescaleVerdict": ("ricci_flat", "flat"),
     "Family3D": ("family", "metric_family", "t", "mu", "nu"),
-    "Verdict3D": ("admits", "lee_forms", "by_table", "by_solver"),
+    "Verdict3D": ("admits", "lee_forms"),
     "AdaptedFrame3D": ("kind", "basis", "k", "l", "alpha"),
     "ReportRecord": ("key", "value"),
     "ConnectionTable": ("gamma",),
     "CurvatureData": ("riem", "ricci", "scalar", "besse"),
-    "LeeForm": ("coeffs", "dual", "norm_sq"),
     "WeylStructure": ("base", "lee", "table"),
     "FaradayForm": ("matrix", "closed", "exact"),
     "WEResidual": ("matrix", "norm"),

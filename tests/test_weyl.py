@@ -29,7 +29,7 @@ from lieweyl.riemann import (
     levi_civita,
     torsion_residual,
 )
-from lieweyl.weyl import LeeForm, lee_gradient
+from lieweyl.weyl import lee_gradient
 from lieweyl import frames, samples, weyl
 from models import LADDER_MODELS, acceptance_mix
 import oracle
@@ -57,7 +57,12 @@ def _rescaled(m, lam):
 
 def test_weyl_connection_abelian_table():
     m = samples.abelian(3)
-    w = weyl_connection(m, np.array([1.0, 0.0, 0.0]))
+    theta = np.array([1.0, 0.0, 0.0])
+    w = weyl_connection(m, theta)
+    # the Lee form is kept as a read-only copy of the covector
+    theta[0] = 2.0
+    np.testing.assert_array_equal(w.lee, [1.0, 0.0, 0.0])
+    assert not w.lee.flags.writeable
     gamma = w.table.gamma
     np.testing.assert_allclose(gamma[0, 0], [1.0, 0.0, 0.0], atol=TOL)
     np.testing.assert_allclose(gamma[1, 1], [-1.0, 0.0, 0.0], atol=TOL)
@@ -862,8 +867,7 @@ def test_calibration_sign():
     m = MetricLieAlgebra(alg, np.eye(3))
     theta = np.array([1.0, 0.0, 0.0])
     r4 = np.einsum("ijkm,ml->ijkl", curvature(m, levi_civita(m)), m.metric)
-    lee = LeeForm.from_covector(m, theta)
-    b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * lee.norm_sq * m.metric
+    b = lee_gradient(m, theta) - np.outer(theta, theta) + 0.5 * m.covector_norm(theta)**2 * m.metric
     prod = kulkarni_nomizu(m.metric, b)
     gap_plus = float(np.linalg.norm(r4 - prod))
     gap_minus = float(np.linalg.norm(r4 + prod))
@@ -930,7 +934,7 @@ def test_weyl_ricci_cross_check_alarm_names_routes_gaps_and_tolerances(monkeypat
     for lam in (1.0, 1e8):
         m = _rescaled(sol(), lam)  # a fresh instance: nothing is cached yet
         w = weyl_connection(m, lam * np.array([0.3, -0.2, 0.5]))
-        t = m.frame.T @ w.lee.coeffs
+        t = m.frame.T @ w.lee
         honest = weyl._frame_weyl_ricci_formula
 
         def skewed(m, t):
