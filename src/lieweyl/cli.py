@@ -158,6 +158,8 @@ def _cmd_catalog3d(args) -> str:
         raise InputError("--mu only applies to --metric g or h")
     if args.nu is not None and args.metric == "std":
         raise InputError("--nu does not apply to --metric std")
+    if args.mu is None and args.metric == "h":
+        raise InputError("--metric h needs --mu")
     if args.metric == "std":
         metric = catalog3d.MetricFamily.STD
     elif args.metric == "g":

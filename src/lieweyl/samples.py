@@ -77,10 +77,6 @@ def conditioned_basis(rng: np.random.Generator, n: int, kappa: float) -> np.ndar
     return random_orthogonal(rng, n) @ np.diag(s) @ random_orthogonal(rng, n)
 
 
-def random_covector(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n)
-
-
 def _random_skew(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return 0.5 * (a - a.T)

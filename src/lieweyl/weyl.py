@@ -138,26 +138,14 @@ def faraday(m: MetricLieAlgebra, theta) -> FaradayForm:
     return FaradayForm(matrix=-np.einsum("ijk,k->ij", m.c, theta), closed=closed, exact=exact)
 
 
-def lee_gradient(m: MetricLieAlgebra, theta) -> np.ndarray:
-    """Covariant derivative of the Lee form as a bilinear form (D theta)(x, y)."""
-    return m.from_frame(_frame_lee_gradient(m, m.frame.T @ _as_covector(m, theta)))
-
-
 def _frame_lee_gradient(m: MetricLieAlgebra, t: np.ndarray) -> np.ndarray:
     return np.einsum("ipm,p->im", m.frame_connection, t)
 
 
-def weyl_ricci_formula(m: MetricLieAlgebra, theta) -> tuple[np.ndarray, float]:
-    """Ricci form and scalar of the Weyl connection from the base-metric data.
-
-    Uses Ric^D = Ric^g - (n-2)(D theta - theta(x)theta) + (delta theta
-    - (n-2)|theta|^2) g and its trace; no Weyl curvature tensor is formed.
-    """
-    ric, scalar = _frame_weyl_ricci_formula(m, m.frame.T @ _as_covector(m, theta))
-    return m.from_frame(ric), scalar
-
-
 def _frame_weyl_ricci_formula(m: MetricLieAlgebra, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ricci form and scalar of the Weyl connection from the base-metric data,
+    in the frame: Ric^D = Ric^g - (n-2)(D theta - theta(x)theta) + (delta theta
+    - (n-2)|theta|^2) g and its trace; no Weyl curvature tensor is formed."""
     n = m.dim
     cf = m.frame_structure
     grad = _frame_lee_gradient(m, t)
@@ -389,11 +377,20 @@ class _ResidualSystem:
         return (packed / self.weight + 0.0).take(_plan(self.n).gather, axis=-1)
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
-        return self.lin + (t @ self.hess).reshape(len(t), -1, self.n)
+        # lin is added into the product it already holds: one batch-sized
+        # array, with the bits of lin + (t @ hess) (see tests/oracle.py)
+        jac = (t @ self.hess).reshape(len(t), -1, self.n)
+        jac += self.lin
+        return jac
 
     def residual(self, t: np.ndarray, jac: np.ndarray) -> np.ndarray:
         """Packed E(t), given ``jac = self.jacobian(t)``."""
-        return self.const + 0.5 * ((jac @ t[:, :, None])[:, :, 0] + t @ self.lin.T)
+        # const + 0.5 * (J t + lin t), accumulated into J t in that order
+        res = (jac @ t[:, :, None])[:, :, 0]
+        res += t @ self.lin.T
+        res *= 0.5
+        res += self.const
+        return res
 
     def root_floor(self, t_norm: np.ndarray) -> np.ndarray:
         """Residual norm below which E is rounding noise, at points of norm ``t_norm``.
@@ -638,6 +635,8 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
         np.copyto(newton, newton_trial, where=better[:, None])
         np.copyto(grad, grad_trial, where=better[:, None])
         np.copyto(cost, cost_trial, where=better)
+        # spent: freed now, so the next batch-sized arrays reuse their memory
+        del res_trial, s_r, powers, newton_trial, grad_trial
         lam = np.where(better, np.maximum(lam / 3.0, 1e-14), 4.0 * lam)
 
         t_norm = np.sqrt(np.einsum("bi,bi->b", t, t))
@@ -648,24 +647,31 @@ def _levenberg_marquardt(system: _ResidualSystem, t0: np.ndarray, max_iter: int 
         if it == max_iter - 1:
             done[:] = True
         if done.any():
-            out = rows[done]
-            t_out[out] = t[done]
-            res_out[out] = np.sqrt(cost[done])
+            # integer takes copy the surviving rows faster than boolean masks
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out = rows[gone]
+            t_out[out] = t[gone]
+            res_out[out] = np.sqrt(cost[gone])
             exit_out[out] = np.where(
-                at_floor[done], 0, np.where(stalled[done], 1, np.where(damped[done], 2, 3))
+                at_floor[gone], 0, np.where(stalled[gone], 1, np.where(damped[gone], 2, 3))
             )
-            keep = ~done
-            if not keep.any():
+            if not len(keep):
                 break
-            rows, t, lam = rows[keep], t[keep], lam[keep]
-            newton, grad, cost = newton[keep], grad[keep], cost[keep]
+            rows, t, lam = rows[keep], t.take(keep, axis=0), lam[keep]
+            newton, grad, cost = newton.take(keep, axis=0), grad.take(keep, axis=0), cost[keep]
 
         # The ridge keeps the normal matrix invertible even when a start sits
         # on a root whose Jacobian has an exact null direction; an absolute
         # floor alone underflows against large diagonal entries.
         normal = newton.reshape(-1, n, n)
         ridge = lam + 1e-13 * (1.0 + np.trace(normal, axis1=1, axis2=2) / n)
-        delta, refused = _solve_rows(normal + ridge[:, None, None] * eye, grad[:, :, None])
+        # ridge I + N in one new array, bit for bit N + ridge I; shifting the
+        # diagonal of a copy of N would keep its off-diagonal -0.0, where
+        # the sum gives +0.0
+        shifted = ridge[:, None, None] * eye
+        shifted += normal
+        delta, refused = _solve_rows(shifted, grad[:, :, None])
+        del shifted
         trial = t + delta
         slope = np.einsum("bi,bi->b", grad, delta)
         refused |= slope > 0.0

@@ -19,10 +19,14 @@ as the faster one: the multiplication matrices unpacked by scatter into
 zeros, the commutators read off all n^2 products, ``decompose`` on a freshly
 built frame algebra with its QR operand by ``column_stack``, the frame maps
 by ``tensordot`` and the per-n tables of the residual system built per system.
+The seeded search keeps the Jacobian and the residual of its iteration as
+one expression each, where the package accumulates into the product it
+already holds.  ``lee_gradient``, ``weyl_ricci_formula`` and
+``random_covector`` are input-basis helpers that only tests call.
 """
 import numpy as np
 
-from lieweyl import riemann
+from lieweyl import riemann, weyl
 from lieweyl.algebra import (
     REL_TOL, LieAlgebra, ValidityReport, Violation, _brackets, ad, coefficient_tolerance,
     nullspace, row_space,
@@ -47,6 +51,23 @@ def dense_weyl_einstein_residual(m, theta) -> WEResidual:
         + (n - 2) * (0.5 * (ad_t.T @ m.metric + m.metric @ ad_t) + np.outer(theta, theta))
     )
     return WEResidual(matrix=e, norm=float(np.linalg.norm(m.frame.T @ e @ m.frame)))
+
+
+def lee_gradient(m, theta):
+    """Covariant derivative of the Lee form as a bilinear form (D theta)(x, y):
+    the package's frame route, mapped back to the input basis."""
+    return m.from_frame(weyl._frame_lee_gradient(m, m.frame.T @ weyl._as_covector(m, theta)))
+
+
+def weyl_ricci_formula(m, theta):
+    """Ricci form and scalar of the Weyl connection by the package's
+    base-metric formula, its self-check included, in the input basis."""
+    ric, scalar = weyl._frame_weyl_ricci_formula(m, m.frame.T @ weyl._as_covector(m, theta))
+    return m.from_frame(ric), scalar
+
+
+def random_covector(rng, n):
+    return rng.standard_normal(n)
 
 
 def unpack_by_sum(system, packed):
@@ -181,6 +202,16 @@ def tensor_in_basis_by_tensordot(tensor, basis, dual, upper=0):
     for mat in [basis] * (tensor.ndim - upper) + [dual] * upper:
         tensor = np.tensordot(tensor, mat, axes=(0, 0))
     return tensor
+
+
+def jacobian_by_sum(system, t):
+    """``weyl._ResidualSystem.jacobian`` as the sum lin + (t @ hess) in a new array."""
+    return system.lin + (t @ system.hess).reshape(len(t), -1, system.n)
+
+
+def residual_by_sum(system, t, jac):
+    """``weyl._ResidualSystem.residual`` as one expression, a new array per operation."""
+    return system.const + 0.5 * ((jac @ t[:, :, None])[:, :, 0] + t @ system.lin.T)
 
 
 def residual_tables_by_system(system):

@@ -436,6 +436,7 @@ def test_catalog3d_rejects_unpaired_metric():
         ("--family", "sol", "--metric", "std", "--mu", "3"),  # --mu only applies to g and h
         ("--family", "sol", "--metric", "m", "--mu", "2"),
         ("--family", "abelian", "--metric", "std", "--nu", "-5"),  # std reads no --nu
+        ("--family", "gt", "--t", "2", "--metric", "h"),  # h needs --mu
     ],
 )
 def test_catalog3d_flag_rules_exit_two(options):
@@ -443,6 +444,9 @@ def test_catalog3d_flag_rules_exit_two(options):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error[input]:")
     assert proc.stdout == ""
+    if options[-2:] == ("--metric", "h"):
+        # an omitted --mu would be 1, where h is singular: name the flag instead
+        assert "--mu" in proc.stderr
 
 
 def test_missing_subcommand_is_usage_error():

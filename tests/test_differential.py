@@ -1,12 +1,14 @@
 """The warm classify-and-solve path against the forms it replaced, bit for bit.
 
 ``decompose``, the quotient's multiplication matrices and commutators, the
-frame maps and the per-n tables of the residual system were rewritten with
-the same arithmetic, for speed.  Their earlier forms are kept in ``oracle``.
-These tests run every stage both ways on algebras with no cached geometry and
-require every field of ``AADecomposition``, ``AAClassification`` and
-``SolveResult`` to agree byte for byte: the acceptance mix, einstein and trace
-draws at n = 8..12, and the nilpotent ladder models with a seeded search.
+frame maps, the per-n tables of the residual system and the Jacobian and
+residual of the iteration were rewritten with the same arithmetic, for speed.
+Their earlier forms are kept in ``oracle``.  These tests run every stage both
+ways on algebras with no cached geometry and require every field of
+``AADecomposition``, ``AAClassification`` and ``SolveResult``, and the final
+points, residuals and exit rules of every LM run, to agree byte for byte: the
+acceptance mix, einstein and trace draws at n = 8..12, and the nilpotent
+ladder models at 8 and at 800 seeded starts.
 """
 import numpy as np
 import pytest
@@ -23,10 +25,14 @@ def _large_draws():
             for i in range(60)]
 
 
+# name: (algebras, seeded starts)
 MODEL_SETS = {
-    "acceptance": lambda: acceptance_mix(300),
-    "large": _large_draws,
-    "ladder": lambda: LADDER_MODELS,
+    "acceptance": (lambda: acceptance_mix(300), 8),
+    "large": (_large_draws, 8),
+    "ladder": (lambda: LADDER_MODELS, 8),
+    # batch-sized arrays of up to 788 KiB, past the allocator's mmap
+    # threshold, which the arrays of 8 starts never reach
+    "ladder-800": (lambda: LADDER_MODELS, 800),
 }
 
 
@@ -42,9 +48,11 @@ def _install_earlier_forms(monkeypatch):
     monkeypatch.setattr(weyl._ResidualSystem, "multiplication_matrices",
                         oracle.multiplication_matrices_by_scatter)
     monkeypatch.setattr(weyl, "_commutators", oracle.commutators_by_products)
+    monkeypatch.setattr(weyl._ResidualSystem, "jacobian", oracle.jacobian_by_sum)
+    monkeypatch.setattr(weyl._ResidualSystem, "residual", oracle.residual_by_sum)
 
 
-def _outputs(m, decompose):
+def _outputs(m, decompose, starts, monkeypatch):
     m = MetricLieAlgebra(LieAlgebra(m.c), m.metric)  # no cached geometry
     try:
         dec = decompose(m)
@@ -52,8 +60,20 @@ def _outputs(m, decompose):
         dec = cls = None
     else:
         cls = almost_abelian.classify_weyl_einstein(dec, m)
-    # with starts, algebras without a real root also run the seeded search
-    return dec, cls, weyl.solve_lee_forms(m), weyl.solve_lee_forms(m, starts=8)
+    # every LM run, polish and seeded search, with the final point, residual
+    # and exit rule of each start; with starts, algebras without a real root
+    # also run the seeded search
+    runs = []
+    lm = weyl._levenberg_marquardt
+
+    def recording(*args):
+        runs.append(lm(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(weyl, "_levenberg_marquardt", recording)
+    solved = weyl.solve_lee_forms(m), weyl.solve_lee_forms(m, starts=starts)
+    monkeypatch.setattr(weyl, "_levenberg_marquardt", lm)
+    return dec, cls, *solved, tuple(runs)
 
 
 def _assert_same_bits(new, old, where):
@@ -71,11 +91,13 @@ def _assert_same_bits(new, old, where):
 
 @pytest.mark.parametrize("models", MODEL_SETS)
 def test_every_result_field_equals_the_earlier_forms_bit_for_bit(monkeypatch, models):
-    algebras = MODEL_SETS[models]()
-    new = [_outputs(m, almost_abelian.decompose) for m in algebras]
+    draw, starts = MODEL_SETS[models]
+    algebras = draw()
+    new = [_outputs(m, almost_abelian.decompose, starts, monkeypatch) for m in algebras]
     _install_earlier_forms(monkeypatch)
     for i, m in enumerate(algebras):
-        _assert_same_bits(new[i], _outputs(m, oracle.decompose_by_column_stack), f"{models}[{i}]")
+        old = _outputs(m, oracle.decompose_by_column_stack, starts, monkeypatch)
+        _assert_same_bits(new[i], old, f"{models}[{i}]")
 
 
 def test_sampler_draws_equal_the_earlier_frame_maps_bit_for_bit(monkeypatch):
