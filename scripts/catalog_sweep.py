@@ -41,10 +41,8 @@ def point_label(point):
     parts = [point.family.value, point.metric_family.value]
     if point.t:
         parts.append(f"t={point.t:g}")
-    if point.metric_family in (MetricFamily.G_MU_NU, MetricFamily.H_MU_NU):
-        parts.append(f"mu={point.mu:g}")
-    if point.metric_family is not MetricFamily.STD:
-        parts.append(f"nu={point.nu:g}")
+    parts += [f"{name}={getattr(point, name):g}"
+              for name in catalog3d._METRICS[point.metric_family].params]
     return " ".join(parts)
 
 

@@ -30,13 +30,14 @@ so that no verdict depends on the basis or on the homothety c -> lam c:
 
 Rank cutoffs on c itself (derived subalgebra, center), of :func:`nullspace`
 and by default of :func:`row_space` are relative to the largest singular
-value of their input.  Input validation keeps the scale of
-its input: ``REL_TOL`` (1 + max |entry|) (:func:`coefficient_tolerance`),
-1 + max |c|^2 for the Jacobi sums; a metric whose Cholesky pivots have a
-squared ratio min/max below machine epsilon is singular to working precision
-and rejected.  The named verdict constants multiply the same scales:
-``weyl.FLATNESS_RTOL`` 1e-8 and
-``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
+value of their input.  Input validation is relative to its input, with no
+absolute floor, so a defect of a given relative size is rejected at every
+scale: ``REL_TOL`` max |entry| (:func:`coefficient_tolerance`) for the
+antisymmetry of c and the symmetry of a metric, ``REL_TOL`` max |c|^2 for
+the Jacobi sums.  A metric whose Cholesky pivots have a squared ratio
+min/max below machine epsilon is singular to working precision and rejected.
+The named verdict constants multiply the same scales: ``weyl.FLATNESS_RTOL``
+1e-8 and ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
 ``weyl.DEFAULT_ROOT_TOL`` 1e-8 the root test at unit lam, where
 the almost abelian classifier also runs; ``almost_abelian.EIGEN_CLUSTER_RTOL``
 1e-7 the largest eigenvalue of ``sym``; ``almost_abelian.SIGNIFICANT_RTOL``
@@ -65,7 +66,7 @@ def coefficient_tolerance(*arrays: np.ndarray) -> float:
         a = np.asarray(a, dtype=float)
         if a.size:
             peak = max(peak, float(np.max(np.abs(a))))
-    return REL_TOL * (1.0 + peak)
+    return REL_TOL * peak
 
 
 def row_space(vectors: np.ndarray, n: int, cutoff: float | None = None) -> np.ndarray:
@@ -196,7 +197,7 @@ def validate(algebra: LieAlgebra) -> ValidityReport:
         raise NumericInputError(
             f"structure constants up to {peak:.3e} overflow float64 in their products"
         )
-    tol, jacobi_tol = REL_TOL * (1.0 + peak), REL_TOL * (1.0 + peak * peak)
+    tol, jacobi_tol = REL_TOL * peak, REL_TOL * (peak * peak)
     pairs, triples = _validate_plan(n)
     rows = c.reshape(n * n, n)
     anti = rows.take(pairs, axis=0).sum(axis=0)

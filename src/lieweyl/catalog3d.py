@@ -1,30 +1,37 @@
 """Catalog of 3-dimensional solvable metric Lie algebras.
 
-Bracket families on the basis (x, y, z):
+The catalog is one table, ``_ROWS`` with ``_BRACKETS`` and ``_METRICS``:
+the bracket/metric pairings in the classification of which unimodular pairs
+admit a Weyl-Einstein structure (cf. Milnor 1976; Ha & Lee, Math. Nachr. 282
+(2009)), each with its closed-form verdict.  Brackets are on the basis
+(x, y, z), and the gt family is split at t = 0 and t > 1::
 
-* ``abelian``   all brackets zero
-* ``sol``       [z,x] = x,  [z,y] = -y
-* ``so2r2``     [z,x] = -y, [z,y] = x          (rotations acting on the plane)
-* ``ridr2``     [z,x] = x,  [z,y] = y          (identity acting on the plane)
-* ``gt``        [z,x] = y,  [z,y] = -t x + 2y  (t > 1, or t = 0)
+    row      [z,x]  [z,y]      t     metric family: admits
+    abelian  0      0          0     std: yes
+    sol      x      -y         0     std, gnu, gmunu, hmunu, mnu: no
+    so2r2    -y     x          0     gmunu, mu <= 1: at mu = 1
+    ridr2    x      y          0     gnu: yes
+    g0       y      2y         0     gmunu: no; mnu: yes
+    gt       y      -t x + 2y  > 1   hmunu, mu <= t: at mu = t
 
 Metric families: ``std`` identity; ``gnu`` diag(1,1,nu); ``gmunu``
 diag(1,mu,nu); ``hmunu`` with h(x,x)=1, h(x,y)=1, h(y,y)=mu, h(z,z)=nu
 (positive definite only for mu > 1); ``mnu`` with m(x,y)=1/2 off-diagonal in
-the plane and m(z,z)=nu.
+the plane and m(z,z)=nu.  Each reads the parameters in its name, which must
+be positive.  t is compared with 1 at ``REL_TOL``, and mu with its cap at
+``REL_TOL`` (1 + t).  The row names are the ``lieweyl catalog3d --family``
+names, and ``--metric`` is a metric family's name without its parameters.
 
-Only the family/metric pairings that appear in the classification of which
-unimodular pairs admit a Weyl-Einstein structure are constructible; this
-keeps the closed-form membership table and the numeric solver comparable on
-every valid input.  :func:`admits_weyl_einstein` evaluates both, raises
-:class:`ConsistencyError` if they ever disagree, and otherwise returns the one
-verdict they share with the solver's Lee forms.
+Only these pairings are constructible, so the table and the numeric solver
+are comparable on every valid input.  :func:`admits_weyl_einstein` evaluates
+both, raises :class:`ConsistencyError` if they ever disagree, and otherwise
+returns the one verdict they share with the solver's Lee forms.
 """
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,79 +74,84 @@ class Family3D(NamedTuple):
     nu: float = 1.0
 
 
-_VALID_METRICS = {
-    BracketFamily.ABELIAN: {MetricFamily.STD},
-    BracketFamily.SOL: {
-        MetricFamily.STD,
-        MetricFamily.G_NU,
-        MetricFamily.G_MU_NU,
-        MetricFamily.H_MU_NU,
-        MetricFamily.M_NU,
-    },
-    BracketFamily.R_ID_R2: {MetricFamily.G_NU},
-    BracketFamily.SO2R2: {MetricFamily.G_MU_NU},
+_BRACKETS = {
+    BracketFamily.ABELIAN: lambda t: {},
+    BracketFamily.SOL: lambda t: {(0, 2): (-1.0, 0.0, 0.0), (1, 2): (0.0, 1.0, 0.0)},
+    BracketFamily.SO2R2: lambda t: {(0, 2): (0.0, 1.0, 0.0), (1, 2): (-1.0, 0.0, 0.0)},
+    BracketFamily.R_ID_R2: lambda t: {(0, 2): (-1.0, 0.0, 0.0), (1, 2): (0.0, -1.0, 0.0)},
+    BracketFamily.GT: lambda t: {(0, 2): (0.0, -1.0, 0.0), (1, 2): (t, -2.0, 0.0)},
 }
 
 
-def _check_point(point: Family3D) -> None:
+class _Metric(NamedTuple):
+    """A metric family: its ``--metric`` name, the parameters it reads, its matrix."""
+
+    flag: str
+    params: tuple
+    matrix: Callable[[Family3D], np.ndarray]
+
+
+_METRICS = {
+    MetricFamily.STD: _Metric("std", (), lambda p: np.eye(3)),
+    MetricFamily.G_NU: _Metric("g", ("nu",), lambda p: np.diag([1.0, 1.0, p.nu])),
+    MetricFamily.G_MU_NU: _Metric("g", ("mu", "nu"), lambda p: np.diag([1.0, p.mu, p.nu])),
+    MetricFamily.H_MU_NU: _Metric(
+        "h", ("mu", "nu"), lambda p: np.array([[1.0, 1.0, 0.0], [1.0, p.mu, 0.0], [0.0, 0.0, p.nu]])
+    ),
+    MetricFamily.M_NU: _Metric(
+        "m", ("nu",), lambda p: np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, p.nu]])
+    ),
+}
+
+
+class _Row(NamedTuple):
+    """A bracket family on its window of t (t > 1 if ``takes_t``, else t = 0), with
+    each metric family it pairs with and its verdict: True, False, or the cap
+    ("1" or "t") that bounds mu and is the one mu that admits."""
+
+    family: BracketFamily
+    pairings: dict
+    takes_t: bool = False
+
+
+_ROWS = {
+    "abelian": _Row(BracketFamily.ABELIAN, {MetricFamily.STD: True}),
+    "sol": _Row(BracketFamily.SOL, dict.fromkeys(MetricFamily, False)),
+    "so2r2": _Row(BracketFamily.SO2R2, {MetricFamily.G_MU_NU: "1"}),
+    "ridr2": _Row(BracketFamily.R_ID_R2, {MetricFamily.G_NU: True}),
+    "g0": _Row(BracketFamily.GT, {MetricFamily.G_MU_NU: False, MetricFamily.M_NU: True}),
+    "gt": _Row(BracketFamily.GT, {MetricFamily.H_MU_NU: "t"}, takes_t=True),
+}
+
+
+def table_admits(point: Family3D) -> bool:
+    """Closed-form membership test: does this catalog point admit a
+    Weyl-Einstein structure?  Evaluated from the classification table alone,
+    without any numerics; a point off the catalog raises :class:`InputError`."""
     for name in ("t", "mu", "nu"):
-        value = getattr(point, name)
-        if not math.isfinite(value):
+        if not math.isfinite(getattr(point, name)):
             raise InputError(f"parameter {name} must be finite")
     fam, mf = point.family, point.metric_family
-
-    if fam is BracketFamily.GT:
-        if not (point.t == 0.0 or point.t > 1.0 + REL_TOL):
-            raise InputError("gt bracket family needs t = 0 or t > 1")
-        if point.t == 0.0:
-            allowed = {MetricFamily.G_MU_NU, MetricFamily.M_NU}
-        else:
-            allowed = {MetricFamily.H_MU_NU}
-    else:
-        if point.t != 0.0:
-            raise InputError("parameter t is only meaningful for the gt family")
-        allowed = _VALID_METRICS[fam]
-    if mf not in allowed:
+    row = next((row for row in _ROWS.values() if row.family is fam
+                and (point.t > 1.0 + REL_TOL if row.takes_t else point.t == 0.0)), None)
+    if row is None:
+        raise InputError(f"{fam.value} bracket family needs t = 0 or t > 1"
+                         if any(r.takes_t and r.family is fam for r in _ROWS.values())
+                         else "parameter t is only meaningful for the gt family")
+    if mf not in row.pairings:
         raise InputError(
             f"metric family {mf.value!r} is not in the catalog for bracket family {fam.value!r}"
         )
-
-    if mf in (MetricFamily.G_NU, MetricFamily.G_MU_NU, MetricFamily.H_MU_NU, MetricFamily.M_NU):
-        if point.nu <= 0:
-            raise InputError("parameter nu must be positive")
-    if mf in (MetricFamily.G_MU_NU, MetricFamily.H_MU_NU):
-        if point.mu <= 0:
-            raise InputError("parameter mu must be positive")
-    if fam is BracketFamily.SO2R2 and point.mu > 1.0 + REL_TOL:
-        raise InputError("so2r2 catalog metrics need mu <= 1")
-    if fam is BracketFamily.GT and point.t > 1.0 and point.mu > point.t + REL_TOL * (1 + point.t):
-        raise InputError("gt catalog metrics need mu <= t")
-
-
-def _metric_matrix(point: Family3D) -> np.ndarray:
-    mf = point.metric_family
-    if mf is MetricFamily.STD:
-        return np.eye(3)
-    if mf is MetricFamily.G_NU:
-        return np.diag([1.0, 1.0, point.nu])
-    if mf is MetricFamily.G_MU_NU:
-        return np.diag([1.0, point.mu, point.nu])
-    if mf is MetricFamily.H_MU_NU:
-        return np.array([[1.0, 1.0, 0.0], [1.0, point.mu, 0.0], [0.0, 0.0, point.nu]])
-    return np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, point.nu]])
-
-
-def _bracket_table(point: Family3D) -> dict:
-    fam = point.family
-    if fam is BracketFamily.ABELIAN:
-        return {}
-    if fam is BracketFamily.SOL:
-        return {(0, 2): (-1.0, 0.0, 0.0), (1, 2): (0.0, 1.0, 0.0)}
-    if fam is BracketFamily.SO2R2:
-        return {(0, 2): (0.0, 1.0, 0.0), (1, 2): (-1.0, 0.0, 0.0)}
-    if fam is BracketFamily.R_ID_R2:
-        return {(0, 2): (-1.0, 0.0, 0.0), (1, 2): (0.0, -1.0, 0.0)}
-    return {(0, 2): (0.0, -1.0, 0.0), (1, 2): (point.t, -2.0, 0.0)}
+    for name in ("nu", "mu"):
+        if name in _METRICS[mf].params and getattr(point, name) <= 0:
+            raise InputError(f"parameter {name} must be positive")
+    rule = row.pairings[mf]
+    if not isinstance(rule, str):
+        return rule
+    cap, tol = (point.t if rule == "t" else float(rule)), REL_TOL * (1 + point.t)
+    if point.mu > cap + tol:
+        raise InputError(f"{fam.value} catalog metrics need mu <= {rule}")
+    return abs(point.mu - cap) <= tol
 
 
 def build_family(point: Family3D) -> MetricLieAlgebra:
@@ -148,31 +160,12 @@ def build_family(point: Family3D) -> MetricLieAlgebra:
     Parameter combinations outside the catalog, including metric parameters
     that fail positive definiteness, raise :class:`InputError`.
     """
-    _check_point(point)
-    algebra = LieAlgebra.from_brackets(3, _bracket_table(point))
+    table_admits(point)
+    algebra = LieAlgebra.from_brackets(3, _BRACKETS[point.family](point.t))
     try:
-        return MetricLieAlgebra(algebra, _metric_matrix(point))
+        return MetricLieAlgebra(algebra, _METRICS[point.metric_family].matrix(point))
     except MetricError as exc:
         raise InputError(f"metric parameters are out of range: {exc}") from exc
-
-
-def table_admits(point: Family3D) -> bool:
-    """Closed-form membership test: does this catalog point admit a
-    Weyl-Einstein structure?  Evaluated from the classification table alone,
-    without any numerics."""
-    _check_point(point)
-    fam = point.family
-    if fam is BracketFamily.ABELIAN:
-        return True
-    if fam is BracketFamily.SOL:
-        return False
-    if fam is BracketFamily.R_ID_R2:
-        return True
-    if fam is BracketFamily.SO2R2:
-        return abs(point.mu - 1.0) <= REL_TOL
-    if point.t == 0.0:
-        return point.metric_family is MetricFamily.M_NU
-    return abs(point.mu - point.t) <= REL_TOL * (1.0 + point.t)
 
 
 class Verdict3D(NamedTuple):

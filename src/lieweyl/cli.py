@@ -129,48 +129,33 @@ def _parse_ideal_option(text: str, dim: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-_FAMILIES = {
-    "abelian": catalog3d.BracketFamily.ABELIAN,
-    "sol": catalog3d.BracketFamily.SOL,
-    "so2r2": catalog3d.BracketFamily.SO2R2,
-    "ridr2": catalog3d.BracketFamily.R_ID_R2,
-    "gt": catalog3d.BracketFamily.GT,
-    "g0": catalog3d.BracketFamily.GT,
-}
-
-
 def _cmd_catalog3d(args) -> str:
-    family = _FAMILIES[args.family]
-    t = args.t
-    if args.family == "g0":
-        if t not in (None, 0.0):
-            raise InputError("family g0 fixes t = 0")
-        t = 0.0
-    elif args.family == "gt":
+    rows, metrics = catalog3d._ROWS, catalog3d._METRICS
+    row, t = rows[args.family], args.t
+    if row.takes_t:
         if t is None:
-            raise InputError("family gt needs --t")
+            raise InputError(f"family {args.family} needs --t")
+    elif t not in (None, 0.0):
+        t_row = next(name for name, other in rows.items() if other.takes_t)
+        if row.family is rows[t_row].family:
+            raise InputError(f"family {args.family} fixes t = 0")
+        raise InputError(f"--t only applies to the {t_row} family")
     else:
-        if t not in (None, 0.0):
-            raise InputError("--t only applies to the gt family")
         t = 0.0
 
-    if args.mu is not None and args.metric not in ("g", "h"):
-        raise InputError("--mu only applies to --metric g or h")
-    if args.nu is not None and args.metric == "std":
-        raise InputError("--nu does not apply to --metric std")
-    if args.mu is None and args.metric == "h":
-        raise InputError("--metric h needs --mu")
-    if args.metric == "std":
-        metric = catalog3d.MetricFamily.STD
-    elif args.metric == "g":
-        metric = catalog3d.MetricFamily.G_MU_NU if args.mu is not None else catalog3d.MetricFamily.G_NU
-    elif args.metric == "h":
-        metric = catalog3d.MetricFamily.H_MU_NU
-    else:
-        metric = catalog3d.MetricFamily.M_NU
+    mu_flags = list(dict.fromkeys(spec.flag for spec in metrics.values() if "mu" in spec.params))
+    if args.mu is not None and args.metric not in mu_flags:
+        raise InputError(f"--mu only applies to --metric {' or '.join(mu_flags)}")
+    # the metric families of the flag, by whether they read mu
+    variants = {"mu" in spec.params: mf for mf, spec in metrics.items() if spec.flag == args.metric}
+    if args.nu is not None and not any("nu" in metrics[mf].params for mf in variants.values()):
+        raise InputError(f"--nu does not apply to --metric {args.metric}")
+    if (args.mu is not None) not in variants:
+        raise InputError(f"--metric {args.metric} needs --mu")
+    metric = variants[args.mu is not None]
 
     point = catalog3d.Family3D(
-        family=family,
+        family=row.family,
         metric_family=metric,
         t=float(t),
         mu=float(args.mu) if args.mu is not None else 1.0,
@@ -231,9 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("catalog3d", help="emit a 3D catalog member with its verdict")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p.add_argument("--family", choices=sorted(catalog3d._ROWS), required=True)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--metric", choices=("std", "g", "h", "m"), required=True)
+    p.add_argument("--metric", required=True,
+                   choices=tuple(dict.fromkeys(spec.flag for spec in catalog3d._METRICS.values())))
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
     p.set_defaults(run=_cmd_catalog3d)

@@ -17,11 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def orthonormal_frame(metric: np.ndarray) -> np.ndarray:
-    low = np.linalg.cholesky(np.asarray(metric, dtype=float))
-    return np.linalg.inv(low).T
-
-
 def tensor_in_basis(tensor: np.ndarray, basis: np.ndarray, dual: np.ndarray,
                     upper: int = 0) -> np.ndarray:
     """Components of a tensor in a new basis; the last ``upper`` slots are vectors.

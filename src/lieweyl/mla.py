@@ -22,6 +22,7 @@ of a fixed computation byte-stable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -71,7 +72,7 @@ def _number(token: str, line: int) -> float:
         value = float(token)
     except ValueError:
         raise MlaParseError("bad-number", line, f"cannot parse number {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise MlaParseError("non-finite", line, f"non-finite number {token!r}")
     return value
 

@@ -95,7 +95,7 @@ class MetricLieAlgebra:
 
     @cached_property
     def frame(self) -> np.ndarray:
-        """Columns: the g-orthonormal :func:`frames.orthonormal_frame`, from the kept factor."""
+        """Columns: the g-orthonormal frame U = L^-T of the kept Cholesky factor L."""
         return _read_only(np.linalg.inv(self._cholesky).T)
 
     @cached_property

@@ -128,7 +128,7 @@ def validate_by_einsum(algebra) -> ValidityReport:
         raise NumericInputError(
             f"structure constants up to {peak:.3e} overflow float64 in their products"
         )
-    jacobi_tol = REL_TOL * (1.0 + peak * peak)
+    jacobi_tol = REL_TOL * (peak * peak)
 
     anti = np.linalg.norm(c + np.einsum("ijk->jik", c), axis=2)
     pairs = np.nonzero(np.triu(anti > coefficient_tolerance(c)))

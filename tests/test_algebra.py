@@ -5,7 +5,7 @@ import pytest
 
 from lieweyl import LieAlgebra, ad, structure_flags, validate
 from lieweyl.algebra import REL_TOL, derived_subalgebra, nullspace
-from lieweyl.errors import NumericInputError, StructureError
+from lieweyl.errors import InvalidAlgebraError, NumericInputError, StructureError
 from lieweyl import samples
 from lieweyl.riemann import MetricLieAlgebra, change_basis
 from models import acceptance_mix, almost_abelian_draws
@@ -115,18 +115,31 @@ def test_validate_accepts_rescaled_algebras(scale):
         assert report.ok, (scale, report.violations[:1])
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_validate_flags_a_jacobi_defect_relative_to_the_squared_constants(scale):
     # so3 with [e1, e3] = -e2 - 1e-6 e1: max |c| = 1 and a Jacobi defect of
-    # 1e-6 max |c|^2, rejected at every scale from 1 up.  Below max |c| = 1
-    # the tolerance keeps its absolute floor REL_TOL, which hides defects
-    # smaller than 1e-9 whatever their size relative to max |c|^2.
+    # 1e-6 max |c|^2, rejected at every scale: the tolerance REL_TOL max |c|^2
+    # has no absolute floor that would hide small defects at small scale.
     alg = LieAlgebra.from_brackets(
         3, {(0, 1): [0.0, 0.0, 1.0], (1, 2): [1.0, 0.0, 0.0], (0, 2): [-1e-6, -1.0, 0.0]}
     )
     report = validate(LieAlgebra(scale * alg.c))
     assert [v.kind for v in report.violations] == ["jacobi"]
     assert report.violations[0].magnitude == pytest.approx(1e-6 * scale**2, rel=1e-6)
+
+
+def test_validate_rejects_a_unit_relative_jacobi_defect_at_every_scale():
+    # [e1, e2] = e3, [e2, e3] = e1, [e1, e3] = e3 has a Jacobi defect of
+    # max |c|^2; an absolute floor in the tolerance once let it through
+    # from scale 1e-5 down
+    alg = LieAlgebra.from_brackets(
+        3, {(0, 1): [0.0, 0.0, 1.0], (1, 2): [1.0, 0.0, 0.0], (0, 2): [0.0, 0.0, 1.0]}
+    )
+    for k in range(-12, 13):
+        report = validate(LieAlgebra(10.0**k * alg.c))
+        assert [v.kind for v in report.violations] == ["jacobi"], k
+        with pytest.raises(InvalidAlgebraError):
+            MetricLieAlgebra(LieAlgebra(10.0**k * alg.c), np.eye(3))
 
 
 def test_validate_lists_violations_in_row_major_order():
@@ -136,8 +149,8 @@ def test_validate_lists_violations_in_row_major_order():
     c[2, 2, 3] = 1e-3
     c[3, 1, 0] = 2.0
     c[1, 3, 2] = -0.7
-    tol = REL_TOL * (1.0 + np.max(np.abs(c)))
-    jacobi_tol = REL_TOL * (1.0 + np.max(np.abs(c)) ** 2)
+    tol = REL_TOL * np.max(np.abs(c))
+    jacobi_tol = REL_TOL * np.max(np.abs(c)) ** 2
     anti = c + np.einsum("ijk->jik", c)
     jac = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
            + np.einsum("kim,mjl->ijkl", c, c))
@@ -181,7 +194,7 @@ def test_validate_flags_diagonal_antisymmetry():
 def _twice_the_jacobi_tolerance(c, i, j, k):
     """c with c[i, j, k] and -c[j, i, k] moved by a step found by bisection on
     the oracle, so that its largest Jacobi sum is twice its tolerance; c
-    itself when no step up to 10 (1 + max |c|) reaches that."""
+    itself when no step up to 10 max |c| reaches that."""
     def moved(step):
         d = c.copy()
         d[i, j, k] += step
@@ -191,9 +204,9 @@ def _twice_the_jacobi_tolerance(c, i, j, k):
     def ratio(d):
         jacobi = [v.magnitude for v in validate_by_einsum(LieAlgebra(d)).violations
                   if v.kind == "jacobi"]
-        return max(jacobi, default=0.0) / (REL_TOL * (1.0 + np.max(np.abs(d)) ** 2))
+        return max(jacobi, default=0.0) / (REL_TOL * np.max(np.abs(d)) ** 2)
 
-    hi = 10.0 * (1.0 + np.max(np.abs(c)))
+    hi = 10.0 * np.max(np.abs(c))
     lo = 1e-30 * hi
     if ratio(moved(hi)) < 2.0:
         return c
@@ -226,7 +239,7 @@ def _oracle_tables():
             # antisymmetry: c[i, j, k], i <= j, no longer matches -c[j, i, k]
             i, j = sorted(rng.integers(n, size=2))
             c = c.copy()
-            c[i, j, k] += 2.0 * REL_TOL * (1.0 + peak) if at_tolerance else peak * rng.normal()
+            c[i, j, k] += 2.0 * REL_TOL * peak if at_tolerance else peak * rng.normal()
             tables.append(c)
             continue
         i, j = sorted(rng.choice(n, size=2, replace=False))
@@ -263,7 +276,7 @@ def test_validate_matches_the_einsum_oracle():
         kinds.add(tuple(sorted({v.kind for v in got.violations})))
         peak = np.max(np.abs(c))
         for v in got.violations:
-            tol = REL_TOL * (1.0 + (peak if v.kind == "antisymmetry" else peak**2))
+            tol = REL_TOL * (peak if v.kind == "antisymmetry" else peak**2)
             near[v.kind] += bool(v.magnitude < 2.5 * tol)
     assert kinds == {(), ("antisymmetry",), ("jacobi",), ("antisymmetry", "jacobi")}
     # the planted defects at twice the tolerance are there

@@ -449,6 +449,39 @@ def test_catalog3d_flag_rules_exit_two(options):
         assert "--mu" in proc.stderr
 
 
+# in the domain of every row that pairs them: so2r2 needs mu <= 1, h needs
+# mu > 1, and gt at t = 2 needs mu <= 2
+_CATALOG_MU = {"g": 1.0, "h": 2.0}
+
+
+@pytest.mark.parametrize("family", sorted(catalog3d._ROWS))
+def test_catalog3d_command_follows_the_table_on_every_pair(family, capsys):
+    # every metric family, so every --metric name, with in-domain flags: the
+    # command exits 0 exactly on the table's pairings, its document parses
+    # back to build_family's algebra, and its verdict is table_admits'
+    row = catalog3d._ROWS[family]
+    for mf, spec in catalog3d._METRICS.items():
+        point = catalog3d.Family3D(
+            row.family, mf, t=2.0 if row.takes_t else 0.0,
+            mu=_CATALOG_MU[spec.flag] if "mu" in spec.params else 1.0,
+            nu=2.0 if "nu" in spec.params else 1.0,
+        )
+        argv = ["catalog3d", "--family", family, "--metric", spec.flag]
+        for name in ("t", "mu", "nu"):
+            if name in spec.params or (name == "t" and row.takes_t):
+                argv += [f"--{name}", repr(getattr(point, name))]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if mf not in row.pairings:
+            assert code == 2 and out == "", argv
+            assert err.startswith("error[input]: metric family"), err
+            continue
+        assert code == 0, (argv, err)
+        m, want = mla.parse_mla(out).to_metric_lie_algebra(), catalog3d.build_family(point)
+        assert np.array_equal(m.c, want.c) and np.array_equal(m.metric, want.metric)
+        assert mla.parse_records(out)["cl3.admits"] is catalog3d.table_admits(point), argv
+
+
 def test_missing_subcommand_is_usage_error():
     proc = run_cli()
     assert proc.returncode == 2

@@ -27,7 +27,7 @@ from lieweyl.riemann import (
     ricci_trace,
     torsion_residual,
 )
-from lieweyl import frames, riemann, samples
+from lieweyl import riemann, samples
 from models import acceptance_mix
 
 TOL = 1e-12
@@ -47,6 +47,16 @@ def test_metric_must_be_symmetric():
     with pytest.raises(MetricError) as info:
         MetricLieAlgebra(samples.abelian(3).algebra, g)
     assert info.value.law == "symmetric"
+
+
+def test_metric_symmetry_is_relative_at_every_scale():
+    # an asymmetry of half the largest entry; an absolute floor in the
+    # tolerance once let it through from scale 1e-9 down
+    for k in range(-12, 13):
+        with pytest.raises(MetricError) as info:
+            MetricLieAlgebra(samples.abelian(3).algebra,
+                             10.0**k * np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert info.value.law == "symmetric", k
 
 
 def test_metric_must_be_positive_definite():
@@ -79,7 +89,7 @@ def test_frame_is_the_orthonormal_frame_of_the_metric_bit_for_bit():
     algebras = acceptance_mix(60) + [samples.random_metric_algebra(rng, 3 + i % 7)
                                      for i in range(60)]
     for m in algebras:
-        assert np.array_equal(m.frame, frames.orthonormal_frame(m.metric))
+        assert np.array_equal(m.frame, np.linalg.inv(np.linalg.cholesky(m.metric)).T)
 
 
 def test_algebra_must_satisfy_axioms():
