@@ -289,7 +289,7 @@ def build_semidirect(skew: np.ndarray, sym: np.ndarray) -> MetricLieAlgebra:
         raise StructureError("ideal dimension must be at least 1")
     if not (np.isfinite(skew).all() and np.isfinite(sym).all()):
         raise NumericInputError("matrix input contains NaN or infinity")
-    tol = coefficient_tolerance(skew, sym, np.eye(nh))
+    tol = coefficient_tolerance(skew, sym)
     if np.max(np.abs(skew + skew.T)) > tol:
         raise InputError("skew part is not skew-symmetric")
     if np.max(np.abs(sym - sym.T)) > tol:

@@ -161,6 +161,11 @@ def build_family(point: Family3D) -> MetricLieAlgebra:
     that fail positive definiteness, raise :class:`InputError`.
     """
     table_admits(point)
+    return _construct(point)
+
+
+def _construct(point: Family3D) -> MetricLieAlgebra:
+    """The metric Lie algebra of a point that :func:`table_admits` accepted."""
     algebra = LieAlgebra.from_brackets(3, _BRACKETS[point.family](point.t))
     try:
         return MetricLieAlgebra(algebra, _METRICS[point.metric_family].matrix(point))
@@ -182,15 +187,21 @@ def admits_weyl_einstein(point: Family3D) -> Verdict3D:
     solver completeness failure or a wrong table entry.  So a returned
     ``admits`` is the verdict of both.
     """
-    m = build_family(point)
+    return _evaluate(point)[1]
+
+
+def _evaluate(point: Family3D) -> tuple[MetricLieAlgebra, Verdict3D]:
+    """The algebra of a catalog point and its verdict, from one table
+    evaluation, one construction and one solve of that algebra."""
     by_table = table_admits(point)
+    m = _construct(point)
     roots = weyl.solve_lee_forms(m).roots
     by_solver = bool(roots)
     if by_table != by_solver:
         raise ConsistencyError(
             f"table and solver disagree on {point} (table {by_table}, solver {by_solver})"
         )
-    return Verdict3D(admits=by_table, lee_forms=roots)
+    return m, Verdict3D(admits=by_table, lee_forms=roots)
 
 
 class FrameKind(enum.Enum):

@@ -8,11 +8,18 @@ algebra without a codimension-one abelian ideal instead of failing;
 ``catalog3d`` writes a document instead of reading one.  Exit codes: 0
 success, 1 domain failure (well-formed input without the requested
 structure, or an internal consistency alarm), 2 malformed input (bad files,
-bad parameters, usage errors).
+bad parameters, usage errors).  The process entry point also exits 1, with
+one ``error:`` line, when stdout cannot be written (a full disk, a pipe whose
+reader has closed).  :func:`entrypoint` freezes the heap before the process
+exits, so that the collections at interpreter shutdown skip everything made
+at import; :func:`main` does not, so library and test callers keep their
+collector as it was.
 """
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 import numpy as np
@@ -161,8 +168,7 @@ def _cmd_catalog3d(args) -> str:
         mu=float(args.mu) if args.mu is not None else 1.0,
         nu=float(args.nu) if args.nu is not None else 1.0,
     )
-    m = catalog3d.build_family(point)
-    verdict = catalog3d.admits_weyl_einstein(point)
+    m, verdict = catalog3d._evaluate(point)
 
     records = [
         ReportRecord("cl3.admits", verdict.admits),
@@ -245,4 +251,21 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run :func:`main` as a process: the ``lieweyl`` command and
+    ``python -m lieweyl``."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a failed write surfaces here, not at shutdown
+    except OSError as exc:
+        # a full disk or a closed pipe: point stdout at devnull, as the Python
+        # docs' note on SIGPIPE says, so that the flush at shutdown cannot
+        # raise again with what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 1
+    # Shutdown runs full cyclic collections over every object that numpy and
+    # lieweyl made at import; frozen objects sit in the permanent generation,
+    # which they skip.  Refcount teardown, atexit handlers and the flushes of
+    # stdout and stderr still run.
+    gc.freeze()
+    raise SystemExit(code)

@@ -200,6 +200,22 @@ def test_build_semidirect_validates_parts():
         build_semidirect(np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6])
+def test_build_semidirect_tolerance_is_scale_free(s):
+    # the symmetry tests read the inputs' own scale, with no absolute floor:
+    # a pair that fails at one scale fails at every scale, and a valid pair
+    # builds at every scale
+    with pytest.raises(InputError, match="skew part"):
+        build_semidirect(s * np.array([[0.0, 1.0], [-0.5, 0.0]]), s * np.eye(2))
+    with pytest.raises(InputError, match="sym part"):
+        build_semidirect(np.zeros((2, 2)), s * np.array([[1.0, 0.5], [1.0, 2.0]]))
+    skew = s * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    sym = s * np.array([[1.0, 0.5], [0.5, 2.0]])
+    for pair in ((skew, sym), (skew, np.zeros((2, 2))), (np.zeros((2, 2)), sym)):
+        m = build_semidirect(*pair)
+        np.testing.assert_array_equal(m.c[0, 1:, 1:], (pair[0] + pair[1]).T)
+
+
 def test_build_semidirect_weighted_inner_product():
     # a weighted inner product on the ideal is a basis change of the
     # orthonormal build; a diagonal action keeps its structure constants

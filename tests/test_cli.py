@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface via subprocess."""
 import functools
+import gc
+import os
 import subprocess
 import sys
 
@@ -482,10 +484,128 @@ def test_catalog3d_command_follows_the_table_on_every_pair(family, capsys):
         assert mla.parse_records(out)["cl3.admits"] is catalog3d.table_admits(point), argv
 
 
+def test_catalog3d_builds_its_algebra_once(monkeypatch, capsys):
+    # one table evaluation and one construction, and the solve, the adapted
+    # frame and the emitted document all read that one algebra
+    calls = {"table_admits": 0, "MetricLieAlgebra": []}
+    table_admits, construct = catalog3d.table_admits, catalog3d.MetricLieAlgebra
+
+    def counted_table_admits(point):
+        calls["table_admits"] += 1
+        return table_admits(point)
+
+    def counted_construct(*args):
+        calls["MetricLieAlgebra"].append(construct(*args))
+        return calls["MetricLieAlgebra"][-1]
+
+    monkeypatch.setattr(catalog3d, "table_admits", counted_table_admits)
+    monkeypatch.setattr(catalog3d, "MetricLieAlgebra", counted_construct)
+    readers = {}
+    for owner, name in ((weyl, "solve_lee_forms"), (catalog3d, "adapted_frame")):
+        def reading(m, *args, _name=name, _original=getattr(owner, name), **kwargs):
+            readers.setdefault(_name, []).append(m)
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, reading)
+    from_m = mla.MlaDocument.from_metric_lie_algebra.__func__
+
+    def reading_document(cls, m):
+        readers.setdefault("emit_mla", []).append(m)
+        return from_m(cls, m)
+
+    monkeypatch.setattr(mla.MlaDocument, "from_metric_lie_algebra", classmethod(reading_document))
+    assert cli.main(["catalog3d", "--family", "ridr2", "--metric", "g", "--nu", "2"]) == 0
+    assert "cl3.admits = true" in capsys.readouterr().out
+    assert calls["table_admits"] == 1
+    [m] = calls["MetricLieAlgebra"]
+    assert {name: [id(x) for x in ms] for name, ms in readers.items()} == {
+        "solve_lee_forms": [id(m)], "adapted_frame": [id(m)], "emit_mla": [id(m)]}
+
+
 def test_missing_subcommand_is_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
+
+
+def test_entrypoint_freezes_the_heap_after_main_and_exits_with_its_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 1)
+    # a fake freeze: the real one would move pytest's own heap out of reach
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entrypoint()
+    assert events == ["main", "freeze"]
+    assert exit_info.value.code == 1
+
+
+def _in_process(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+def test_process_output_is_main_output(tmp_path, capsys):
+    # the frozen heap and the explicit flush leave stdout, stderr and the
+    # exit code of a process exactly those of main()
+    rng = np.random.default_rng(11)
+    models = {
+        "aa3": samples.random_almost_abelian(rng, 3, "trace"),
+        "heisenberg8": samples.heisenberg(5),
+        "aa12": samples.random_almost_abelian(rng, 12, "einstein"),
+    }
+    for name, m in models.items():
+        path = write_mla(tmp_path, f"{name}.mla",
+                         mla.emit_mla(mla.MlaDocument.from_metric_lie_algebra(m)))
+        proc = subprocess.run([sys.executable, "-m", "lieweyl", "report", path, "--format",
+                               "records"], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(
+            capsys, "report", path, "--format", "records"), name
+    failures = [
+        ("aa-classify", write_mla(tmp_path, "rank2step3.mla", RANK2_STEP3_TEXT), 1),
+        ("report", write_mla(tmp_path, "broken.mla", "mla 1\ndim 3\nbad\n"), 2),
+    ]
+    for command, path, code in failures:
+        proc = subprocess.run([sys.executable, "-m", "lieweyl", command, path],
+                              capture_output=True)
+        want = _in_process(capsys, command, path)
+        assert want[0] == code and want[2].startswith(b"error["), want
+        assert (proc.returncode, proc.stdout, proc.stderr) == want, command
+
+
+def _write_to(stdout, buffered, tmp_path):
+    """``python -m lieweyl report`` on a small document into ``stdout``.  With
+    a buffered stdout the output fails at the flush, without it in the write."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
+    return subprocess.run([sys.executable, "-m", "lieweyl", "report", path],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _assert_one_error_line(proc, reason):
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.decode().splitlines() == [f"error: cannot write output: {reason}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_full_disk_is_one_error_line(tmp_path, buffered):
+    with open("/dev/full", "wb") as full:
+        proc = _write_to(full, buffered, tmp_path)
+    _assert_one_error_line(proc, "[Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_pipe_is_one_error_line(tmp_path, buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = _write_to(write_end, buffered, tmp_path)
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(proc, "[Errno 32] Broken pipe")
 
 
 def test_report_computes_shared_geometry_once(tmp_path, monkeypatch, capsys):
