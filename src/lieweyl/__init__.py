@@ -39,7 +39,6 @@ from .catalog3d import (
 from .errors import (
     ConsistencyError,
     DimensionError,
-    HintError,
     InputError,
     InvalidAlgebraError,
     LieweylError,

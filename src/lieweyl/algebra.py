@@ -18,7 +18,7 @@ so that no verdict depends on the basis or on the homothety c -> lam c:
   the derived and lower central series; ``abelian``, ``unimodular``), and
   lam = ``MetricLieAlgebra.structure_scale`` (frame norm of c, 1 on an
   abelian algebra) for frame quantities (``almost_abelian.decompose``, run
-  on the frame table: its ideal system's rank cutoff, its hint, ad-gap and
+  on the frame table: its ideal system's rank cutoff, its ad-gap and
   abelian tests; the 3D adapted frame, the nonzero test of a Lee form).  A test linear in a Lee
   form theta, itself c-sized, reads it times lam + |theta| (closed Faraday
   form, Lee-gradient cross-check), or |c| (|c| + |theta|) on the brackets

@@ -43,11 +43,9 @@ from .algebra import (
     _brackets,
     ad,
     coefficient_tolerance,
-    nullspace,
 )
 from .errors import (
     ConsistencyError,
-    HintError,
     InputError,
     NotAlmostAbelianError,
     NumericInputError,
@@ -119,7 +117,7 @@ def _first_significant_positive(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecomposition:
+def decompose(m: MetricLieAlgebra) -> AADecomposition:
     """Find a codimension-one abelian ideal and the adapted orthonormal data.
 
     Every step runs in the orthonormal frame, where g = I; only the normal
@@ -135,9 +133,6 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     the Gram-Schmidt of the standard vectors projected off the unit normal
     b, as one QR of [b | e_1 ... e_n without e_j] with the signs of diag R;
     e_j, j the last significant component of b, is the dependent vector.
-
-    ``hint`` may supply the ideal as rows spanning it; its normal covector is
-    tested on both halves of the same system and the ideal is used as-is.
     The ad-gap and abelian checks read the same cutoff.
     """
     n = m.dim
@@ -149,32 +144,16 @@ def decompose(m: MetricLieAlgebra, hint: np.ndarray | None = None) -> AADecompos
     _, values, vh = np.linalg.svd(system, full_matrices=False)
     admissible = vh[np.count_nonzero(values > cutoff):]
 
-    if hint is not None:
-        rows = np.asarray(hint, dtype=float)
-        if rows.shape != (n - 1, n):
-            raise HintError(f"ideal hint must be an ({n - 1}, {n}) array of rows, got {rows.shape}")
-        if not np.isfinite(rows).all():
-            raise HintError("ideal hint contains NaN or infinity")
-        normals = nullspace(rows @ m._cholesky)  # the rows in the frame
-        if len(normals) != 1:
-            raise HintError("ideal hint rows are not linearly independent")
-        ell = normals[0]
-        brackets = n * (n - 1) // 2
-        if np.linalg.norm(system[brackets:] @ ell) > cutoff:
-            raise HintError("ideal hint is not abelian")
-        if np.linalg.norm(system[:brackets] @ ell) > cutoff:
-            raise HintError("ideal hint is not an ideal")
-    elif len(admissible) == 0:
+    if len(admissible) == 0:
         raise NotAlmostAbelianError(
             "no covector kills every bracket and wedges to zero with every bracket "
             "component: the algebra has no codimension-one abelian ideal"
         )
-    else:
-        # column i: the projection of e^i (frame components: row i of U) in L
-        coords = admissible @ m.frame.T
-        size = np.sqrt(np.add.reduce(m.frame * m.frame, axis=1))  # np.linalg.norm's sum
-        large = np.sqrt(np.add.reduce(coords * coords, axis=0)) > SIGNIFICANT_RTOL * size
-        ell = admissible.T @ coords[:, np.argmax(large)]
+    # column i: the projection of e^i (frame components: row i of U) in L
+    coords = admissible @ m.frame.T
+    size = np.sqrt(np.add.reduce(m.frame * m.frame, axis=1))  # np.linalg.norm's sum
+    large = np.sqrt(np.add.reduce(coords * coords, axis=0)) > SIGNIFICANT_RTOL * size
+    ell = admissible.T @ coords[:, np.argmax(large)]
 
     # unit normal, its first significant input-basis component positive
     b_f = ell / np.linalg.norm(ell)

@@ -10,10 +10,11 @@ success, 1 domain failure (well-formed input without the requested
 structure, or an internal consistency alarm), 2 malformed input (bad files,
 bad parameters, usage errors).  The process entry point also exits 1, with
 one ``error:`` line, when stdout cannot be written (a full disk, a pipe whose
-reader has closed).  :func:`entrypoint` freezes the heap before the process
-exits, so that the collections at interpreter shutdown skip everything made
-at import; :func:`main` does not, so library and test callers keep their
-collector as it was.
+reader has closed), argparse's ``--help`` text included.
+:func:`entrypoint` freezes the heap before the process exits, so that the
+collections at interpreter shutdown skip everything made at import;
+:func:`main` does not, so library and test callers keep their collector as
+it was.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ import argparse
 import gc
 import os
 import sys
-
-import numpy as np
 
 from . import almost_abelian, catalog3d, mla, riemann, weyl
 from .algebra import REL_TOL, structure_flags
@@ -85,8 +84,7 @@ def _weyl_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
 
 
 def _aa_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
-    hint = _parse_ideal_option(args.ideal, m.dim) if args.ideal else None
-    dec = almost_abelian.decompose(m, hint=hint)
+    dec = almost_abelian.decompose(m)
     cls = almost_abelian.classify_weyl_einstein(dec, m)
     records = [
         ReportRecord("aa.normal", dec.normal),
@@ -118,22 +116,6 @@ def _report_aa_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
     except NotAlmostAbelianError:
         return [ReportRecord("aa.almost_abelian", False)]
     return [ReportRecord("aa.almost_abelian", True)] + records
-
-
-def _parse_ideal_option(text: str, dim: int) -> np.ndarray:
-    rows = []
-    for chunk in text.split(";"):
-        parts = [p for p in chunk.replace(",", " ").split() if p]
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise InputError(f"cannot parse --ideal entry {chunk!r}") from exc
-    if len(rows) != dim - 1 or any(len(row) != dim for row in rows):
-        raise InputError(
-            f"--ideal needs {dim - 1} rows of {dim} numbers separated by ';', "
-            f"got rows of {[len(row) for row in rows]} numbers"
-        )
-    return np.array(rows, dtype=float)
 
 
 def _cmd_catalog3d(args) -> str:
@@ -207,19 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "records"), default="text",
             help="output style: aligned text or machine-readable records",
         )
-        p.set_defaults(run=_run_file_command, sections=sections, ideal=None)
-        return p
+        p.set_defaults(run=_run_file_command, sections=sections)
 
     add_file_command("validate", "check a document and print structure flags", _validate_records)
     add_file_command("curvature", "connection, Ricci (both routes), scalar, Einstein defect",
                      _curvature_records)
     add_file_command("weyl-solve", "find all Weyl-Einstein Lee forms", _weyl_records)
-    p = add_file_command("aa-classify", "almost abelian decomposition and classification",
-                         _aa_records)
-    p.add_argument(
-        "--ideal", default=None,
-        help="optional ideal hint: rows separated by ';', numbers by spaces or commas",
-    )
+    add_file_command("aa-classify", "almost abelian decomposition and classification",
+                     _aa_records)
 
     p = sub.add_parser("catalog3d", help="emit a 3D catalog member with its verdict")
     p.add_argument("--family", choices=sorted(catalog3d._ROWS), required=True)
@@ -254,7 +231,10 @@ def entrypoint() -> None:
     """Run :func:`main` as a process: the ``lieweyl`` command and
     ``python -m lieweyl``."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's own exits: --help, usage errors
+            code = exc.code
         sys.stdout.flush()  # a failed write surfaces here, not at shutdown
     except OSError as exc:
         # a full disk or a closed pipe: point stdout at devnull, as the Python

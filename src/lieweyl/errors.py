@@ -91,12 +91,6 @@ class InputError(LieweylError):
     code = "input"
 
 
-class HintError(InputError):
-    """A caller-supplied subspace hint is not of the required kind."""
-
-    code = "hint"
-
-
 class MlaParseError(InputError):
     """Parse or validation failure in an MLA document.
 

@@ -235,9 +235,9 @@ def residual_tables_by_system(system):
 
 
 def decompose_by_column_stack(m):
-    """``almost_abelian.decompose`` without a hint, on a frame algebra built
-    and checked on every call, norms by ``np.linalg.norm`` and the QR
-    operand by ``column_stack``."""
+    """``almost_abelian.decompose`` on a frame algebra built and checked on
+    every call, norms by ``np.linalg.norm`` and the QR operand by
+    ``column_stack``."""
     n = m.dim
     frame_algebra = LieAlgebra(m.frame_structure)
     flat = frame_algebra.c.ravel()

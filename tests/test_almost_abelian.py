@@ -18,7 +18,6 @@ from lieweyl import (
 )
 from lieweyl.errors import (
     ConsistencyError,
-    HintError,
     InputError,
     NotAlmostAbelianError,
     PreconditionError,
@@ -26,7 +25,7 @@ from lieweyl.errors import (
 from lieweyl.riemann import change_basis, curvature, levi_civita, ricci
 from lieweyl import almost_abelian, samples
 from lieweyl import algebra as algebra_module
-from lieweyl.algebra import REL_TOL, derived_subalgebra, nullspace, row_space, structure_flags
+from lieweyl.algebra import REL_TOL, derived_subalgebra, structure_flags
 import oracle
 from models import LADDER_MODELS, acceptance_mix, almost_abelian_draws
 
@@ -110,25 +109,6 @@ def test_decompose_reconstructs_bracket():
 def test_decompose_rejects_free_two_step():
     with pytest.raises(NotAlmostAbelianError):
         decompose(samples.free_two_step())
-
-
-def test_hint_accepts_true_ideal():
-    m = samples.heisenberg()
-    hint = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    dec = decompose(m, hint=hint)
-    np.testing.assert_allclose(dec.normal, [0.0, 1.0, 0.0], atol=TOL)
-
-
-def test_hint_rejects_non_ideal():
-    m = samples.heisenberg()
-    hint = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # not an abelian ideal
-    with pytest.raises(HintError):
-        decompose(m, hint=hint)
-
-
-def test_hint_rejects_bad_shape():
-    with pytest.raises(HintError):
-        decompose(samples.heisenberg(), hint=np.eye(3))
 
 
 @pytest.mark.parametrize("n,k", [(3, 1.0), (4, 0.5), (6, 2.0)])
@@ -402,12 +382,11 @@ def test_decompose_matches_the_inner_product_oracle():
 
 
 def test_subspace_verdicts_match_the_einsum_oracle():
-    # on ideals, derived subalgebras, hints that are no ideal and random
-    # subspaces, abelian or not, and the ranks of their bracket spans
+    # on ideals, derived subalgebras and random subspaces, abelian or not, the
+    # ranks of their bracket spans; every computed ideal is abelian
     rng = np.random.default_rng(42)
     draws = acceptance_mix(60) + almost_abelian_draws(43) + [
         samples.heisenberg(), samples.filiform4(), samples.free_two_step()]
-    seen = set()
     for i, m in enumerate(draws):
         n = m.dim
         der = derived_subalgebra(m.algebra)
@@ -421,37 +400,11 @@ def test_subspace_verdicts_match_the_einsum_oracle():
             pass
         else:
             subspaces.append(dec.ideal_basis)
-            # the computed ideal passes both halves of the system as a hint
-            hinted = decompose(m, hint=dec.ideal_basis)
-            np.testing.assert_allclose(hinted.normal, dec.normal, atol=1e-12)
-            assert hinted.unique_ideal == dec.unique_ideal
             assert oracle.is_abelian_subspace_by_einsum(m, dec.ideal_basis), i
         for rows in subspaces:
-            if rows.shape[0] == n - 1 and len(nullspace(rows)) == 1:
-                # the abelian half of the ideal system, read through a hint
-                try:
-                    decompose(m, hint=rows)
-                    abelian = True
-                except HintError as error:
-                    abelian = "not abelian" not in str(error)
-                assert abelian == oracle.is_abelian_subspace_by_einsum(m, rows), i
-                seen.add(abelian)
             for a, b in ((rows, rows), (np.eye(n), rows), (rows[:0], rows)):
                 span = algebra_module._bracket_span(m.algebra, a, b)
                 assert span.shape == oracle.bracket_span_by_einsum(m.algebra, a, b).shape, i
-    assert seen == {True, False}
-    # hints that are not abelian (Heisenberg) or abelian but no ideal
-    # (r_2 + R^2, [e_0, e_1] = e_1, and span(e_0, e_2, e_3)) are refused
-    m = samples.heisenberg()
-    hint = row_space(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 3)
-    assert not oracle.is_abelian_subspace_by_einsum(m, hint)
-    with pytest.raises(HintError, match="not abelian"):
-        decompose(m, hint=hint)
-    m = MetricLieAlgebra(LieAlgebra.from_brackets(4, {(0, 1): np.eye(4)[1]}), np.eye(4))
-    hint = np.eye(4)[[0, 2, 3]]
-    assert oracle.is_abelian_subspace_by_einsum(m, hint)
-    with pytest.raises(HintError, match="not an ideal"):
-        decompose(m, hint=hint)
 
 
 def test_decompose_accepts_nearly_singular_derivations():

@@ -1,6 +1,8 @@
 """End-to-end checks of the command line interface via subprocess."""
+import errno
 import functools
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -181,43 +183,20 @@ def test_aa_classify_basics(tmp_path):
     assert records["aa.lee_forms[1].flat"] is True
 
 
-def test_aa_classify_accepts_ideal_hint(tmp_path):
-    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
-    plain = run_cli("aa-classify", path, "--format", "records")
-    hinted = run_cli(
-        "aa-classify", path, "--format", "records", "--ideal", "0 1 0; 0 0 1"
-    )
-    assert hinted.returncode == 0
-    assert hinted.stdout == plain.stdout
-
-
-def test_aa_classify_rejects_bad_hint_shape(tmp_path):
-    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
-    proc = run_cli("aa-classify", path, "--ideal", "0 1 0")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error[input]:")
-
-
 @pytest.mark.parametrize(
     "command, option, value",
     [
-        ("aa-classify", "--ideal", "1 0 0; 0 1"),
+        pytest.param("weyl-solve", "--starts", "8", id="--starts-8"),
+        pytest.param("weyl-solve", "--seed", "1", id="--seed-1"),
+        pytest.param("aa-classify", "--ideal", "0 1 0; 0 0 1", id="--ideal"),
     ],
 )
-def test_bad_solver_parameters_exit_two(tmp_path, command, option, value):
+def test_weyl_solve_has_no_search_options(tmp_path, command, option, value):
+    # the seeded search is API-only (weyl.solve_lee_forms); the quotient ring
+    # is the evidence that there is no root.  decompose finds its ideal
+    # itself, so aa-classify takes none
     path = write_mla(tmp_path, "sol.mla", SOL_TEXT)
     proc = run_cli(command, path, option, value)
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert proc.stderr.startswith("error[input]:")
-    assert proc.stdout == ""
-
-
-@pytest.mark.parametrize("option, value", [("--starts", "8"), ("--seed", "1")])
-def test_weyl_solve_has_no_search_options(tmp_path, option, value):
-    # the seeded search is API-only (weyl.solve_lee_forms); the quotient ring
-    # is the evidence that there is no root
-    path = write_mla(tmp_path, "sol.mla", SOL_TEXT)
-    proc = run_cli("weyl-solve", path, option, value)
     assert proc.returncode == 2
     assert f"unrecognized arguments: {option} {value}" in proc.stderr
     assert proc.stdout == ""
@@ -573,15 +552,23 @@ def test_process_output_is_main_output(tmp_path, capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == want, command
 
 
-def _write_to(stdout, buffered, tmp_path):
-    """``python -m lieweyl report`` on a small document into ``stdout``.  With
-    a buffered stdout the output fails at the flush, without it in the write."""
+def _write_to(stdout, buffered, *args):
+    """``python -m lieweyl`` with ``args`` into ``stdout``.  With a buffered
+    stdout the output fails at the flush, without it in the write."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
-    return subprocess.run([sys.executable, "-m", "lieweyl", "report", path],
+    return subprocess.run([sys.executable, "-m", "lieweyl", *args],
                           stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _into_closed_pipe(buffered, *args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        return _write_to(write_end, buffered, *args)
+    finally:
+        os.close(write_end)
 
 
 def _assert_one_error_line(proc, reason):
@@ -593,19 +580,62 @@ def _assert_one_error_line(proc, reason):
 @pytest.mark.parametrize("buffered", [True, False])
 def test_full_disk_is_one_error_line(tmp_path, buffered):
     with open("/dev/full", "wb") as full:
-        proc = _write_to(full, buffered, tmp_path)
+        proc = _write_to(full, buffered, "report", write_mla(tmp_path, "hyp3.mla", HYP3_TEXT))
     _assert_one_error_line(proc, "[Errno 28] No space left on device")
 
 
 @pytest.mark.parametrize("buffered", [True, False])
 def test_closed_pipe_is_one_error_line(tmp_path, buffered):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the first write
-    try:
-        proc = _write_to(write_end, buffered, tmp_path)
-    finally:
-        os.close(write_end)
+    proc = _into_closed_pipe(buffered, "report", write_mla(tmp_path, "hyp3.mla", HYP3_TEXT))
     _assert_one_error_line(proc, "[Errno 32] Broken pipe")
+
+
+# argparse writes --help into a buffered stdout and exits inside main(); the
+# write fails at entrypoint's flush.  An unbuffered stdout fails inside
+# argparse, which drops the error itself, so these run buffered only.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_help_on_a_full_disk_is_one_error_line():
+    with open("/dev/full", "wb") as full:
+        proc = _write_to(full, True, "--help")
+    _assert_one_error_line(proc, "[Errno 28] No space left on device")
+
+
+def test_help_into_a_closed_pipe_is_one_error_line():
+    _assert_one_error_line(_into_closed_pipe(True, "--help"), "[Errno 32] Broken pipe")
+
+
+def test_entrypoint_flushes_after_argparse_exits(monkeypatch, tmp_path, capsys):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+    def usage_error():
+        events.append("main")
+        raise SystemExit(2)
+
+    monkeypatch.setattr(cli, "main", usage_error)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entrypoint()
+    assert events == ["main", "freeze"]
+    assert exit_info.value.code == 2
+
+    def help_text():
+        sys.stdout.write("usage: lieweyl\n")
+        raise SystemExit(0)
+
+    class FullStdout(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self):  # the descriptor that entrypoint points at devnull
+            return target.fileno()
+
+    with open(tmp_path / "stdout", "wb") as target, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", FullStdout())
+        patch.setattr(cli, "main", help_text)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entrypoint()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_report_computes_shared_geometry_once(tmp_path, monkeypatch, capsys):
