@@ -10,11 +10,15 @@ success, 1 domain failure (well-formed input without the requested
 structure, or an internal consistency alarm), 2 malformed input (bad files,
 bad parameters, usage errors).  The process entry point also exits 1, with
 one ``error:`` line, when stdout cannot be written (a full disk, a pipe whose
-reader has closed), argparse's ``--help`` text included.
+reader has closed), argparse's ``--help`` text included, buffered or not.
+The parser declares every command but gives only the command named on the
+command line its arguments, and only ``catalog3d`` imports
+:mod:`lieweyl.catalog3d`, so a file command never loads the catalog.
 :func:`entrypoint` freezes the heap before the process exits, so that the
 collections at interpreter shutdown skip everything made at import;
 :func:`main` does not, so library and test callers keep their collector as
-it was.
+it was.  The process entry is :func:`lieweyl.__main__.main`, which imports
+this module with the collector paused.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import gc
 import os
 import sys
 
-from . import almost_abelian, catalog3d, mla, riemann, weyl
+from . import almost_abelian, mla, riemann, weyl
 from .algebra import REL_TOL, structure_flags
 from .errors import InputError, LieweylError, NotAlmostAbelianError
 from .mla import MlaDocument, ReportRecord
@@ -119,6 +123,8 @@ def _report_aa_records(m: riemann.MetricLieAlgebra, args) -> list[ReportRecord]:
 
 
 def _cmd_catalog3d(args) -> str:
+    from . import catalog3d
+
     rows, metrics = catalog3d._ROWS, catalog3d._METRICS
     row, t = rows[args.family], args.t
     if row.takes_t:
@@ -175,8 +181,27 @@ def _cmd_catalog3d(args) -> str:
     return mla.emit_mla(doc) + comments
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with a ``--help`` that fails like any other output."""
+
+    def print_help(self, file=None):
+        # argparse writes through ``_print_message``, which drops an OSError
+        # of the write: into an unbuffered stdout a failed ``--help`` would
+        # exit 0 with nothing written
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the argument list ``argv``.
+
+    Every command is declared with its help text, but only the command that
+    ``argv`` names gets its arguments, so that a file command never imports
+    :mod:`lieweyl.catalog3d`.  The command is the first argument that is
+    not an option, as for argparse: the top-level parser has no option that
+    takes a value.
+    """
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _Parser(
         prog="lieweyl",
         description="Left-invariant curvature and Weyl-Einstein structures on metric Lie algebras.",
     )
@@ -184,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_file_command(name, help_text, *sections):
         p = sub.add_parser(name, help=help_text)
+        if name != named:
+            return
         p.add_argument("file", help="MLA document")
         p.add_argument(
             "--format", choices=("text", "records"), default="text",
@@ -199,13 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
                      _aa_records)
 
     p = sub.add_parser("catalog3d", help="emit a 3D catalog member with its verdict")
-    p.add_argument("--family", choices=sorted(catalog3d._ROWS), required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--metric", required=True,
-                   choices=tuple(dict.fromkeys(spec.flag for spec in catalog3d._METRICS.values())))
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.set_defaults(run=_cmd_catalog3d)
+    if named == "catalog3d":
+        from . import catalog3d
+
+        p.add_argument("--family", choices=sorted(catalog3d._ROWS), required=True)
+        p.add_argument("--t", type=float, default=None)
+        p.add_argument("--metric", required=True,
+                       choices=tuple(dict.fromkeys(spec.flag for spec in catalog3d._METRICS.values())))
+        p.add_argument("--mu", type=float, default=None)
+        p.add_argument("--nu", type=float, default=None)
+        p.set_defaults(run=_cmd_catalog3d)
 
     add_file_command("report", "full report: flags, curvature, Weyl solve, classification",
                      _validate_records, _curvature_records, _weyl_records, _report_aa_records)
@@ -214,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         sys.stdout.write(args.run(args))
     except InputError as exc:

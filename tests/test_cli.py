@@ -591,8 +591,8 @@ def test_closed_pipe_is_one_error_line(tmp_path, buffered):
 
 
 # argparse writes --help into a buffered stdout and exits inside main(); the
-# write fails at entrypoint's flush.  An unbuffered stdout fails inside
-# argparse, which drops the error itself, so these run buffered only.
+# write fails at entrypoint's flush.  Into an unbuffered stdout the write
+# itself fails, in the parser's print_help, and the OSError leaves main().
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_help_on_a_full_disk_is_one_error_line():
     with open("/dev/full", "wb") as full:
@@ -602,6 +602,72 @@ def test_help_on_a_full_disk_is_one_error_line():
 
 def test_help_into_a_closed_pipe_is_one_error_line():
     _assert_one_error_line(_into_closed_pipe(True, "--help"), "[Errno 32] Broken pipe")
+
+
+HELP_ARGS = pytest.mark.parametrize("args", [("--help",), ("report", "--help")],
+                                    ids=["top", "report"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@HELP_ARGS
+def test_unbuffered_help_on_a_full_disk_is_one_error_line(args):
+    with open("/dev/full", "wb") as full:
+        proc = _write_to(full, False, *args)
+    _assert_one_error_line(proc, "[Errno 28] No space left on device")
+
+
+@HELP_ARGS
+def test_unbuffered_help_into_a_closed_pipe_is_one_error_line(args):
+    _assert_one_error_line(_into_closed_pipe(False, *args), "[Errno 32] Broken pipe")
+
+
+def _through_main_entry(*args):
+    """``python -m lieweyl`` with ``args``, then the exit code and whether
+    the run loaded ``lieweyl.catalog3d``, on stderr's last line."""
+    probe = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('lieweyl', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    sys.stderr.write(f'\\n{exc.code} {\"lieweyl.catalog3d\" in sys.modules}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
+    return proc.stdout, proc.stderr.splitlines()[-1]
+
+
+def test_file_commands_do_not_load_the_catalog(tmp_path):
+    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
+    for command in ("validate", "curvature", "weyl-solve", "aa-classify", "report"):
+        assert _through_main_entry(command, path)[1] == "0 False", command
+    assert _through_main_entry("report", "--help")[1] == "0 False"
+
+
+def test_catalog3d_command_loads_the_catalog():
+    out, status = _through_main_entry("catalog3d", "--family", "sol", "--metric", "std")
+    assert status == "0 True"
+    assert "# cl3.admits = " in out
+
+
+def test_catalog3d_help_lists_families_and_metric_flags():
+    proc = run_cli("catalog3d", "--help")
+    assert proc.returncode == 0
+    assert "--family {abelian,g0,gt,ridr2,so2r2,sol}" in proc.stdout
+    assert "--metric {std,g,h,m}" in proc.stdout
+    for flag in ("--t T", "--mu MU", "--nu NU"):
+        assert flag in proc.stdout
+
+
+def test_main_entry_runs_cli_main_with_the_collector_enabled():
+    # the entry pauses the collector while it imports lieweyl.cli, then
+    # freezes what the import made
+    probe = (
+        "import gc, runpy, sys\n"
+        "from lieweyl import cli\n"
+        "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 0\n"
+        "runpy.run_module('lieweyl', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
 
 
 def test_entrypoint_flushes_after_argparse_exits(monkeypatch, tmp_path, capsys):
