@@ -36,6 +36,11 @@ scale: ``REL_TOL`` max |entry| (:func:`coefficient_tolerance`) for the
 antisymmetry of c and the symmetry of a metric, ``REL_TOL`` max |c|^2 for
 the Jacobi sums.  A metric whose Cholesky pivots have a squared ratio
 min/max below machine epsilon is singular to working precision and rejected.
+Both scales, and the norms that square them, are representable only while
+lam^4, the size of a squared curvature form, is a normal float64:
+``MetricLieAlgebra`` rejects a nonabelian algebra whose lam lies outside
+``riemann.SCALE_WINDOW``, about [1.2e-77, 1.2e77], with
+:class:`NumericInputError` (``underflow`` set below the window).
 The named verdict constants multiply the same scales: ``weyl.FLATNESS_RTOL``
 1e-8 and ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
 ``weyl.DEFAULT_ROOT_TOL`` 1e-8 the root test at unit lam, where

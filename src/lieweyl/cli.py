@@ -8,23 +8,17 @@ algebra without a codimension-one abelian ideal instead of failing;
 ``catalog3d`` writes a document instead of reading one.  Exit codes: 0
 success, 1 domain failure (well-formed input without the requested
 structure, or an internal consistency alarm), 2 malformed input (bad files,
-bad parameters, usage errors).  The process entry point also exits 1, with
-one ``error:`` line, when stdout cannot be written (a full disk, a pipe whose
+bad parameters, usage errors).  The parser declares every command but gives
+only the command named on the command line its arguments, and only
+``catalog3d`` imports :mod:`lieweyl.catalog3d`, so a file command never
+loads the catalog.  :func:`main` leaves the collector and stdout alone; the
+process entry is :func:`lieweyl.__main__.main`, which also exits 1, with one
+``error:`` line, when stdout cannot be written (a full disk, a pipe whose
 reader has closed), argparse's ``--help`` text included, buffered or not.
-The parser declares every command but gives only the command named on the
-command line its arguments, and only ``catalog3d`` imports
-:mod:`lieweyl.catalog3d`, so a file command never loads the catalog.
-:func:`entrypoint` freezes the heap before the process exits, so that the
-collections at interpreter shutdown skip everything made at import;
-:func:`main` does not, so library and test callers keep their collector as
-it was.  The process entry is :func:`lieweyl.__main__.main`, which imports
-this module with the collector paused.
 """
 from __future__ import annotations
 
 import argparse
-import gc
-import os
 import sys
 
 from . import almost_abelian, mla, riemann, weyl
@@ -256,26 +250,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-def entrypoint() -> None:
-    """Run :func:`main` as a process: the ``lieweyl`` command and
-    ``python -m lieweyl``."""
-    try:
-        try:
-            code = main()
-        except SystemExit as exc:  # argparse's own exits: --help, usage errors
-            code = exc.code
-        sys.stdout.flush()  # a failed write surfaces here, not at shutdown
-    except OSError as exc:
-        # a full disk or a closed pipe: point stdout at devnull, as the Python
-        # docs' note on SIGPIPE says, so that the flush at shutdown cannot
-        # raise again with what is still buffered
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        code = 1
-    # Shutdown runs full cyclic collections over every object that numpy and
-    # lieweyl made at import; frozen objects sit in the permanent generation,
-    # which they skip.  Refcount teardown, atexit handlers and the flushes of
-    # stdout and stderr still run.
-    gc.freeze()
-    raise SystemExit(code)

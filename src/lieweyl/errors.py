@@ -21,9 +21,14 @@ class StructureError(LieweylError):
 
 
 class NumericInputError(LieweylError):
-    """Non-finite numbers (NaN or infinity) in numeric input."""
+    """Numeric input that float64 cannot carry: NaN or infinity, or a scale
+    whose products overflow, or underflow when ``underflow`` is set."""
 
     code = "numeric-input"
+
+    def __init__(self, message: str, underflow: bool = False):
+        super().__init__(message)
+        self.underflow = underflow
 
 
 class InvalidAlgebraError(LieweylError):

@@ -187,7 +187,7 @@ def parse_mla(text: str) -> MlaDocument:
             ) from None
         raise MlaParseError("metric-not-spd", 0, str(exc)) from None
     except NumericInputError as exc:
-        raise MlaParseError("overflow", 0, str(exc)) from None
+        raise MlaParseError("underflow" if exc.underflow else "overflow", 0, str(exc)) from None
     except InvalidAlgebraError as exc:
         first = exc.violations[0]
         raise MlaParseError(

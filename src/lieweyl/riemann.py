@@ -44,6 +44,11 @@ from .errors import (
 )
 
 
+# the frame scales lam whose fourth power, the size of a squared curvature
+# form, is a normal float64; a nonabelian MetricLieAlgebra outside is rejected
+SCALE_WINDOW = (np.finfo(float).tiny ** 0.25, np.finfo(float).max ** 0.25)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -84,6 +89,16 @@ class MetricLieAlgebra:
         g.setflags(write=False)
         object.__setattr__(self, "metric", g)
         object.__setattr__(self, "_cholesky", low)
+        # an overflow in the frame table leaves inf or NaN in lam, rejected here
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = self.structure_scale
+        if not SCALE_WINDOW[0] <= lam <= SCALE_WINDOW[1]:
+            raise NumericInputError(
+                f"frame scale {lam:.3e} of the structure constants is outside "
+                f"[{SCALE_WINDOW[0]:.3e}, {SCALE_WINDOW[1]:.3e}], where its fourth "
+                f"power, the size of squared curvature, is a normal float64",
+                underflow=lam < SCALE_WINDOW[0],
+            )
 
     @property
     def dim(self) -> int:
@@ -117,8 +132,12 @@ class MetricLieAlgebra:
     def structure_scale(self) -> float:
         """lam, the c-sized scale of frame quantities and the unit of every
         scale-free test: the frame norm of the structure constants, or 1 on
-        an abelian algebra."""
-        norm = float(np.linalg.norm(self.frame_structure))
+        an abelian algebra.  The norm is taken at the binary exponent of the
+        largest entry, so that its squares neither overflow nor underflow;
+        inside :data:`SCALE_WINDOW` it has the bits of the plain norm."""
+        cf = self.frame_structure
+        exp = np.frexp(np.abs(cf).max())[1]
+        norm = float(np.ldexp(np.linalg.norm(np.ldexp(cf, -exp)), exp))
         return norm if norm > 0.0 else 1.0
 
     @cached_property

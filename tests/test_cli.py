@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import lieweyl.__main__
 from lieweyl import algebra, catalog3d, cli, mla, riemann, samples, weyl
 
 SOL_TEXT = """mla 1
@@ -318,6 +319,41 @@ def test_metric_singular_to_working_precision_exits_two(tmp_path, capsys, small)
         assert err == "error[mla.metric-not-spd]: line 0: metric is singular to working precision\n"
 
 
+def _scaled_hyperbolic(first, second, metric="1"):
+    """``bracket 1 3 = first 0 0``, ``bracket 2 3 = 0 second 0`` on the metric
+    ``metric`` times the identity: hyperbolic for second = first, sol for
+    second = -first."""
+    return (f"mla 1\ndim 3\nbracket 1 3 = {first} 0 0\nbracket 2 3 = 0 {second} 0\n"
+            f"metric\n{metric} 0 0\n0 {metric} 0\n0 0 {metric}\n")
+
+
+# frame scales lam (here 2s, or 2 / sqrt(metric)) whose fourth power is not a
+# normal float64.  Let through, the first ran with an overflow warning (the
+# Ricci cross-check's bound inf), the second died in an SVD, the next two
+# read as abelian (a wrong root set and normal), sol printed a zero Einstein
+# defect beside a nonzero scalar, and the small metric overflowed like the first
+SCALE_REPRODUCERS = {
+    "hyperbolic-1e78": (_scaled_hyperbolic("1e78", "1e78"), "overflow", "2.000e+78"),
+    "hyperbolic-1e154": (_scaled_hyperbolic("1e154", "1e154"), "overflow", "2.000e+154"),
+    "hyperbolic-1e-162": (_scaled_hyperbolic("1e-162", "1e-162"), "underflow", "2.000e-162"),
+    "hyperbolic-1e-155": (_scaled_hyperbolic("1e-155", "1e-155"), "underflow", "2.000e-155"),
+    "sol-1e-100": (_scaled_hyperbolic("1e-100", "-1e-100"), "underflow", "2.000e-100"),
+    "metric-1e-200": (_scaled_hyperbolic("1", "1", "1e-200"), "overflow", "2.000e+100"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_REPRODUCERS))
+def test_frame_scales_outside_the_window_exit_two(tmp_path, capsys, name):
+    text, side, lam = SCALE_REPRODUCERS[name]
+    path = write_mla(tmp_path, f"{name}.mla", text)
+    assert cli.main(["report", path, "--format", "records"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error[mla.{side}]: line 0: frame scale {lam} of the structure constants "
+                   f"is outside [1.221e-77, 1.158e+77], where its fourth power, the size of "
+                   f"squared curvature, is a normal float64\n")
+
+
 def test_ill_conditioned_heisenberg_reports_as_its_isometric_document(tmp_path, capsys):
     # metric diag(1, 1, 1e-15) is accepted (squared pivot ratio 1e-15 > eps);
     # its frame is that of the identity metric with [e_1, e_2] = sqrt(1e-15) e_3
@@ -507,17 +543,6 @@ def test_missing_subcommand_is_usage_error():
     assert "usage:" in proc.stderr
 
 
-def test_entrypoint_freezes_the_heap_after_main_and_exits_with_its_code(monkeypatch):
-    events = []
-    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 1)
-    # a fake freeze: the real one would move pytest's own heap out of reach
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-    with pytest.raises(SystemExit) as exit_info:
-        cli.entrypoint()
-    assert events == ["main", "freeze"]
-    assert exit_info.value.code == 1
-
-
 def _in_process(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -525,8 +550,8 @@ def _in_process(capsys, *argv):
 
 
 def test_process_output_is_main_output(tmp_path, capsys):
-    # the frozen heap and the explicit flush leave stdout, stderr and the
-    # exit code of a process exactly those of main()
+    # the entry's frozen heap and explicit flush leave stdout, stderr and
+    # the exit code of a process exactly those of main()
     rng = np.random.default_rng(11)
     models = {
         "aa3": samples.random_almost_abelian(rng, 3, "trace"),
@@ -591,7 +616,7 @@ def test_closed_pipe_is_one_error_line(tmp_path, buffered):
 
 
 # argparse writes --help into a buffered stdout and exits inside main(); the
-# write fails at entrypoint's flush.  Into an unbuffered stdout the write
+# write fails at the entry's flush.  Into an unbuffered stdout the write
 # itself fails, in the parser's print_help, and the OSError leaves main().
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_help_on_a_full_disk_is_one_error_line():
@@ -670,8 +695,35 @@ def test_main_entry_runs_cli_main_with_the_collector_enabled():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
 
 
+def test_main_entry_freezes_the_heap_only_before_cli_main(tmp_path):
+    # nothing that cli.main leaves behind is frozen at exit: the freeze count
+    # as cli.main returns bounds the count the interpreter's atexit handlers
+    # see.  It may fall in between: a frozen object freed by its refcount
+    # (runpy's module of the run, say) leaves the frozen heap
+    probe = (
+        "import atexit, gc, runpy\n"
+        "from lieweyl import cli\n"
+        "counts = []\n"
+        "real_main = cli.main\n"
+        "def counted_main():\n"
+        "    code = real_main()\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "    return code\n"
+        "cli.main = counted_main\n"
+        "atexit.register(lambda: counts.append(gc.get_freeze_count()) or print(*counts))\n"
+        "runpy.run_module('lieweyl', run_name='__main__', alter_sys=True)\n"
+    )
+    path = write_mla(tmp_path, "hyp3.mla", HYP3_TEXT)
+    proc = subprocess.run([sys.executable, "-c", probe, "report", path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    inside, at_exit = map(int, proc.stdout.splitlines()[-1].split())
+    assert 0 < at_exit <= inside
+
+
 def test_entrypoint_flushes_after_argparse_exits(monkeypatch, tmp_path, capsys):
     events = []
+    # a fake freeze: the real one would move pytest's own heap out of reach
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
 
     def usage_error():
@@ -680,8 +732,8 @@ def test_entrypoint_flushes_after_argparse_exits(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli, "main", usage_error)
     with pytest.raises(SystemExit) as exit_info:
-        cli.entrypoint()
-    assert events == ["main", "freeze"]
+        lieweyl.__main__.main()
+    assert events == ["freeze", "main"]  # the import's heap only
     assert exit_info.value.code == 2
 
     def help_text():
@@ -692,14 +744,14 @@ def test_entrypoint_flushes_after_argparse_exits(monkeypatch, tmp_path, capsys):
         def flush(self):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        def fileno(self):  # the descriptor that entrypoint points at devnull
+        def fileno(self):  # the descriptor that the entry points at devnull
             return target.fileno()
 
     with open(tmp_path / "stdout", "wb") as target, monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", FullStdout())
         patch.setattr(cli, "main", help_text)
         with pytest.raises(SystemExit) as exit_info:
-            cli.entrypoint()
+            lieweyl.__main__.main()
     assert exit_info.value.code == 1
     assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lieweyl import almost_abelian, frames, mla, riemann, samples, weyl
 from lieweyl.algebra import REL_TOL, LieAlgebra, validate
+from lieweyl.errors import NotAlmostAbelianError
 from lieweyl.riemann import (
     change_basis,
     codifferential_oneform,
@@ -225,6 +226,40 @@ def test_exits_and_infimum_are_scale_free():
             assert result.exits == base.exits, (i, lam, base.exits, result.exits)
             gap = abs(result.infimum / lam**2 - base.infimum)
             assert gap <= 1e-12 * size, (i, lam, result.infimum / lam**2, base.infimum)
+
+
+def _homothety_verdicts(m):
+    """Weyl root count, then the classifier's case, root count and
+    uniqueness of the ideal, and both flatness verdicts at each nonzero
+    classifier root: the spectral one and the curvature's (Ricci-flat, flat)."""
+    verdicts = [len(weyl.solve_lee_forms(m).roots)]
+    try:
+        dec = almost_abelian.decompose(m)
+    except NotAlmostAbelianError:
+        return verdicts + ["not almost abelian"]
+    cls = almost_abelian.classify_weyl_einstein(dec, m)
+    verdicts += [cls.case, len(cls.lee_forms), dec.unique_ideal]
+    for root in cls.lee_forms:
+        if m.covector_norm(root) > REL_TOL * m.structure_scale:
+            report = weyl.conformal_flatness(m, root)
+            verdicts.append((almost_abelian.conformal_metric_flatness(dec, m, root),
+                             report.ricci_flat, report.flat))
+    return verdicts
+
+
+def test_verdicts_are_homothety_invariant_just_inside_the_scale_window():
+    # at lam = 1e+-70, lam^4 is a normal float64, so every verdict is that of
+    # lam = 1, and the Einstein defect scales by lam^2 to within the rounding
+    # of the curvature-sized scale 1 + |Ric| at unit lam
+    for i, m in enumerate(acceptance_mix(60) + LADDER_MODELS):
+        unit = rescaled(m, 1.0 / m.structure_scale)
+        want, defect = _homothety_verdicts(unit), riemann.einstein_defect(unit)
+        size = unit.curvature_scale(float(np.linalg.norm(unit.frame_curvature.ricci)))
+        for lam in (1e-70, 1e70):
+            moved = rescaled(unit, lam)
+            assert _homothety_verdicts(moved) == want, (i, lam)
+            gap = abs(riemann.einstein_defect(moved) / lam**2 - defect)
+            assert gap <= 1e-12 * size, (i, lam, gap)
 
 
 def test_default_infimum_equals_the_256_start_minimum_on_root_free_models():

@@ -20,7 +20,13 @@ from lieweyl import (
     ricci,
 )
 from lieweyl.algebra import REL_TOL
-from lieweyl.errors import ConsistencyError, DimensionError, InvalidAlgebraError, MetricError
+from lieweyl.errors import (
+    ConsistencyError,
+    DimensionError,
+    InvalidAlgebraError,
+    MetricError,
+    NumericInputError,
+)
 from lieweyl.riemann import (
     codifferential_sym2,
     compatibility_residual,
@@ -289,3 +295,26 @@ def test_ricci_cross_check_carries_the_rounding_of_c_squared(monkeypatch, lam):
         with pytest.raises(ConsistencyError):
             ricci(corrupted)
         monkeypatch.undo()
+
+
+def at_frame_scale(m: MetricLieAlgebra, lam: float) -> MetricLieAlgebra:
+    """``m`` with its structure constants rescaled to frame scale ``lam``."""
+    return MetricLieAlgebra(LieAlgebra(lam / m.structure_scale * np.asarray(m.c)), m.metric)
+
+
+@pytest.mark.parametrize("lam", [1e-80, 1e80])
+def test_construction_rejects_frame_scales_outside_the_window(lam):
+    # lam^4 would overflow float64 (1e80) or fall below its normal range (1e-80)
+    with pytest.raises(NumericInputError, match=r"frame scale \S+ of the structure constants is outside") as info:
+        at_frame_scale(samples.hyperbolic(4), lam)
+    assert info.value.underflow == (lam < 1.0)
+
+
+def test_frame_scale_inside_the_window_has_the_bits_of_the_plain_norm():
+    low, high = riemann.SCALE_WINDOW
+    assert 1e-77 < low < 1e-76 and 1e77 < high < 1e78
+    for i, m in enumerate(acceptance_mix(30) + [samples.heisenberg(1)]):
+        for lam in (1e-70, 1.0, 1e70):
+            moved = at_frame_scale(m, lam)
+            assert moved.structure_scale == float(np.linalg.norm(moved.frame_structure)), (i, lam)
+    assert samples.abelian(3).structure_scale == 1.0
