@@ -7,10 +7,13 @@ A Lie algebra of dimension ``n`` is stored as an ``(n, n, n)`` array ``c`` with
 in a fixed basis ``e_1, ..., e_n``.  Construction only checks shape and
 finiteness; antisymmetry and the Jacobi identity are checked by
 :func:`validate`, so that invalid tables can still be inspected and reported.
+The dimension is checked once: ``MetricLieAlgebra`` refuses n < 3.
 
 Tolerance policy.  ``REL_TOL`` = 1e-9 is the one relative tolerance for
 deciding that a derived quantity vanishes, read against one of two scales,
-so that no verdict depends on the basis or on the homothety c -> lam c:
+so that no verdict depends on the basis or on the homothety c -> lam c.
+Both c-sized scales are one table norm, :func:`_table_norm`, the Frobenius
+norm taken at the exponent of the largest entry, which cannot overflow:
 
 * c-sized: the size of c in the basis the test runs in, |c| =
   :attr:`LieAlgebra.scale`, cached on the table, for tests on it (the
@@ -38,9 +41,10 @@ the Jacobi sums.  A metric whose Cholesky pivots have a squared ratio
 min/max below machine epsilon is singular to working precision and rejected.
 Both scales, and the norms that square them, are representable only while
 lam^4, the size of a squared curvature form, is a normal float64:
-``MetricLieAlgebra`` rejects a nonabelian algebra whose lam lies outside
-``riemann.SCALE_WINDOW``, about [1.2e-77, 1.2e77], with
-:class:`NumericInputError` (``underflow`` set below the window).
+``MetricLieAlgebra`` rejects with :class:`NumericInputError` a nonabelian
+algebra whose lam lies outside ``riemann.SCALE_WINDOW``, about [1.2e-77,
+1.2e77] (``underflow`` set below it), or whose input-basis curvature, at
+most 6 lam^2 |L|^3 max(1, |U|) with g = L L^T and U = L^-T, could overflow.
 The named verdict constants multiply the same scales: ``weyl.FLATNESS_RTOL``
 1e-8 and ``almost_abelian.WE_PRECONDITION_RTOL`` 1e-6 the curvature-sized one;
 ``weyl.DEFAULT_ROOT_TOL`` 1e-8 the root test at unit lam, where
@@ -97,6 +101,13 @@ def nullspace(a: np.ndarray) -> np.ndarray:
     return vh[np.count_nonzero(s > REL_TOL * s[0]):]
 
 
+def _table_norm(c: np.ndarray) -> float:
+    """Frobenius norm at the binary exponent of the largest entry: no square
+    overflows or underflows, and where none would it has the bits of np.linalg.norm."""
+    exp = np.frexp(np.abs(c).max())[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(c, -exp)), exp))
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """Structure-constant table of a finite dimensional real Lie algebra."""
@@ -124,7 +135,7 @@ class LieAlgebra:
     def scale(self) -> float:
         """|c|, the Frobenius norm of the table in this basis: the c-sized
         scale of the zero tests and rank decisions made on the table."""
-        return float(np.linalg.norm(self.c))
+        return _table_norm(self.c)
 
     @classmethod
     def from_brackets(cls, dim: int, brackets) -> "LieAlgebra":

@@ -90,8 +90,7 @@ def _ideal_system_plan(n: int) -> np.ndarray:
     c.ravel(), -c.ravel() and one zero.  The first C(n, 2) rows are the
     brackets c[i, j], i < j; the next n C(n, 3) rows are the coefficients of
     l ^ c^k on e_p ^ e_q ^ e_s, p < q < s, with c^k(x, y) = e^k([x, y]):
-    c^k[q, s] at column p, -c^k[p, s] at q and c^k[p, q] at s.  Zero rows pad
-    the system to at least n rows (n = 2 has no triple).
+    c^k[q, s] at column p, -c^k[p, s] at q and c^k[p, q] at s.
     """
     cube, zero = n**3, 2 * n**3
     ks = np.arange(n)
@@ -104,9 +103,7 @@ def _ideal_system_plan(n: int) -> np.ndarray:
     wedges[:, rows, p] = ((q * n + s) * n)[None, :] + ks[:, None]
     wedges[:, rows, q] = cube + ((p * n + s) * n)[None, :] + ks[:, None]
     wedges[:, rows, s] = ((p * n + q) * n)[None, :] + ks[:, None]
-    plan = np.concatenate((brackets, wedges.reshape(-1, n)))
-    padding = np.full((max(0, n - len(plan)), n), zero, dtype=np.intp)
-    return _read_only(np.concatenate((plan, padding)))
+    return _read_only(np.concatenate((brackets, wedges.reshape(-1, n))))
 
 
 def _first_significant_positive(v: np.ndarray) -> np.ndarray:
@@ -135,11 +132,8 @@ def decompose(m: MetricLieAlgebra) -> AADecomposition:
     e_j, j the last significant component of b, is the dependent vector.
     The ad-gap and abelian checks read the same cutoff.
     """
-    n = m.dim
-    if n < 2:
-        raise NotAlmostAbelianError("need dimension at least 2")
     flat = m.frame_algebra.c.ravel()
-    system = np.concatenate((flat, -flat, [0.0]))[_ideal_system_plan(n)]
+    system = np.concatenate((flat, -flat, [0.0]))[_ideal_system_plan(m.dim)]
     cutoff = REL_TOL * m.structure_scale
     _, values, vh = np.linalg.svd(system, full_matrices=False)
     admissible = vh[np.count_nonzero(values > cutoff):]
@@ -179,13 +173,12 @@ def decompose(m: MetricLieAlgebra) -> AADecomposition:
             f"ad_normal on the ideal basis and its projection onto the ideal differ by "
             f"{gap:.3e} in max norm (tolerance {cutoff:.3e})"
         )
-    if n > 2:
-        gap = float(np.abs(_brackets(m.frame_algebra, h_f, h_f)).max())
-        if gap > cutoff:
-            raise ConsistencyError(
-                f"computed ideal is not abelian: the brackets of the ideal basis and zero differ "
-                f"by {gap:.3e} in max norm (tolerance {cutoff:.3e})"
-            )
+    gap = float(np.abs(_brackets(m.frame_algebra, h_f, h_f)).max())
+    if gap > cutoff:
+        raise ConsistencyError(
+            f"computed ideal is not abelian: the brackets of the ideal basis and zero differ "
+            f"by {gap:.3e} in max norm (tolerance {cutoff:.3e})"
+        )
 
     skew = 0.5 * (restricted - restricted.T)
     sym = 0.5 * (restricted + restricted.T)
@@ -218,8 +211,6 @@ class AAClassification(NamedTuple):
 
 def classify_weyl_einstein(dec: AADecomposition, m: MetricLieAlgebra) -> AAClassification:
     n = m.dim
-    if n < 3:
-        raise PreconditionError("classification needs dimension at least 3")
     # tests on sym / lam and skew / lam; the coefficient and Lee forms from sym
     lam = m.structure_scale
     s = dec.sym / lam

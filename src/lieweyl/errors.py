@@ -52,7 +52,7 @@ class MetricError(LieweylError):
 
 
 class DimensionError(LieweylError):
-    """Operation needs a higher dimension than the input provides."""
+    """The dimension is out of range: below 3 for ``MetricLieAlgebra``, not 3 for the 3D frame."""
 
     code = "dimension"
 

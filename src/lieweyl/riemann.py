@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frames
-from .algebra import REL_TOL, LieAlgebra, coefficient_tolerance, validate
+from .algebra import REL_TOL, LieAlgebra, _table_norm, coefficient_tolerance, validate
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -62,8 +62,10 @@ class MetricLieAlgebra:
     metric: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.metric, dtype=float)
         n = self.algebra.dim
+        if n < 3:
+            raise DimensionError(f"metric Lie algebras need dimension at least 3, got {n}")
+        g = np.array(self.metric, dtype=float)
         if g.shape != (n, n):
             raise StructureError(f"metric must have shape ({n}, {n}), got {g.shape}")
         if not np.isfinite(g).all():
@@ -99,6 +101,16 @@ class MetricLieAlgebra:
                 f"power, the size of squared curvature, is a normal float64",
                 underflow=lam < SCALE_WINDOW[0],
             )
+        # the input-basis connection and curvature have frame norms at most 1.5 lam
+        # and 6 lam^2; mapped back, each partial sum grows by at most |L| <= sqrt(n
+        # max g_ii) per covector slot and |U| <= n max |U_ij| for the vector slot
+        peak, u = float(g.diagonal().max()), self.frame
+        factor = (n * peak) ** 0.5
+        reach = lam * factor
+        size = reach * max(1.5, 6.0 * reach) * factor * max(1.0, n * float(max(u.max(), -u.min())))
+        if not size <= np.finfo(float).max and self.c.any():
+            raise NumericInputError(f"frame scale {lam:.3e} on a metric with diagonal entries up to "
+                                    f"{peak:.3e} gives input-basis curvature beyond float64")
 
     @property
     def dim(self) -> int:
@@ -130,15 +142,9 @@ class MetricLieAlgebra:
 
     @cached_property
     def structure_scale(self) -> float:
-        """lam, the c-sized scale of frame quantities and the unit of every
-        scale-free test: the frame norm of the structure constants, or 1 on
-        an abelian algebra.  The norm is taken at the binary exponent of the
-        largest entry, so that its squares neither overflow nor underflow;
-        inside :data:`SCALE_WINDOW` it has the bits of the plain norm."""
-        cf = self.frame_structure
-        exp = np.frexp(np.abs(cf).max())[1]
-        norm = float(np.ldexp(np.linalg.norm(np.ldexp(cf, -exp)), exp))
-        return norm if norm > 0.0 else 1.0
+        """lam, the c-sized scale of frame quantities and the unit of every scale-free
+        test: the frame norm of the structure constants, or 1 on an abelian algebra."""
+        return _table_norm(self.frame_structure) or 1.0
 
     @cached_property
     def frame_connection(self) -> np.ndarray:
@@ -281,8 +287,6 @@ def ricci(m: MetricLieAlgebra) -> CurvatureData:
 
 def einstein_defect(m: MetricLieAlgebra) -> float:
     """Frame norm of the trace-free Ricci part; zero exactly for Einstein."""
-    if m.dim < 3:
-        raise DimensionError("Einstein defect needs dimension at least 3")
     data = m.frame_curvature
     return float(np.linalg.norm(data.ricci - (data.scalar / m.dim) * np.eye(m.dim)))
 

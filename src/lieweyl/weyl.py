@@ -37,8 +37,8 @@ and of its g-dual vector, and mapped back only for output.  A Lee form is a
 plain covector in the standard dual basis everywhere, read-only inside a
 :class:`WeylStructure`; its g-norm is ``MetricLieAlgebra.covector_norm``.
 
-Everything here requires dimension at least 3: in lower dimensions the
-Weyl-Einstein condition degenerates and none of the formulas below are used.
+The Weyl-Einstein condition degenerates below dimension 3, where E's rewrite
+rules divide by n - 2; :class:`MetricLieAlgebra` refuses such an algebra.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ from . import riemann
 from .algebra import REL_TOL, nullspace, row_space
 from .errors import (
     ConsistencyError,
-    DimensionError,
     InputError,
     NotClosedError,
     NumericInputError,
@@ -94,8 +93,6 @@ class WeylStructure(NamedTuple):
 
 
 def weyl_connection(m: MetricLieAlgebra, theta) -> WeylStructure:
-    if m.dim < 3:
-        raise DimensionError("Weyl structures need dimension at least 3")
     lee = np.array(_as_covector(m, theta))
     lee.setflags(write=False)
     table = m.from_frame(_frame_weyl_table(m, m.frame.T @ lee), upper=1)
@@ -218,8 +215,6 @@ def weyl_einstein_residual(m: MetricLieAlgebra, theta) -> WEResidual:
     frame map :class:`_ResidualSystem` at unit scale, lam^2 E_unit(t / lam),
     mapped back to the standard basis.
     """
-    if m.dim < 3:
-        raise DimensionError("Weyl-Einstein residual needs dimension at least 3")
     system = _residual_system(m)
     t = (m.frame.T @ _as_covector(m, theta))[None] / system.scale
     packed = system.scale**2 * system.residual(t, system.jacobian(t))[0]
@@ -747,8 +742,6 @@ def solve_lee_forms(
     non-negative integer raise :class:`InputError`, even where no search
     runs; numpy scalars are accepted, bools are not.
     """
-    if m.dim < 3:
-        raise DimensionError("Weyl-Einstein solving needs dimension at least 3")
     if not (starts is None or (_is_a(starts, numbers.Integral) and 1 <= starts <= MAX_STARTS)):
         raise InputError(f"need an integer between 1 and {MAX_STARTS} starts, got {starts!r}")
     if not (_is_a(seed, numbers.Integral) and seed >= 0):
@@ -825,8 +818,6 @@ def conformal_flatness(m: MetricLieAlgebra, theta) -> FlatnessReport:
     the simply connected group and :class:`NotClosedError` is raised).  The
     verdicts are ``FLATNESS_RTOL`` times lam^2 + |Ric| and lam^2 + |R|.
     """
-    if m.dim < 3:
-        raise DimensionError("conformal flatness check needs dimension at least 3")
     theta = _as_covector(m, theta)
     if not faraday(m, theta).closed:
         raise NotClosedError("Lee form is not closed; no conformal rescaling exists")

@@ -385,6 +385,16 @@ def test_flags_are_independent_of_basis_and_scale():
     assert not structure_flags(so3()).solvable
 
 
+def test_flags_of_a_table_whose_squares_overflow():
+    # |c| is taken at the exponent of the largest entry: a plain norm of this
+    # table is inf, and every entry then reads as zero against REL_TOL |c|
+    unit = LieAlgebra.from_brackets(3, {(0, 2): [1.0, 0.0, 0.0], (1, 2): [0.0, 1.0, 0.0]})
+    want = structure_flags(unit)
+    assert want == (True, False, False, False, 2, 0)
+    assert structure_flags(LieAlgebra(1.3e154 * unit.c)) == want
+    assert LieAlgebra(1.3e154 * unit.c).scale == 1.3e154 * unit.scale
+
+
 def test_free_two_step_flags():
     f = structure_flags(samples.free_two_step().algebra)
     assert f.nilpotent and f.unimodular

@@ -327,31 +327,83 @@ def _scaled_hyperbolic(first, second, metric="1"):
             f"metric\n{metric} 0 0\n0 {metric} 0\n0 0 {metric}\n")
 
 
+def _outside_the_window(lam):
+    return (f"frame scale {lam} of the structure constants is outside [1.221e-77, "
+            f"1.158e+77], where its fourth power, the size of squared curvature, is a "
+            f"normal float64")
+
+
+def _input_curvature_overflows(lam, peak):
+    return (f"frame scale {lam} on a metric with diagonal entries up to {peak} gives "
+            f"input-basis curvature beyond float64")
+
+
 # frame scales lam (here 2s, or 2 / sqrt(metric)) whose fourth power is not a
 # normal float64.  Let through, the first ran with an overflow warning (the
 # Ricci cross-check's bound inf), the second died in an SVD, the next two
 # read as abelian (a wrong root set and normal), sol printed a zero Einstein
-# defect beside a nonzero scalar, and the small metric overflowed like the first
+# defect beside a nonzero scalar, and the small metric overflowed like the first.
+# The last two have lam = 2.6 and 2 inside the window, on metrics whose
+# Cholesky factor is 1e154 and 1e150 times the identity: let through, the
+# first printed -inf Ricci forms and flags of an abelian algebra, and under
+# -W error both died, in the norm of the table and in mapping the curvature back
 SCALE_REPRODUCERS = {
-    "hyperbolic-1e78": (_scaled_hyperbolic("1e78", "1e78"), "overflow", "2.000e+78"),
-    "hyperbolic-1e154": (_scaled_hyperbolic("1e154", "1e154"), "overflow", "2.000e+154"),
-    "hyperbolic-1e-162": (_scaled_hyperbolic("1e-162", "1e-162"), "underflow", "2.000e-162"),
-    "hyperbolic-1e-155": (_scaled_hyperbolic("1e-155", "1e-155"), "underflow", "2.000e-155"),
-    "sol-1e-100": (_scaled_hyperbolic("1e-100", "-1e-100"), "underflow", "2.000e-100"),
-    "metric-1e-200": (_scaled_hyperbolic("1", "1", "1e-200"), "overflow", "2.000e+100"),
+    "hyperbolic-1e78": (_scaled_hyperbolic("1e78", "1e78"), "overflow",
+                        _outside_the_window("2.000e+78")),
+    "hyperbolic-1e154": (_scaled_hyperbolic("1e154", "1e154"), "overflow",
+                         _outside_the_window("2.000e+154")),
+    "hyperbolic-1e-162": (_scaled_hyperbolic("1e-162", "1e-162"), "underflow",
+                          _outside_the_window("2.000e-162")),
+    "hyperbolic-1e-155": (_scaled_hyperbolic("1e-155", "1e-155"), "underflow",
+                          _outside_the_window("2.000e-155")),
+    "sol-1e-100": (_scaled_hyperbolic("1e-100", "-1e-100"), "underflow",
+                   _outside_the_window("2.000e-100")),
+    "metric-1e-200": (_scaled_hyperbolic("1", "1", "1e-200"), "overflow",
+                      _outside_the_window("2.000e+100")),
+    "metric-1e308": (_scaled_hyperbolic("1.3e154", "1.3e154", "1e308"), "overflow",
+                     _input_curvature_overflows("2.600e+00", "1.000e+308")),
+    "metric-1e300": (_scaled_hyperbolic("1e150", "1e150", "1e300"), "overflow",
+                     _input_curvature_overflows("2.000e+00", "1.000e+300")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCALE_REPRODUCERS))
 def test_frame_scales_outside_the_window_exit_two(tmp_path, capsys, name):
-    text, side, lam = SCALE_REPRODUCERS[name]
+    text, side, message = SCALE_REPRODUCERS[name]
     path = write_mla(tmp_path, f"{name}.mla", text)
     assert cli.main(["report", path, "--format", "records"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"error[mla.{side}]: line 0: frame scale {lam} of the structure constants "
-                   f"is outside [1.221e-77, 1.158e+77], where its fourth power, the size of "
-                   f"squared curvature, is a normal float64\n")
+    assert err == f"error[mla.{side}]: line 0: {message}\n"
+
+
+def test_input_basis_curvature_just_inside_the_bound_is_finite(tmp_path):
+    # the bound 6 lam^2 (n max g_ii)^(3/2) is 1.15e308 here; the largest entry
+    # mapped back, of the curvature after its three covector slots, is 9.3e305
+    path = write_mla(tmp_path, "inside.mla", _scaled_hyperbolic("1.3e102", "1.3e102", "3e203"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "lieweyl", "report", path,
+                           "--format", "records"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    records = mla.parse_records(proc.stdout)
+    assert records["ricci.matrix"][0, 0] == pytest.approx(-2 * 1.3e102**2)
+    for value in records.values():
+        if not isinstance(value, (bool, str)):
+            assert np.isfinite(value).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_documents_below_dimension_three_exit_two(tmp_path, capsys, n):
+    # every file command refuses them at the dim line, as construction does
+    text = f"mla 1\ndim {n}\nmetric\n" + "".join(
+        " ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n))
+    path = write_mla(tmp_path, f"dim{n}.mla", text)
+    for command in ("validate", "curvature", "weyl-solve", "aa-classify", "report"):
+        assert cli.main([command, path]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error[mla.bad-dim]: line 2: metric Lie algebras need dimension "
+                       f"at least 3, got {n}\n")
 
 
 def test_ill_conditioned_heisenberg_reports_as_its_isometric_document(tmp_path, capsys):

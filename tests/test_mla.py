@@ -101,6 +101,7 @@ def test_bracket_order_does_not_matter_for_geometry():
         ("mla 2\ndim 3\n", "mla.unsupported-version", 1),
         ("mla 1\nbracket 1 2 = 0 0 1\n", "mla.expected-dim", 2),
         ("mla 1\ndim 0\n", "mla.bad-dim", 2),
+        ("mla 1\ndim 33\n", "mla.bad-dim", 2),
         ("mla 1\ndim 3\nbracket 1 2\nmetric\n1 0 0\n0 1 0\n0 0 1\n", "mla.bad-bracket", 3),
         ("mla 1\ndim 3\nbracket 1 1 = 1 0 0\nmetric\n1 0 0\n0 1 0\n0 0 1\n",
          "mla.bad-bracket-indices", 3),

@@ -172,8 +172,11 @@ def test_einstein_defect_sol():
 
 
 def test_einstein_defect_needs_dim_three():
-    with pytest.raises(DimensionError):
-        einstein_defect(samples.abelian(2))
+    # there is no metric Lie algebra of dimension 1 or 2 to pass: construction
+    # refuses it first, before it reads the metric
+    for n in (1, 2):
+        with pytest.raises(DimensionError, match=f"at least 3, got {n}"):
+            MetricLieAlgebra(LieAlgebra(np.zeros((n, n, n))), np.full((n, n), np.nan))
 
 
 def test_scalar_invariant_under_basis_change():

@@ -94,8 +94,9 @@ def test_weyl_connection_metric_derivative():
 
 
 def test_weyl_connection_needs_dim_three():
+    # below dimension 3 there is no metric Lie algebra to pass: construction refuses it
     with pytest.raises(DimensionError):
-        weyl_connection(samples.abelian(2), np.array([1.0, 0.0]))
+        MetricLieAlgebra(LieAlgebra(np.zeros((2, 2, 2))), np.eye(2))
 
 
 def test_faraday_heisenberg():
