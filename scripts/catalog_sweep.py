@@ -1,48 +1,45 @@
 #!/usr/bin/env python3
 """Sweep the 3-dimensional catalog and tabulate admission verdicts.
 
-Every valid bracket/metric pairing is evaluated on a parameter grid; for each
-point the closed-form table and the numeric solver are run side by side
-(a disagreement would raise ConsistencyError and abort the sweep).
+The grid comes from the catalog's table: every bracket/metric pairing, at each
+``--t`` where its row takes t, with nu over ``--nu`` and mu on ``--mu-steps``
+even steps from its lower bound up to its cap, or up to the bound + 1 where
+the row has no cap.  For each point the closed-form table and the numeric
+solver are run side by side; a disagreement raises ConsistencyError, and a
+point the table rejects raises InputError, either of which aborts the sweep.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import time
 
 import numpy as np
 
 from lieweyl import catalog3d
-from lieweyl.catalog3d import BracketFamily, Family3D, MetricFamily
-from lieweyl.errors import InputError
+from lieweyl.catalog3d import Family3D
 
 
 def grid_points(nus, mu_steps, ts):
-    yield Family3D(BracketFamily.ABELIAN, MetricFamily.STD)
-    yield Family3D(BracketFamily.SOL, MetricFamily.STD)
-    for nu in nus:
-        yield Family3D(BracketFamily.SOL, MetricFamily.G_NU, nu=nu)
-        yield Family3D(BracketFamily.SOL, MetricFamily.M_NU, nu=nu)
-        yield Family3D(BracketFamily.R_ID_R2, MetricFamily.G_NU, nu=nu)
-        yield Family3D(BracketFamily.GT, MetricFamily.M_NU, nu=nu)
-        for j in range(1, mu_steps + 1):
-            mu = j / mu_steps
-            yield Family3D(BracketFamily.SO2R2, MetricFamily.G_MU_NU, mu=mu, nu=nu)
-            yield Family3D(BracketFamily.GT, MetricFamily.G_MU_NU, mu=mu, nu=nu)
-            yield Family3D(BracketFamily.SOL, MetricFamily.G_MU_NU, mu=mu, nu=nu)
-        for t in ts:
-            for j in range(1, mu_steps + 1):
-                yield Family3D(
-                    BracketFamily.GT, MetricFamily.H_MU_NU, t=t, mu=t * j / mu_steps, nu=nu
-                )
+    """(row name, point) for every grid point of every pairing in the table."""
+    for name, row in catalog3d._ROWS.items():
+        for t, metric in itertools.product(ts if row.takes_t else [0.0], row.pairings):
+            axes = {}
+            for param, (low, high) in catalog3d._bounds(row, metric, t).items():
+                high = high if math.isfinite(high) else low + 1.0
+                axes[param] = nus if param == "nu" else [
+                    low + (high - low) * j / mu_steps for j in range(1, mu_steps + 1)]
+            for values in itertools.product(*axes.values()):
+                yield name, Family3D(row.family, metric, t, **dict(zip(axes, values)))
 
 
-def point_label(point):
-    parts = [point.family.value, point.metric_family.value]
+def point_label(name, point):
+    parts = [name, point.metric_family.value]
     if point.t:
         parts.append(f"t={point.t:g}")
-    parts += [f"{name}={getattr(point, name):g}"
-              for name in catalog3d._METRICS[point.metric_family].params]
+    parts += [f"{param}={getattr(point, param):g}"
+              for param in catalog3d._METRICS[point.metric_family].params]
     return " ".join(parts)
 
 
@@ -55,19 +52,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     begin = time.perf_counter()
-    admitted = rejected = degenerate = 0
-    by_family = {}
-    for point in grid_points(args.nu, args.mu_steps, args.t):
-        label = point_label(point)
-        try:
-            verdict = catalog3d.admits_weyl_einstein(point)
-        except InputError as exc:
-            degenerate += 1
-            if not args.quiet:
-                print(f"{label:42s}  -- out of domain ({exc})")
-            continue
-        key = (point.family.value, point.metric_family.value)
-        tally = by_family.setdefault(key, [0, 0])
+    admitted = rejected = 0
+    by_pairing = {}
+    for name, point in grid_points(args.nu, args.mu_steps, args.t):
+        label = point_label(name, point)
+        verdict = catalog3d.admits_weyl_einstein(point)
+        tally = by_pairing.setdefault((name, point.metric_family.value), [0, 0])
         if verdict.admits:
             admitted += 1
             tally[0] += 1
@@ -83,13 +73,10 @@ def main(argv=None) -> int:
 
     print()
     print(f"{'family':10s} {'metric':8s} {'admits':>7s} {'no':>5s}")
-    for (fam, mf), (yes, no) in sorted(by_family.items()):
+    for (fam, mf), (yes, no) in sorted(by_pairing.items()):
         print(f"{fam:10s} {mf:8s} {yes:7d} {no:5d}")
     print()
-    print(
-        f"total: {admitted} admit, {rejected} do not, {degenerate} degenerate points "
-        f"({elapsed:.1f}s)"
-    )
+    print(f"total: {admitted} admit, {rejected} do not ({elapsed:.1f}s)")
     return 0
 
 

@@ -108,7 +108,7 @@ def _table_norm(c: np.ndarray) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(c, -exp)), exp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Structure-constant table of a finite dimensional real Lie algebra."""
 

@@ -15,11 +15,13 @@ admit a Weyl-Einstein structure (cf. Milnor 1976; Ha & Lee, Math. Nachr. 282
     gt       y      -t x + 2y  > 1   hmunu, mu <= t: at mu = t
 
 Metric families: ``std`` identity; ``gnu`` diag(1,1,nu); ``gmunu``
-diag(1,mu,nu); ``hmunu`` with h(x,x)=1, h(x,y)=1, h(y,y)=mu, h(z,z)=nu
-(positive definite only for mu > 1); ``mnu`` with m(x,y)=1/2 off-diagonal in
-the plane and m(z,z)=nu.  Each reads the parameters in its name, which must
-be positive.  t is compared with 1 at ``REL_TOL``, and mu with its cap at
-``REL_TOL`` (1 + t).  The row names are the ``lieweyl catalog3d --family``
+diag(1,mu,nu); ``hmunu`` with h(x,x)=1, h(x,y)=1, h(y,y)=mu, h(z,z)=nu;
+``mnu`` with m(x,y)=1/2 off-diagonal in the plane and m(z,z)=nu.  Each reads
+the parameters in its name and states their open lower bounds: ``hmunu``
+needs mu > 1, where h is positive definite, and every other parameter needs
+> 0.  A row with a cap bounds mu above by it as well.  :func:`table_admits`
+enforces these bounds, comparing t with 1 at ``REL_TOL`` and mu with its cap
+at ``REL_TOL``·cap.  The row names are the ``lieweyl catalog3d --family``
 names, and ``--metric`` is a metric family's name without its parameters.
 
 Only these pairings are constructible, so the table and the numeric solver
@@ -84,22 +86,22 @@ _BRACKETS = {
 
 
 class _Metric(NamedTuple):
-    """A metric family: its ``--metric`` name, the parameters it reads, its matrix."""
+    """A metric family: its ``--metric`` name, the parameters it reads with
+    their open lower bounds, its matrix."""
 
     flag: str
-    params: tuple
+    params: dict
     matrix: Callable[[Family3D], np.ndarray]
 
 
 _METRICS = {
-    MetricFamily.STD: _Metric("std", (), lambda p: np.eye(3)),
-    MetricFamily.G_NU: _Metric("g", ("nu",), lambda p: np.diag([1.0, 1.0, p.nu])),
-    MetricFamily.G_MU_NU: _Metric("g", ("mu", "nu"), lambda p: np.diag([1.0, p.mu, p.nu])),
-    MetricFamily.H_MU_NU: _Metric(
-        "h", ("mu", "nu"), lambda p: np.array([[1.0, 1.0, 0.0], [1.0, p.mu, 0.0], [0.0, 0.0, p.nu]])
-    ),
+    MetricFamily.STD: _Metric("std", {}, lambda p: np.eye(3)),
+    MetricFamily.G_NU: _Metric("g", {"nu": 0.0}, lambda p: np.diag([1.0, 1.0, p.nu])),
+    MetricFamily.G_MU_NU: _Metric("g", {"mu": 0.0, "nu": 0.0}, lambda p: np.diag([1.0, p.mu, p.nu])),
+    MetricFamily.H_MU_NU: _Metric("h", {"mu": 1.0, "nu": 0.0}, lambda p: np.array(
+        [[1.0, 1.0, 0.0], [1.0, p.mu, 0.0], [0.0, 0.0, p.nu]])),
     MetricFamily.M_NU: _Metric(
-        "m", ("nu",), lambda p: np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, p.nu]])
+        "m", {"nu": 0.0}, lambda p: np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, p.nu]])
     ),
 }
 
@@ -124,6 +126,15 @@ _ROWS = {
 }
 
 
+def _bounds(row: _Row, metric: MetricFamily, t: float) -> dict:
+    """Each parameter of a pairing at t, with its open lower bound and its
+    upper bound: the row's cap for mu, and infinity otherwise."""
+    rule = row.pairings[metric]
+    cap = (t if rule == "t" else float(rule)) if isinstance(rule, str) else math.inf
+    return {name: (low, cap if name == "mu" else math.inf)
+            for name, low in _METRICS[metric].params.items()}
+
+
 def table_admits(point: Family3D) -> bool:
     """Closed-form membership test: does this catalog point admit a
     Weyl-Einstein structure?  Evaluated from the classification table alone,
@@ -142,16 +153,16 @@ def table_admits(point: Family3D) -> bool:
         raise InputError(
             f"metric family {mf.value!r} is not in the catalog for bracket family {fam.value!r}"
         )
-    for name in ("nu", "mu"):
-        if name in _METRICS[mf].params and getattr(point, name) <= 0:
-            raise InputError(f"parameter {name} must be positive")
-    rule = row.pairings[mf]
-    if not isinstance(rule, str):
-        return rule
-    cap, tol = (point.t if rule == "t" else float(rule)), REL_TOL * (1 + point.t)
-    if point.mu > cap + tol:
-        raise InputError(f"{fam.value} catalog metrics need mu <= {rule}")
-    return abs(point.mu - cap) <= tol
+    bounds = _bounds(row, mf, point.t)
+    for name, (low, high) in bounds.items():
+        if getattr(point, name) <= low:
+            raise InputError(f"{mf.value} catalog metrics need {name} > {low:g}")
+        if getattr(point, name) > high + REL_TOL * high:
+            raise InputError(f"{fam.value} catalog metrics need {name} <= {high:g}")
+    if isinstance(row.pairings[mf], bool):
+        return row.pairings[mf]
+    cap = bounds["mu"][1]
+    return abs(point.mu - cap) <= REL_TOL * cap
 
 
 def build_family(point: Family3D) -> MetricLieAlgebra:

@@ -54,7 +54,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """A valid Lie algebra together with a positive definite inner product."""
 
@@ -195,12 +195,18 @@ class MetricLieAlgebra:
 
 
 def change_basis(m: MetricLieAlgebra, basis: np.ndarray) -> MetricLieAlgebra:
-    """The same geometry expressed in a new basis (columns of ``basis``)."""
+    """The same geometry expressed in a new basis (columns of ``basis``).
+
+    A basis that is not (n, n) or not invertible raises :class:`StructureError`.
+    """
     basis = np.asarray(basis, dtype=float)
-    return MetricLieAlgebra(
-        LieAlgebra(frames.structure_in_basis(m.c, basis)),
-        frames.form_in_basis(m.metric, basis),
-    )
+    if basis.shape != (m.dim, m.dim):
+        raise StructureError(f"basis must have shape ({m.dim}, {m.dim}), got {basis.shape}")
+    try:
+        c = frames.structure_in_basis(m.c, basis)
+    except np.linalg.LinAlgError:
+        raise StructureError("basis is singular") from None
+    return MetricLieAlgebra(LieAlgebra(c), frames.form_in_basis(m.metric, basis))
 
 
 class ConnectionTable(NamedTuple):

@@ -105,6 +105,24 @@ def test_table_admits_closed_form():
     assert not table_admits(point(BracketFamily.GT, MetricFamily.H_MU_NU, t=2.0, mu=1.5, nu=0.4))
 
 
+@pytest.mark.parametrize("mu", [0.5, 1.0])
+@pytest.mark.parametrize("family, t", [(BracketFamily.SOL, 0.0), (BracketFamily.GT, 2.0)])
+def test_table_admits_rejects_h_at_mu_up_to_one(family, t, mu):
+    # h is a metric only for mu > 1: the table states that bound, so such a
+    # point is off the catalog rather than a point that does not admit
+    with pytest.raises(InputError, match="mu > 1"):
+        table_admits(point(family, MetricFamily.H_MU_NU, t=t, mu=mu, nu=1.0))
+
+
+@pytest.mark.parametrize("t", [2.0, 5.0])
+def test_table_admits_compares_mu_with_its_cap_relative_to_the_cap(t):
+    # mu meets its cap t within REL_TOL t, the cap's own scale
+    p = point(BracketFamily.GT, MetricFamily.H_MU_NU, t=t, nu=1.0)
+    assert table_admits(p._replace(mu=t * (1 + 0.9 * REL_TOL)))
+    with pytest.raises(InputError, match="mu <= "):
+        table_admits(p._replace(mu=t * (1 + 1.1 * REL_TOL)))
+
+
 def test_verdict_agreement_spot_points():
     for p in (
         point(BracketFamily.SOL, MetricFamily.STD),

@@ -524,10 +524,11 @@ _CATALOG_MU = {"g": 1.0, "h": 2.0}
 
 
 @pytest.mark.parametrize("family", sorted(catalog3d._ROWS))
-def test_catalog3d_command_follows_the_table_on_every_pair(family, capsys):
+def test_catalog3d_command_follows_the_table_on_every_pair(family, capsys, tmp_path):
     # every metric family, so every --metric name, with in-domain flags: the
     # command exits 0 exactly on the table's pairings, its document parses
-    # back to build_family's algebra, and its verdict is table_admits'
+    # back to build_family's algebra, its verdict is table_admits', and
+    # report on that document finds its roots
     row = catalog3d._ROWS[family]
     for mf, spec in catalog3d._METRICS.items():
         point = catalog3d.Family3D(
@@ -548,7 +549,13 @@ def test_catalog3d_command_follows_the_table_on_every_pair(family, capsys):
         assert code == 0, (argv, err)
         m, want = mla.parse_mla(out).to_metric_lie_algebra(), catalog3d.build_family(point)
         assert np.array_equal(m.c, want.c) and np.array_equal(m.metric, want.metric)
-        assert mla.parse_records(out)["cl3.admits"] is catalog3d.table_admits(point), argv
+        records = mla.parse_records(out)
+        assert records["cl3.admits"] is catalog3d.table_admits(point), argv
+        path = tmp_path / f"{family}-{mf.value}.mla"
+        path.write_text(out, encoding="utf-8")
+        assert cli.main(["report", str(path), "--format", "records"]) == 0, argv
+        report = mla.parse_records(capsys.readouterr().out)
+        assert report["weyl.root_count"] == records["cl3.root_count"], argv
 
 
 def test_catalog3d_builds_its_algebra_once(monkeypatch, capsys):

@@ -5,6 +5,8 @@ from the bracket relations and are asserted to 1e-12; everything else is
 checked against structural identities.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from lieweyl.errors import (
     InvalidAlgebraError,
     MetricError,
     NumericInputError,
+    StructureError,
 )
 from lieweyl.riemann import (
     codifferential_sym2,
@@ -33,7 +36,7 @@ from lieweyl.riemann import (
     ricci_trace,
     torsion_residual,
 )
-from lieweyl import riemann, samples
+from lieweyl import mla, riemann, samples
 from models import acceptance_mix
 
 TOL = 1e-12
@@ -186,6 +189,26 @@ def test_scalar_invariant_under_basis_change():
         basis = samples.random_basis_change(rng, 4)
         moved = change_basis(m, basis)
         assert ricci(moved).scalar == pytest.approx(ricci(m).scalar, abs=1e-10)
+
+
+@pytest.mark.parametrize("basis", [np.ones((3, 3)), np.eye(4)], ids=["singular", "4x4"])
+def test_change_basis_rejects_a_basis_that_is_not_one(basis):
+    with pytest.raises(StructureError, match="basis"):
+        change_basis(sol(), basis)
+
+
+def test_algebras_compare_and_hash_by_identity():
+    # comparing their arrays would raise, so == and hash are the object's;
+    # the document of an algebra still compares by value
+    a, b = samples.heisenberg(), samples.heisenberg()
+    for x, y in ((a, b), (a.algebra, b.algebra)):
+        assert x == x and x != y
+        assert x in [y, x] and y not in [x]
+        assert len({x, y, x}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, dataclasses.fields(x)[0].name, None)
+    document = mla.MlaDocument.from_metric_lie_algebra
+    assert document(a) == document(b)
 
 
 def test_ricci_transforms_as_bilinear_form():

@@ -14,6 +14,8 @@ import sys
 
 import pytest
 
+from lieweyl import catalog3d
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -24,6 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ("nilpotent_no_go.py", ["--ladder", "8", "16", "--max-extra", "0"]),
         ("catalog_sweep.py", ["--nu", "1", "--t", "2", "--mu-steps", "1", "--quiet"]),
         ("conditioning_sweep.py", ["--count", "6"]),
+        ("catalog_sweep.py", ["--quiet"]),
     ],
 )
 def test_script_exits_clean(script, args):
@@ -53,8 +56,15 @@ def test_script_exits_clean(script, args):
         dims = [line.strip() for line in proc.stdout.splitlines() if "quotient dim" in line]
         assert dims == ["quotient dim 2", "quotient dim 0", "quotient dim 0"], proc.stdout
     if script == "catalog_sweep.py":
-        # every grid point is in the catalog's domain
-        assert "0 degenerate points" in proc.stdout, proc.stdout
+        # the grid is the table's: every pairing, sol/hmunu included, and no
+        # point outside a parameter's bounds, which would raise InputError
+        pairs = [tuple(line.split()[:2]) for line in proc.stdout.splitlines()
+                 if line.split()[-1:] and line.split()[-1].isdigit()]
+        assert pairs == sorted((name, mf.value) for name, row in catalog3d._ROWS.items()
+                               for mf in row.pairings), proc.stdout
+        assert len(pairs) == 11 and ("sol", "hmunu") in pairs
+        totals = "19 admit, 163 do not" if args == ["--quiet"] else "5 admit, 6 do not"
+        assert f"total: {totals} (" in proc.stdout, proc.stdout
     if script == "conditioning_sweep.py":
         # one line per condition and kind, flat draws apart; a draw that is
         # not flat is right at every kappa up to 1e3
